@@ -2,7 +2,7 @@
 
 Users are fingerprinted by the neighbors they interact with (weighted
 SimHash), and all account pairs within a Hamming radius are retrieved
-losslessly through pigeonhole block tables, then clustered and scored.
+losslessly through pigeonhole blocking, then clustered and scored.
 """
 
 __version__ = "0.1.0"

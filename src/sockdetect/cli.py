@@ -21,10 +21,11 @@ from .evaluate import (
     pairwise_metrics,
     read_truth,
     sweep,
+    sweep_row_fields,
     sweep_rows_to_csv,
     write_truth,
 )
-from .features import write_features_tsv
+from .features import DIRECTIONS, MODES, write_features_tsv
 from .ingest import (
     build_interaction_graph,
     convert_telegram_export,
@@ -33,6 +34,7 @@ from .ingest import (
     write_edges_tsv,
 )
 from .pipeline import (
+    WEIGHTINGS,
     RunConfig,
     read_candidates_tsv,
     run_detection,
@@ -43,13 +45,16 @@ from .synth import SynthConfig, generate
 
 
 def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--bits", type=int, default=128, help="fingerprint width")
-    parser.add_argument("--max-distance", type=int, default=20, help="Hamming radius")
-    parser.add_argument("--threshold", type=float, default=0.5, help="weight cutoff")
-    parser.add_argument("--mode", choices=("max", "sum"), default="max")
-    parser.add_argument("--direction", choices=("out", "in", "both"), default="out")
-    parser.add_argument("--weighting", choices=("weighted", "binary"), default="weighted")
-    parser.add_argument("--seed", type=int, default=0)
+    defaults = RunConfig()
+    parser.add_argument("--bits", type=int, default=defaults.bits, help="fingerprint width")
+    parser.add_argument(
+        "--max-distance", type=int, default=defaults.max_distance, help="Hamming radius"
+    )
+    parser.add_argument("--threshold", type=float, default=defaults.theta, help="weight cutoff")
+    parser.add_argument("--mode", choices=MODES, default=defaults.mode)
+    parser.add_argument("--direction", choices=DIRECTIONS, default=defaults.direction)
+    parser.add_argument("--weighting", choices=WEIGHTINGS, default=defaults.weighting)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
 
 
 def _run_config(args: argparse.Namespace) -> RunConfig:
@@ -208,18 +213,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     print(SWEEP_COLUMNS.replace(",", "\t"))
     for r in rows:
-        if r.report is not None:
-            metrics = (
-                f"{r.report.tp}\t{r.report.fp}\t{r.report.fn}\t"
-                f"{r.report.precision:.4f}\t{r.report.recall:.4f}\t{r.report.f1:.4f}"
-            )
-        else:
-            metrics = "-\t-\t-\t-\t-\t-"
-        print(
-            f"{r.bits}\t{r.max_distance}\t{r.theta}\t{r.direction}\t{r.mode}\t"
-            f"{r.weighting}\t{r.seed}\t{r.status}\t{r.candidates}\t{metrics}\t"
-            f"{r.seconds:.3f}\t{r.error}"
-        )
+        print("\t".join(sweep_row_fields(r)))
     return 0
 
 
@@ -262,13 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="edge-list TSV")
     p.add_argument("--truth", required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--bits", default="128", help="comma-separated widths")
-    p.add_argument("--max-distance", default="20", help="comma-separated radii")
-    p.add_argument("--threshold", default="0.5", help="comma-separated cutoffs")
-    p.add_argument("--mode", default="max", help="comma-separated modes")
-    p.add_argument("--direction", default="out", help="comma-separated directions")
-    p.add_argument("--weighting", default="weighted", help="comma-separated weightings")
-    p.add_argument("--seed", type=int, default=0)
+    grid = SweepGrid()
+    for flag, values, what in (
+        ("--bits", grid.bits, "widths"),
+        ("--max-distance", grid.max_distances, "radii"),
+        ("--threshold", grid.thetas, "cutoffs"),
+        ("--mode", grid.modes, "modes"),
+        ("--direction", grid.directions, "directions"),
+        ("--weighting", grid.weightings, "weightings"),
+    ):
+        p.add_argument(flag, default=",".join(map(str, values)), help=f"comma-separated {what}")
+    p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -47,7 +47,6 @@ class MatchCluster:
     """A connected component of candidate pairs (size >= 2)."""
 
     members: list[str]
-    witness_pairs: list[CandidatePair]
 
 
 @dataclass(frozen=True)
@@ -83,7 +82,6 @@ class MatchReport:
 def cluster(pairs: Iterable[CandidatePair]) -> list[MatchCluster]:
     """Connected components over the pair graph, sorted by
     (size descending, smallest member id).  Users in no pair are omitted."""
-    pairs = list(pairs)
     uf = UnionFind()
     for p in pairs:
         uf.add(p.a)
@@ -92,13 +90,7 @@ def cluster(pairs: Iterable[CandidatePair]) -> list[MatchCluster]:
     members_by_root: dict[str, set[str]] = {}
     for uid in uf.items():
         members_by_root.setdefault(uf.find(uid), set()).add(uid)
-    witnesses_by_root: dict[str, list[CandidatePair]] = {}
-    for p in sorted(pairs):
-        witnesses_by_root.setdefault(uf.find(p.a), []).append(p)
-    clusters = [
-        MatchCluster(members=sorted(members), witness_pairs=witnesses_by_root[root])
-        for root, members in members_by_root.items()
-    ]
+    clusters = [MatchCluster(members=sorted(members)) for members in members_by_root.values()]
     clusters.sort(key=lambda c: (-len(c.members), c.members[0]))
     return clusters
 

@@ -11,6 +11,7 @@ from typing import TYPE_CHECKING, Iterable
 
 from .errors import InputError
 from .lsh import CandidatePair
+from .pipeline import RunConfig
 
 if TYPE_CHECKING:
     from .ingest import InteractionGraph
@@ -122,12 +123,12 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
 class SweepGrid:
     """Value lists for every tunable; the product is swept in field order."""
 
-    bits: list[int] = field(default_factory=lambda: [128])
-    max_distances: list[int] = field(default_factory=lambda: [20])
-    thetas: list[float] = field(default_factory=lambda: [0.5])
-    directions: list[str] = field(default_factory=lambda: ["out"])
-    modes: list[str] = field(default_factory=lambda: ["max"])
-    weightings: list[str] = field(default_factory=lambda: ["weighted"])
+    bits: list[int] = field(default_factory=lambda: [RunConfig.bits])
+    max_distances: list[int] = field(default_factory=lambda: [RunConfig.max_distance])
+    thetas: list[float] = field(default_factory=lambda: [RunConfig.theta])
+    directions: list[str] = field(default_factory=lambda: [RunConfig.direction])
+    modes: list[str] = field(default_factory=lambda: [RunConfig.mode])
+    weightings: list[str] = field(default_factory=lambda: [RunConfig.weighting])
 
 
 @dataclass
@@ -152,22 +153,28 @@ SWEEP_COLUMNS = (
 )
 
 
+def sweep_row_fields(r: SweepRow) -> list[str]:
+    """One row's cells in ``SWEEP_COLUMNS`` order; metrics are empty for a
+    failed grid point."""
+    if r.report is not None:
+        metrics = [
+            str(r.report.tp), str(r.report.fp), str(r.report.fn),
+            f"{r.report.precision:.6f}", f"{r.report.recall:.6f}", f"{r.report.f1:.6f}",
+        ]
+    else:
+        metrics = [""] * 6
+    return [
+        str(r.bits), str(r.max_distance), repr(r.theta), r.direction, r.mode,
+        r.weighting, str(r.seed), r.status, str(r.candidates), *metrics,
+        f"{r.seconds:.3f}", r.error,
+    ]
+
+
 def sweep_rows_to_csv(rows: list[SweepRow], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SWEEP_COLUMNS + "\n")
         for r in rows:
-            if r.report is not None:
-                metrics = (
-                    f"{r.report.tp},{r.report.fp},{r.report.fn},"
-                    f"{r.report.precision:.6f},{r.report.recall:.6f},{r.report.f1:.6f}"
-                )
-            else:
-                metrics = ",,,,,"
-            fh.write(
-                f"{r.bits},{r.max_distance},{r.theta!r},{r.direction},{r.mode},"
-                f"{r.weighting},{r.seed},{r.status},{r.candidates},{metrics},"
-                f"{r.seconds:.3f},{r.error}\n"
-            )
+            fh.write(",".join(sweep_row_fields(r)) + "\n")
 
 
 def sweep(
@@ -180,7 +187,8 @@ def sweep(
 
     Rows come back in grid order regardless of individual outcomes.
     """
-    from .pipeline import RunConfig, run_detection  # cycle: pipeline imports eval types
+    # looked up at call time, so a wrapper installed on pipeline.run_detection applies
+    from .pipeline import run_detection
 
     rows: list[SweepRow] = []
     for b, d, theta, direction, mode, weighting in itertools.product(

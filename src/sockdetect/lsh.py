@@ -2,20 +2,22 @@
 
 A b-bit fingerprint is split into m = d+1 disjoint blocks.  Two fingerprints
 within Hamming distance d differ in at most d positions, so they must agree
-exactly on at least one block: keying m hash tables by exact block bits
-therefore co-buckets every true pair at least once.  Verification with exact
-Hamming distance then removes every false bucket collision, so retrieval is
-lossless and ``candidate_pairs`` equals the all-pairs scan by construction.
+exactly on at least one block: grouping users by exact block bits therefore
+co-buckets every true pair at least once.  Verification with exact Hamming
+distance then removes every false bucket collision, so retrieval is lossless
+and ``candidate_pairs`` equals the all-pairs scan by construction.
 
-Within a bucket the same guarantee holds recursively on the remaining bit
-positions (the bucket members already agree on the block bits), which keeps
-dense buckets from degenerating into an all-pairs scan: large buckets are
-re-partitioned instead of enumerated, and only the final small segments are
-verified pairwise, in batched vectorized popcounts.
+Within a bucket the same guarantee holds on the remaining bit positions
+(the members already agree on the block bits), so one recursive grouping
+does both: its first call, over all users and all positions, forms the d+1
+top-level blocks, and every large bucket is re-partitioned the same way
+instead of enumerated.  Only small segments are verified pairwise, in
+batched popcounts; ``query`` is an exact popcount scan.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -29,7 +31,6 @@ from .simhash import Fingerprint
 # of another round of block keying sits around k ~ 100.
 LEAF_SIZE = 96
 _FLUSH_PAIRS = 1 << 22
-
 _POW2 = (np.int64(1) << np.arange(63, dtype=np.int64))
 
 
@@ -60,18 +61,26 @@ class CandidatePair:
 
 @dataclass
 class LshIndex:
+    """Fingerprints packed once: row i of ``bits`` holds ``users[i]``, bit j
+    in column j, and ``words`` holds the same rows as ``uint64`` words."""
+
     plan: BlockPlan
-    tables: list[dict[int, list[str]]]
-    fingerprints: dict[str, Fingerprint]
-    width: int
+    users: list[str]
+    bits: np.ndarray  # uint8 [n, b]
+    words: np.ndarray  # uint64 [n, ceil(b/64)]
     max_distance: int
 
     def largest_bucket(self) -> int:
-        sizes = [len(bucket) for table in self.tables for bucket in table.values()]
-        return max(sizes, default=0)
+        """Most users sharing one key of one top-level block."""
+        sizes = [
+            np.unique(_chunk_keys(self.bits, np.arange(start, start + width)),
+                      return_counts=True)[1].max()
+            for start, width in self.plan.ranges
+        ]
+        return int(max(sizes, default=0))
 
     def bucket_memberships(self) -> int:
-        return sum(len(bucket) for table in self.tables for bucket in table.values())
+        return len(self.users) * self.plan.m
 
 
 def plan_blocks(b: int, d: int) -> BlockPlan:
@@ -85,137 +94,138 @@ def plan_blocks(b: int, d: int) -> BlockPlan:
         )
     m = d + 1
     q, r = divmod(b, m)
-    ranges: list[tuple[int, int]] = []
-    start = 0
-    for i in range(m):
-        width = q + 1 if i < r else q
-        ranges.append((start, width))
-        start += width
-    return BlockPlan(m=m, ranges=ranges)
+    widths = [q + 1] * r + [q] * (m - r)
+    starts = itertools.accumulate(widths[:-1], initial=0)
+    return BlockPlan(m=m, ranges=list(zip(starts, widths)))
+
+
+def _pack(fps: Mapping[str, Fingerprint]) -> tuple[list[str], np.ndarray]:
+    """Sorted ids and their fingerprints as an ``[n, b]`` uint8 bit matrix."""
+    users = sorted(fps)
+    widths = {fps[uid].width for uid in users}
+    if len(widths) > 1:
+        raise ValueError(f"fingerprint width mismatch: {sorted(widths)}")
+    nbytes = widths.pop() // 8 if widths else 0
+    raw = b"".join(fps[uid].bits.to_bytes(nbytes, "little") for uid in users)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(users), nbytes)
+    return users, np.unpackbits(packed, axis=1, bitorder="little")
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """Bit-matrix rows as ``uint64`` words, zero-padded (b=32 fills half a word)."""
+    padded = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 64)))
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def build_index(fps: Mapping[str, Fingerprint], d: int) -> LshIndex:
-    """Insert every fingerprint into one bucket per block table (O(n*m))."""
-    if not fps:
-        return LshIndex(
-            plan=BlockPlan(m=d + 1, ranges=[]),
-            tables=[],
-            fingerprints={},
-            width=0,
-            max_distance=d,
-        )
-    widths = {fp.width for fp in fps.values()}
-    if len(widths) != 1:
-        raise ValueError(f"fingerprint width mismatch: {sorted(widths)}")
-    b = widths.pop()
-    plan = plan_blocks(b, d)
-    tables: list[dict[int, list[str]]] = [{} for _ in plan.ranges]
-    fingerprints = {uid: fps[uid] for uid in sorted(fps)}
-    for uid, fp in fingerprints.items():
-        for (start, width), table in zip(plan.ranges, tables):
-            key = (fp.bits >> start) & ((1 << width) - 1)
-            table.setdefault(key, []).append(uid)
-    return LshIndex(
-        plan=plan, tables=tables, fingerprints=fingerprints, width=b, max_distance=d
-    )
+    """Pack the fingerprints once; the block plan covers their width."""
+    users, bits = _pack(fps)
+    plan = plan_blocks(bits.shape[1], d) if users else BlockPlan(m=d + 1, ranges=[])
+    return LshIndex(plan=plan, users=users, bits=bits, words=_words(bits), max_distance=d)
 
 
-def _word_matrix(fingerprints: Mapping[str, Fingerprint], users: list[str], b: int) -> np.ndarray:
-    nwords = (b + 63) // 64
-    words = np.zeros((len(users), nwords), dtype=np.uint64)
-    for i, uid in enumerate(users):
-        bits = fingerprints[uid].bits
-        for j in range(nwords):
-            words[i, j] = (bits >> (64 * j)) & 0xFFFFFFFFFFFFFFFF
-    return words
+class _Refiner:
+    """Recursive pigeonhole grouping over an index's bit matrix; the pairs
+    it emits are buffered and verified in large batches of popcounts."""
 
-
-def _bit_matrix(fingerprints: Mapping[str, Fingerprint], users: list[str], b: int) -> np.ndarray:
-    raw = np.zeros((len(users), b // 8), dtype=np.uint8)
-    for i, uid in enumerate(users):
-        raw[i] = np.frombuffer(
-            fingerprints[uid].bits.to_bytes(b // 8, "little"), dtype=np.uint8
-        )
-    return np.unpackbits(raw, axis=1, bitorder="little")
-
-
-def _split_even(positions: np.ndarray, m: int) -> list[np.ndarray]:
-    q, r = divmod(len(positions), m)
-    chunks: list[np.ndarray] = []
-    start = 0
-    for i in range(m):
-        width = q + 1 if i < r else q
-        if width == 0:
-            break
-        chunks.append(positions[start : start + width])
-        start += width
-    return chunks
-
-
-class _PairCollector:
-    """Buffers candidate row pairs and verifies them in large batches."""
-
-    def __init__(self, words: np.ndarray, d: int):
-        self._words = words
-        self._d = d
-        self._bufI: list[np.ndarray] = []
-        self._bufJ: list[np.ndarray] = []
+    def __init__(self, index: LshIndex, leaf_size: int):
+        self.bits = index.bits
+        self.words = index.words
+        self.d = index.max_distance
+        self.leaf_size = leaf_size
+        self._classes: set[int] = set()  # smallest row of each emitted duplicate class
+        self.pairs_verified = 0
+        self._buffer: list[tuple[np.ndarray, np.ndarray]] = []
         self._buffered = 0
         self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.survivors: dict[tuple[int, int], int] = {}
-        self.pairs_verified = 0
+        # verified pairs as low*n + high, and their distances; deduplicated per
+        # flush so repeated co-bucketing cannot grow them past the pair count
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.dists = np.zeros(0, dtype=np.int64)
 
-    def _triu_for(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        cached = self._triu.get(k)
-        if cached is None:
-            cached = np.triu_indices(k, 1)
-            if k <= LEAF_SIZE:  # keep the cache small
-                self._triu[k] = cached
-        return cached
+    def refine(self, members: np.ndarray, avail: np.ndarray) -> None:
+        """Emit a superset of all within-distance pairs among ``members``.
 
-    def add_clique(self, members: np.ndarray) -> None:
+        Invariant: every pair of members agrees on all bit positions outside
+        ``avail``, so differing positions lie inside it and the d+1-way split
+        guarantees at least one chunk of exact agreement per true pair.
+        """
         k = len(members)
-        if k < 2:
+        if k <= self.leaf_size or len(avail) <= self.d:
+            self._clique(members)
             return
-        if k > 2048:
-            # degenerate giant bucket: emit row by row to bound memory
-            for i in range(k - 1):
-                tail = members[i + 1 :]
-                self._push(np.full(len(tail), members[i], dtype=np.int64), tail)
+        sub = self.bits[members]
+        ranges = plan_blocks(len(avail), self.d).ranges
+        chunks = [avail[start : start + width] for start, width in ranges]
+        keys = [_chunk_keys(sub, chunk) for chunk in chunks]
+        live = [i for i, chunk_keys in enumerate(keys) if (chunk_keys != chunk_keys[0]).any()]
+        if not live:
+            # members are identical, and since grouping never separates equal
+            # rows this node holds their whole duplicate class: every path that
+            # reaches the class would emit the same clique, so emit it once
+            if int(members.min()) not in self._classes:
+                self._classes.add(int(members.min()))
+                self._clique(members)
             return
-        ti, tj = self._triu_for(k)
-        self._push(members[ti], members[tj])
+        if len(live) < len(chunks):
+            # every pair agrees on the constant chunks: split the live ones afresh
+            self.refine(members, np.concatenate([chunks[i] for i in live]))
+            return
+        for (start, width), chunk_keys in zip(ranges, keys):
+            order = np.argsort(chunk_keys, kind="stable")
+            sorted_keys = chunk_keys[order]
+            starts = np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[0] - 1))
+            sizes = np.diff(np.append(starts, k))
+            remaining = np.delete(avail, slice(start, start + width))
+            for size in np.unique(sizes[sizes > 1]):
+                seg_starts = starts[sizes == size]
+                rows = members[order[seg_starts[:, None] + np.arange(size)[None, :]]]
+                if size <= self.leaf_size:
+                    self._cliques(rows)
+                else:
+                    for row in rows:
+                        self.refine(row, remaining)
 
-    def add_cliques(self, blocks: np.ndarray) -> None:
+    def _clique(self, members: np.ndarray) -> None:
+        if len(members) > 2048:
+            # degenerate giant bucket: emit row by row to bound memory
+            for i in range(len(members) - 1):
+                tail = members[i + 1 :]
+                self._push(np.full(len(tail), members[i]), tail)
+        else:
+            self._cliques(members[None, :])
+
+    def _cliques(self, blocks: np.ndarray) -> None:
         """blocks: [g, s] matrix, each row an independent clique of size s."""
         s = blocks.shape[1]
         if s < 2:
             return
-        ti, tj = self._triu_for(s)
-        self._push(blocks[:, ti].ravel(), blocks[:, tj].ravel())
+        triu = self._triu.get(s)
+        if triu is None:
+            triu = np.triu_indices(s, 1)
+            if s <= LEAF_SIZE:  # keep the cache small
+                self._triu[s] = triu
+        self._push(blocks[:, triu[0]].ravel(), blocks[:, triu[1]].ravel())
 
     def _push(self, I: np.ndarray, J: np.ndarray) -> None:
-        self._bufI.append(I)
-        self._bufJ.append(J)
+        self._buffer.append((I, J))
         self._buffered += len(I)
         if self._buffered >= _FLUSH_PAIRS:
             self.flush()
 
     def flush(self) -> None:
-        if not self._bufI:
+        if not self._buffer:
             return
-        I = np.concatenate(self._bufI)
-        J = np.concatenate(self._bufJ)
-        self._bufI.clear()
-        self._bufJ.clear()
+        I, J = map(np.concatenate, zip(*self._buffer))
+        self._buffer.clear()
         self._buffered = 0
         self.pairs_verified += len(I)
-        xor = self._words[I] ^ self._words[J]
-        dist = np.bitwise_count(xor).sum(axis=1, dtype=np.int64)
-        ok = dist <= self._d
-        for i, j, dd in zip(I[ok].tolist(), J[ok].tolist(), dist[ok].tolist()):
-            key = (i, j) if i < j else (j, i)
-            self.survivors[key] = dd
+        dist = np.bitwise_count(self.words[I] ^ self.words[J]).sum(axis=1, dtype=np.int64)
+        ok = dist <= self.d
+        n = len(self.words)
+        keys = np.minimum(I[ok], J[ok]) * n + np.maximum(I[ok], J[ok])
+        self.keys, first = np.unique(np.append(self.keys, keys), return_index=True)
+        self.dists = np.append(self.dists, dist[ok])[first]
 
 
 def _chunk_keys(sub_bits: np.ndarray, chunk: np.ndarray) -> np.ndarray:
@@ -227,58 +237,6 @@ def _chunk_keys(sub_bits: np.ndarray, chunk: np.ndarray) -> np.ndarray:
     return inverse.astype(np.int64)
 
 
-def _refine(
-    members: np.ndarray,
-    avail: np.ndarray,
-    bits: np.ndarray,
-    d: int,
-    collector: _PairCollector,
-    leaf_size: int,
-) -> None:
-    """Emit a superset of all within-distance pairs among ``members``.
-
-    Invariant: every pair of members agrees on all bit positions outside
-    ``avail``, so differing positions lie inside it and the d+1-way split
-    guarantees at least one chunk of exact agreement per true pair.
-    """
-    k = len(members)
-    if k <= leaf_size or len(avail) <= d:
-        collector.add_clique(members)
-        return
-    sub = bits[members]
-    chunks = _split_even(avail, d + 1)
-    splitting: list[np.ndarray] = []
-    for chunk in chunks:
-        keys = _chunk_keys(sub, chunk)
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
-        cuts = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-        if cuts.size == 0:
-            continue  # all members agree on this chunk; collapse branch covers it
-        splitting.append(chunk)
-        rest = [c for c in chunks if c is not chunk]
-        remaining = np.concatenate(rest) if rest else avail[:0]
-        starts = np.concatenate(([0], cuts))
-        sizes = np.diff(np.concatenate((starts, [k])))
-        for size in np.unique(sizes):
-            if size < 2:
-                continue
-            seg_starts = starts[sizes == size]
-            rows = members[order[seg_starts[:, None] + np.arange(size)[None, :]]]
-            if size <= leaf_size:
-                collector.add_cliques(rows)
-            else:
-                for row in rows:
-                    _refine(row, remaining, bits, d, collector, leaf_size)
-    if len(splitting) < len(chunks):
-        if not splitting:
-            # members are identical on every available position, hence on the
-            # whole fingerprint: all pairs are true candidates
-            collector.add_clique(members)
-        else:
-            _refine(members, np.concatenate(splitting), bits, d, collector, leaf_size)
-
-
 def candidate_pairs(
     index: LshIndex,
     stats: dict | None = None,
@@ -286,93 +244,54 @@ def candidate_pairs(
 ) -> set[CandidatePair]:
     """All pairs of indexed users within the index's Hamming radius.
 
-    Equals ``brute_force_pairs`` on the same fingerprints: the block tables
-    co-bucket every true pair at least once, refinement never separates two
-    members that agree on a chunk, and every emitted pair is verified with
-    the exact distance.
+    Equals ``brute_force_pairs`` on the same fingerprints: the top-level
+    blocks co-bucket every true pair at least once, refinement never
+    separates two members that agree on a chunk, and every emitted pair is
+    verified with the exact distance.
     """
-    users = list(index.fingerprints)
-    n = len(users)
-    if n < 2:
-        if stats is not None:
-            stats.update(pairs_verified=0, largest_bucket=index.largest_bucket())
-        return set()
-    words = _word_matrix(index.fingerprints, users, index.width)
-    bits = _bit_matrix(index.fingerprints, users, index.width)
-    row_of = {uid: i for i, uid in enumerate(users)}
-    d = index.max_distance
-    collector = _PairCollector(words, d)
-    all_positions = np.arange(index.width, dtype=np.int64)
-
-    for (start, width), table in zip(index.plan.ranges, index.tables):
-        in_block = (all_positions >= start) & (all_positions < start + width)
-        remaining = all_positions[~in_block]
-        for bucket in table.values():
-            if len(bucket) < 2:
-                continue
-            members = np.fromiter(
-                (row_of[uid] for uid in bucket), dtype=np.int64, count=len(bucket)
-            )
-            _refine(members, remaining, bits, d, collector, leaf_size)
-    collector.flush()
-
+    n, b = index.bits.shape
+    refiner = _Refiner(index, leaf_size)
+    refiner.refine(np.arange(n), np.arange(b))
+    refiner.flush()
     if stats is not None:
-        stats.update(
-            pairs_verified=collector.pairs_verified,
-            largest_bucket=index.largest_bucket(),
-        )
+        stats.update(pairs_verified=refiner.pairs_verified, largest_bucket=index.largest_bucket())
+    low, high = np.divmod(refiner.keys, max(n, 1))
     return {
-        CandidatePair(users[i], users[j], dd)
-        for (i, j), dd in collector.survivors.items()
+        CandidatePair(index.users[i], index.users[j], dd)
+        for i, j, dd in zip(low.tolist(), high.tolist(), refiner.dists.tolist())
     }
 
 
 def query(index: LshIndex, fp: Fingerprint) -> list[tuple[str, int]]:
-    """All indexed users within the radius of ``fp``, sorted by (distance, id).
-
-    The owner of ``fp`` is excluded if indexed.
-    """
-    if not index.fingerprints:
+    """All indexed users within the radius of ``fp``, sorted by (distance, id),
+    by an exact popcount scan of every row; the owner of ``fp`` is excluded."""
+    if not index.users:
         return []
-    if fp.width != index.width:
-        raise ValueError(f"width mismatch: query {fp.width} vs index {index.width}")
-    results: list[tuple[int, str]] = []
-    seen: set[str] = set()
-    for (start, width), table in zip(index.plan.ranges, index.tables):
-        key = (fp.bits >> start) & ((1 << width) - 1)
-        for uid in table.get(key, ()):
-            if uid == fp.owner or uid in seen:
-                continue
-            seen.add(uid)
-            dd = (fp.bits ^ index.fingerprints[uid].bits).bit_count()
-            if dd <= index.max_distance:
-                results.append((dd, uid))
-    return [(uid, dd) for dd, uid in sorted(results)]
+    if fp.width != index.bits.shape[1]:
+        raise ValueError(f"width mismatch: query {fp.width} vs index {index.bits.shape[1]}")
+    probe = _words(_pack({fp.owner: fp})[1])
+    dist = np.bitwise_count(index.words ^ probe).sum(axis=1, dtype=np.int64)
+    hits = np.flatnonzero(dist <= index.max_distance).tolist()
+    results = sorted((int(dist[i]), index.users[i]) for i in hits)
+    return [(uid, dd) for dd, uid in results if uid != fp.owner]
 
 
 def brute_force_pairs(fps: Mapping[str, Fingerprint], d: int) -> set[CandidatePair]:
     """All-pairs exact Hamming filter; the O(n^2) oracle the index replaces."""
-    users = sorted(fps)
-    n = len(users)
-    if n < 2:
+    if len(fps) < 2:
         return set()
-    widths = {fps[uid].width for uid in users}
-    if len(widths) != 1:
-        raise ValueError(f"fingerprint width mismatch: {sorted(widths)}")
-    b = widths.pop()
-    words = _word_matrix(fps, users, b)
-    nwords = words.shape[1]
+    users, bits = _pack(fps)
+    words = _words(bits)
+    n, nwords = words.shape
     pairs: set[CandidatePair] = set()
     rows_per_chunk = max(1, (1 << 22) // (n * nwords))
     for i0 in range(0, n, rows_per_chunk):
         i1 = min(i0 + rows_per_chunk, n)
         xor = words[i0:i1, None, :] ^ words[None, :, :]
         dist = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
-        hit_r, hit_c = np.nonzero(dist <= d)
-        for r, c in zip(hit_r.tolist(), hit_c.tolist()):
-            gi = i0 + r
-            if c > gi:
-                pairs.add(CandidatePair(users[gi], users[c], int(dist[r, c])))
+        upper = np.arange(n)[None, :] > np.arange(i0, i1)[:, None]
+        for r, c in zip(*np.nonzero((dist <= d) & upper)):
+            pairs.add(CandidatePair(users[i0 + r], users[c], int(dist[r, c])))
     return pairs
 
 

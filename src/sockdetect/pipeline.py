@@ -16,8 +16,8 @@ from .detect import MatchReport, build_match_report
 from .errors import ConfigError, InputError
 from .features import DIRECTIONS, MODES, binarize, build_feature_maps
 from .ingest import InteractionGraph
-from .lsh import CandidatePair, build_index, candidate_pairs, iter_sorted_pairs
-from .simhash import Fingerprint, HashConfig, SUPPORTED_WIDTHS, fingerprint_population
+from .lsh import CandidatePair, build_index, candidate_pairs, iter_sorted_pairs, plan_blocks
+from .simhash import Fingerprint, HashConfig, fingerprint_population
 
 WEIGHTINGS = ("weighted", "binary")
 
@@ -33,14 +33,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.bits not in SUPPORTED_WIDTHS:
-            raise ConfigError(f"bits must be one of {SUPPORTED_WIDTHS}, got {self.bits}")
-        if self.max_distance < 0:
-            raise ConfigError("max distance must be >= 0")
-        if self.max_distance >= self.bits:
-            raise ConfigError(
-                f"max distance {self.max_distance} must be smaller than bits {self.bits}"
-            )
+        HashConfig(b=self.bits, seed=self.seed)
+        plan_blocks(self.bits, self.max_distance)
         if not 0.0 <= self.theta <= 1.0:
             raise ConfigError(f"threshold must lie in [0, 1], got {self.theta}")
         if self.mode not in MODES:
@@ -53,8 +47,6 @@ class RunConfig:
             raise ConfigError(
                 f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
             )
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
 
     def header_line(self) -> str:
         return (

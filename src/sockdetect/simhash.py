@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InputError, UnfingerprintableError
+from .errors import ConfigError, InputError, UnfingerprintableError
 from .features import FeatureMap, FeatureToken
 
 SUPPORTED_WIDTHS = (32, 64, 128, 256)
@@ -42,9 +42,9 @@ class HashConfig:
 
     def __post_init__(self) -> None:
         if self.b not in SUPPORTED_WIDTHS:
-            raise ValueError(f"width must be one of {SUPPORTED_WIDTHS}, got {self.b}")
+            raise ConfigError(f"width must be one of {SUPPORTED_WIDTHS}, got {self.b}")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+            raise ConfigError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)

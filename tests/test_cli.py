@@ -141,6 +141,22 @@ class TestDetect:
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--bits", "100"), ("--seed", "-1"), ("--max-distance", "128"), ("--threshold", "1.5")],
+    )
+    def test_invalid_run_config_exits_2(self, synth_corpus, tmp_path, capsys, flag, value):
+        rc = main(
+            [
+                "detect",
+                "--input", str(synth_corpus / "edges.tsv"),
+                "--output-dir", str(tmp_path / "run"),
+                flag, value,
+            ]
+        )
+        assert rc == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_stats_include_candidate_generation_time(self, synth_corpus, tmp_path):
         run = tmp_path / "run"
         main(["detect", "--input", str(synth_corpus / "edges.tsv"), "--output-dir", str(run)])

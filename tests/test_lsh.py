@@ -91,9 +91,7 @@ class TestBuildIndex:
             "a": Fingerprint("a", 0xDEADBEEF, 128),
             "b": Fingerprint("b", 0xDEADBEEF, 128),
         }
-        index = build_index(fps, 20)
-        for table in index.tables:
-            assert any(set(bucket) == {"a", "b"} for bucket in table.values())
+        assert build_index(fps, 20).largest_bucket() == 2
 
     def test_membership_count_is_n_times_m(self):
         fps = _population(seed=1, n=500)
@@ -134,8 +132,7 @@ class TestCandidatePairs:
             "b": Fingerprint("b", flipped, 128),
         }
         index = build_index(fps, 20)
-        for (start, width), table in zip(plan.ranges, index.tables):
-            assert all(len(bucket) == 1 for bucket in table.values())
+        assert index.largest_bucket() == 1
         assert candidate_pairs(index) == set()
 
     def test_matches_brute_force_on_random_population(self):
@@ -176,6 +173,22 @@ class TestCandidatePairs:
         want = brute_force_pairs(fps, 20)
         assert got == want
         assert len(want) == 80 * 79 // 2 + 80  # clique plus the near twin
+
+    def test_star_shape_duplicate_class(self):
+        # a reply-only fan class: 1000 identical fingerprints overfill one
+        # bucket of every block, next to 200 unrelated users
+        rng = random.Random(17)
+        shared = rng.getrandbits(128)
+        fps = {f"f{i:04d}": Fingerprint(f"f{i:04d}", shared, 128) for i in range(1000)}
+        for i in range(200):
+            fps[f"r{i:03d}"] = Fingerprint(f"r{i:03d}", rng.getrandbits(128), 128)
+        index = build_index(fps, 20)
+        stats: dict = {}
+        assert candidate_pairs(index, stats=stats) == brute_force_pairs(fps, 20)
+        assert stats["largest_bucket"] >= 1000
+        assert index.bucket_memberships() == len(fps) * 21
+        # the class's 499,500 pairs are verified about once, not once per block
+        assert stats["pairs_verified"] < 2 * 499_500
 
     def test_distance_zero_radius(self):
         fps = _population(seed=13, n=200, planted=50, max_flips=4)
