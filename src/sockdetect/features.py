@@ -47,6 +47,17 @@ class DirectionalWeights:
     in_weights: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
+def check_feature_params(mode: str = "max", theta: float = 0.0, direction: str = "out") -> None:
+    """Raise ConfigError for a parameter outside its domain; every default
+    is valid, so a caller checks only what it passes."""
+    if mode not in MODES:
+        raise ConfigError(f"unknown normalization mode {mode!r}; expected one of {MODES}")
+    if not 0.0 <= theta <= 1.0:
+        raise ConfigError(f"threshold must lie in [0, 1], got {theta}")
+    if direction not in DIRECTIONS:
+        raise ConfigError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
+
+
 def _normalize_slice(raw: dict[str, int], mode: str) -> dict[str, float]:
     if mode == "max":
         denom = max(raw.values())
@@ -61,8 +72,7 @@ def normalize_weights(graph: InteractionGraph, mode: str = "max") -> Directional
     mode="max" divides by the slice maximum (so each non-empty slice attains
     1.0); mode="sum" divides by the slice total (so each sums to 1.0).
     """
-    if mode not in MODES:
-        raise ConfigError(f"unknown normalization mode {mode!r}; expected one of {MODES}")
+    check_feature_params(mode=mode)
     out = {
         u: _normalize_slice(slice_, mode)
         for u, slice_ in sorted(graph.out_adjacency().items())
@@ -80,8 +90,7 @@ def filter_edges(weights: DirectionalWeights, theta: float) -> DirectionalWeight
     Weights strictly below the threshold are dropped; users may end up with
     empty slices (they become unfingerprintable downstream).
     """
-    if not 0.0 <= theta <= 1.0:
-        raise ConfigError(f"threshold must lie in [0, 1], got {theta}")
+    check_feature_params(theta=theta)
 
     def _filter(side: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
         out: dict[str, dict[str, float]] = {}
@@ -108,10 +117,7 @@ def extract_features(
     union of the two (tokens carry the direction, so there is no collision).
     Every node appears in the result, possibly with an empty map.
     """
-    if direction not in DIRECTIONS:
-        raise ConfigError(
-            f"unknown direction {direction!r}; expected one of {DIRECTIONS}"
-        )
+    check_feature_params(direction=direction)
     maps: dict[str, FeatureMap] = {}
     for user in sorted(graph.nodes):
         entries: dict[FeatureToken, float] = {}

@@ -7,12 +7,11 @@ co-buckets every true pair at least once.  Verification with exact Hamming
 distance then removes every false bucket collision, so retrieval is lossless
 and ``candidate_pairs`` equals the all-pairs scan by construction.
 
-Within a bucket the same guarantee holds on the remaining bit positions
-(the members already agree on the block bits), so one recursive grouping
-does both: its first call, over all users and all positions, forms the d+1
-top-level blocks, and every large bucket is re-partitioned the same way
-instead of enumerated.  Only small segments are verified pairwise, in
-batched popcounts; ``query`` is an exact popcount scan.
+Within a bucket the same guarantee holds on the remaining bit positions,
+so one recursive grouping over one row per distinct fingerprint does both:
+its first call forms the d+1 top-level blocks, and a large bucket is split
+the same way while its chunks are wide enough for a split to pay, else
+verified pairwise in batched popcounts; ``query`` is an exact popcount scan.
 """
 
 from __future__ import annotations
@@ -133,7 +132,6 @@ class _Refiner:
         self.words = index.words
         self.d = index.max_distance
         self.leaf_size = leaf_size
-        self._classes: set[int] = set()  # smallest row of each emitted duplicate class
         self.pairs_verified = 0
         self._buffer: list[tuple[np.ndarray, np.ndarray]] = []
         self._buffered = 0
@@ -146,12 +144,14 @@ class _Refiner:
     def refine(self, members: np.ndarray, avail: np.ndarray) -> None:
         """Emit a superset of all within-distance pairs among ``members``.
 
-        Invariant: every pair of members agrees on all bit positions outside
-        ``avail``, so differing positions lie inside it and the d+1-way split
-        guarantees at least one chunk of exact agreement per true pair.
+        Invariant: members are distinct rows that agree on all bit positions
+        outside ``avail``, so the d+1-way split of ``avail`` gives every true
+        pair a chunk of exact agreement.  A split pays only when its narrowest
+        chunk, q = len(avail) // (d+1) bits, takes more than d+1 keys: under
+        uniform bits it re-verifies about (d+1)/2**q of the node's pairs.
         """
         k = len(members)
-        if k <= self.leaf_size or len(avail) <= self.d:
+        if k <= self.leaf_size or 2 ** (len(avail) // (self.d + 1)) <= self.d + 1:
             self._clique(members)
             return
         sub = self.bits[members]
@@ -159,16 +159,9 @@ class _Refiner:
         chunks = [avail[start : start + width] for start, width in ranges]
         keys = [_chunk_keys(sub, chunk) for chunk in chunks]
         live = [i for i, chunk_keys in enumerate(keys) if (chunk_keys != chunk_keys[0]).any()]
-        if not live:
-            # members are identical, and since grouping never separates equal
-            # rows this node holds their whole duplicate class: every path that
-            # reaches the class would emit the same clique, so emit it once
-            if int(members.min()) not in self._classes:
-                self._classes.add(int(members.min()))
-                self._clique(members)
-            return
         if len(live) < len(chunks):
-            # every pair agrees on the constant chunks: split the live ones afresh
+            # every pair agrees on the constant chunks, and distinct members
+            # leave some chunk live: split the live ones afresh
             self.refine(members, np.concatenate([chunks[i] for i in live]))
             return
         for (start, width), chunk_keys in zip(ranges, keys):
@@ -198,8 +191,6 @@ class _Refiner:
     def _cliques(self, blocks: np.ndarray) -> None:
         """blocks: [g, s] matrix, each row an independent clique of size s."""
         s = blocks.shape[1]
-        if s < 2:
-            return
         triu = self._triu.get(s)
         if triu is None:
             triu = np.triu_indices(s, 1)
@@ -234,7 +225,7 @@ def _chunk_keys(sub_bits: np.ndarray, chunk: np.ndarray) -> np.ndarray:
         return cols.astype(np.int64) @ _POW2[: len(chunk)]
     packed = np.packbits(cols, axis=1)
     _, inverse = np.unique(packed, axis=0, return_inverse=True)
-    return inverse.astype(np.int64)
+    return inverse.ravel().astype(np.int64)
 
 
 def candidate_pairs(
@@ -244,22 +235,30 @@ def candidate_pairs(
 ) -> set[CandidatePair]:
     """All pairs of indexed users within the index's Hamming radius.
 
-    Equals ``brute_force_pairs`` on the same fingerprints: the top-level
-    blocks co-bucket every true pair at least once, refinement never
-    separates two members that agree on a chunk, and every emitted pair is
-    verified with the exact distance.
+    Only one row per distinct fingerprint is refined; a class of equal rows
+    gives all its member pairs at distance 0, and a verified pair of distinct
+    rows gives the product of their classes.  Equals ``brute_force_pairs``:
+    the top-level blocks co-bucket every true pair at least once, refinement
+    never separates two members that agree on a chunk, and every emitted
+    pair is verified with the exact distance.
     """
     n, b = index.bits.shape
+    _, reps, inverse = np.unique(index.words, axis=0, return_index=True, return_inverse=True)
+    inverse = inverse.ravel()
     refiner = _Refiner(index, leaf_size)
-    refiner.refine(np.arange(n), np.arange(b))
+    refiner.refine(reps, np.arange(b))
     refiner.flush()
     if stats is not None:
-        stats.update(pairs_verified=refiner.pairs_verified, largest_bucket=index.largest_bucket())
+        stats.update(pairs_verified=refiner.pairs_verified, largest_bucket=index.largest_bucket(),
+                     distinct_fingerprints=len(reps))
+    classes: list[list[str]] = [[] for _ in reps]
+    for uid, c in zip(index.users, inverse.tolist()):
+        classes[c].append(uid)  # users are sorted, so each class is too
+    pairs = {CandidatePair(u, v, 0) for ids in classes for u, v in itertools.combinations(ids, 2)}
     low, high = np.divmod(refiner.keys, max(n, 1))
-    return {
-        CandidatePair(index.users[i], index.users[j], dd)
-        for i, j, dd in zip(low.tolist(), high.tolist(), refiner.dists.tolist())
-    }
+    for i, j, dd in zip(inverse[low].tolist(), inverse[high].tolist(), refiner.dists.tolist()):
+        pairs.update(CandidatePair.ordered(u, v, dd) for u in classes[i] for v in classes[j])
+    return pairs
 
 
 def query(index: LshIndex, fp: Fingerprint) -> list[tuple[str, int]]:

@@ -14,7 +14,7 @@ from typing import Iterable
 
 from .detect import MatchReport, build_match_report
 from .errors import ConfigError, InputError
-from .features import DIRECTIONS, MODES, binarize, build_feature_maps
+from .features import binarize, build_feature_maps, check_feature_params
 from .ingest import InteractionGraph
 from .lsh import CandidatePair, build_index, candidate_pairs, iter_sorted_pairs, plan_blocks
 from .simhash import Fingerprint, HashConfig, fingerprint_population
@@ -35,14 +35,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         HashConfig(b=self.bits, seed=self.seed)
         plan_blocks(self.bits, self.max_distance)
-        if not 0.0 <= self.theta <= 1.0:
-            raise ConfigError(f"threshold must lie in [0, 1], got {self.theta}")
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.direction not in DIRECTIONS:
-            raise ConfigError(
-                f"direction must be one of {DIRECTIONS}, got {self.direction!r}"
-            )
+        check_feature_params(self.mode, self.theta, self.direction)
         if self.weighting not in WEIGHTINGS:
             raise ConfigError(
                 f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
@@ -107,6 +100,7 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
         "edges": graph.edge_count,
         "fingerprinted": len(fingerprints),
         "unfingerprintable": len(skipped),
+        "distinct_fingerprints": lsh_stats.get("distinct_fingerprints", 0),
         "tables": index.plan.m,
         "bucket_memberships": index.bucket_memberships(),
         "largest_bucket": lsh_stats.get("largest_bucket", 0),

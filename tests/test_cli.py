@@ -164,6 +164,7 @@ class TestDetect:
         assert stats["seconds"]["candidate_generation"] >= 0
         assert stats["nodes"] == 405
         assert stats["largest_bucket"] >= 1
+        assert 1 <= stats["distinct_fingerprints"] <= stats["fingerprinted"]
 
 
 class TestEval:

@@ -161,7 +161,7 @@ class TestCandidatePairs:
         assert candidate_pairs(index, leaf_size=10_000) == want
 
     def test_duplicate_heavy_population(self):
-        # a block of identical fingerprints exercises the no-progress branch
+        # an 80-member class of identical fingerprints is refined as one row
         rng = random.Random(11)
         shared = rng.getrandbits(128)
         fps = {f"d{i:03d}": Fingerprint(f"d{i:03d}", shared, 128) for i in range(80)}
@@ -187,8 +187,32 @@ class TestCandidatePairs:
         assert candidate_pairs(index, stats=stats) == brute_force_pairs(fps, 20)
         assert stats["largest_bucket"] >= 1000
         assert index.bucket_memberships() == len(fps) * 21
-        # the class's 499,500 pairs are verified about once, not once per block
-        assert stats["pairs_verified"] < 2 * 499_500
+        # the class is refined as one row, so at most the 201 distinct rows'
+        # pairs are verified, never the class's 499,500
+        assert stats["pairs_verified"] < 201 * 200 // 2
+        assert stats["distinct_fingerprints"] == 201
+
+    def test_class_within_a_leaf_is_not_verified(self):
+        fps = {f"f{i:02d}": Fingerprint(f"f{i:02d}", 0xC0FFEE, 128) for i in range(90)}
+        stats: dict = {}
+        got = candidate_pairs(build_index(fps, 20), stats=stats)
+        assert len(got) == 90 * 89 // 2
+        assert {p.distance for p in got} == {0}
+        assert stats["pairs_verified"] == 0
+
+    @pytest.mark.parametrize("leaf_size", [96, 8, 2])
+    def test_narrow_chunks_stop_splitting(self, leaf_size):
+        # at b=32, d=12 a split leaves 2-bit chunks with 4 keys for 13 chunks,
+        # so a split cannot pay and the node is verified pairwise at once
+        fps = _population(seed=23, n=180, b=32, planted=50, max_flips=16)
+        shared = random.Random(29).getrandbits(32)
+        fps.update({f"w{i:03d}": Fingerprint(f"w{i:03d}", shared, 32) for i in range(120)})
+        index = build_index(fps, 12)
+        stats: dict = {}
+        assert candidate_pairs(index, stats=stats, leaf_size=leaf_size) == brute_force_pairs(fps, 12)
+        distinct = stats["distinct_fingerprints"]
+        assert distinct == len({fp.bits for fp in fps.values()})
+        assert stats["pairs_verified"] <= distinct * (distinct - 1) // 2
 
     def test_distance_zero_radius(self):
         fps = _population(seed=13, n=200, planted=50, max_flips=4)
