@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import __version__
@@ -25,7 +26,7 @@ from .evaluate import (
     sweep_rows_to_csv,
     write_truth,
 )
-from .features import DIRECTIONS, MODES, write_features_tsv
+from .features import DIRECTIONS, MODES, WEIGHTINGS, write_features_tsv
 from .ingest import (
     build_interaction_graph,
     convert_telegram_export,
@@ -34,7 +35,6 @@ from .ingest import (
     write_edges_tsv,
 )
 from .pipeline import (
-    WEIGHTINGS,
     RunConfig,
     read_candidates_tsv,
     run_detection,
@@ -76,23 +76,28 @@ def _out_dir(args: argparse.Namespace) -> Path:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    dropped: Counter[str] = Counter()
     if args.telegram:
         with open(args.input, encoding="utf-8") as fh:
             try:
                 document = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"export is not valid JSON: {exc.msg}")
-        records = convert_telegram_export(document)
+        records = convert_telegram_export(document, dropped=dropped)
     else:
         records = parse_messages_path(args.input)
     if not records:
         print("warning: no messages parsed", file=sys.stderr)
-    graph = build_interaction_graph(records)
+    graph = build_interaction_graph(records, dropped=dropped)
     out = _out_dir(args)
     write_edges_tsv(graph, out / "edges.tsv")
     print(
         f"ingested {len(records)} messages: {graph.node_count} users,"
         f" {graph.edge_count} reply edges -> {out / 'edges.tsv'}"
+    )
+    print(
+        f"dropped: {dropped['dangling']} replies to missing messages,"
+        f" {dropped['self']} self-replies, {dropped['service']} service entries"
     )
     return 0
 
@@ -102,11 +107,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
     graph = read_edges_tsv(args.input)
     result = run_detection(graph, cfg)
 
-    largest = result.stats["largest_bucket"]
-    bucket_warn = 8 * math.isqrt(max(result.stats["fingerprinted"], 1))
+    # retrieval refines one row per distinct fingerprint, so only distinct
+    # rows can make a bucket expensive
+    largest = result.stats["largest_distinct_bucket"]
+    bucket_warn = 8 * math.isqrt(max(result.stats["distinct_fingerprints"], 1))
     if largest > bucket_warn:
         print(
-            f"warning: largest bucket has {largest} members (> {bucket_warn});"
+            f"warning: largest bucket has {largest} distinct fingerprints (> {bucket_warn});"
             " candidate generation degrades toward all-pairs inside it",
             file=sys.stderr,
         )

@@ -185,12 +185,17 @@ def sweep(
 ) -> list[SweepRow]:
     """Run detection once per grid point and score it; failures become rows.
 
-    Rows come back in grid order regardless of individual outcomes.
+    Features and fingerprints do not depend on the radius, so they are
+    computed once per (bits, theta, direction, mode, weighting) and every
+    radius of that key runs retrieval on them; a key's fingerprinting time
+    is counted in the first of its rows.  Rows come back in grid order
+    regardless of individual outcomes.
     """
-    # looked up at call time, so a wrapper installed on pipeline.run_detection applies
-    from .pipeline import run_detection
+    # looked up at call time, so wrappers installed on pipeline functions apply
+    from . import pipeline
 
     rows: list[SweepRow] = []
+    by_key: dict[tuple, list[tuple[SweepRow, RunConfig]]] = {}
     for b, d, theta, direction, mode, weighting in itertools.product(
         grid.bits,
         grid.max_distances,
@@ -209,7 +214,7 @@ def sweep(
             seed=seed,
             status="ok",
         )
-        started = time.perf_counter()
+        rows.append(row)
         try:
             cfg = RunConfig(
                 bits=b,
@@ -220,12 +225,24 @@ def sweep(
                 weighting=weighting,
                 seed=seed,
             )
-            result = run_detection(graph, cfg)
-            row.candidates = len(result.candidates)
-            row.report = pairwise_metrics(result.candidates, truth)
         except ValueError as exc:
             row.status = "failed"
             row.error = str(exc)
-        row.seconds = time.perf_counter() - started
-        rows.append(row)
+            continue
+        by_key.setdefault((b, theta, direction, mode, weighting), []).append((row, cfg))
+
+    for points in by_key.values():
+        fingerprinted = None
+        for row, cfg in points:
+            started = time.perf_counter()
+            try:
+                if fingerprinted is None:
+                    fingerprinted = pipeline.fingerprint_graph(graph, cfg)
+                result = pipeline.run_detection(graph, cfg, fingerprinted)
+                row.candidates = len(result.candidates)
+                row.report = pairwise_metrics(result.candidates, truth)
+            except ValueError as exc:
+                row.status = "failed"
+                row.error = str(exc)
+            row.seconds = time.perf_counter() - started
     return rows

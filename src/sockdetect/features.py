@@ -3,19 +3,34 @@
 Each user is described by the neighbors it interacts with.  Outgoing and
 incoming edge weights are normalized independently per user, weak links are
 dropped, and the survivors become direction-tagged feature tokens.
+
+``build_feature_maps`` does this for the whole population at once: node ids
+are interned in sorted order, each direction's edges become per-owner
+segments, and normalization and the threshold are segment reductions and a
+mask over flat arrays, which a ``FeatureMaps`` holds.  The per-user chain
+``normalize_weights`` -> ``filter_edges`` -> ``extract_features`` is the
+reference it must equal entry for entry.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ConfigError
+import numpy as np
+
+from .errors import ConfigError, InputError
 from .ingest import InteractionGraph
 
 MODES = ("max", "sum")
 DIRECTIONS = ("out", "in", "both")
+WEIGHTINGS = ("weighted", "binary")
+# token direction codes, in canonical token order: "in" sorts before "out"
+TOKEN_DIRECTIONS = ("in", "out")
 
 
 class FeatureToken(NamedTuple):
@@ -47,7 +62,9 @@ class DirectionalWeights:
     in_weights: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
-def check_feature_params(mode: str = "max", theta: float = 0.0, direction: str = "out") -> None:
+def check_feature_params(
+    mode: str = "max", theta: float = 0.0, direction: str = "out", weighting: str = "weighted"
+) -> None:
     """Raise ConfigError for a parameter outside its domain; every default
     is valid, so a caller checks only what it passes."""
     if mode not in MODES:
@@ -56,6 +73,8 @@ def check_feature_params(mode: str = "max", theta: float = 0.0, direction: str =
         raise ConfigError(f"threshold must lie in [0, 1], got {theta}")
     if direction not in DIRECTIONS:
         raise ConfigError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
+    if weighting not in WEIGHTINGS:
+        raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
 
 
 def _normalize_slice(raw: dict[str, int], mode: str) -> dict[str, float]:
@@ -131,16 +150,118 @@ def extract_features(
     return maps
 
 
+class FeatureMaps(Mapping[str, FeatureMap]):
+    """Read-only ``owner -> FeatureMap`` mapping stored as flat arrays, one
+    row per (owner, token); a FeatureMap is built only when looked up.
+
+    ``owners`` and ``names`` are sorted, so index order is string order.
+    Row r is the token (TOKEN_DIRECTIONS[token[r] // len(names)],
+    names[token[r] % len(names)]) of owners[owner[r]], with weight
+    weight[r].  Rows are in canonical order, by owner and then token, which
+    is the order ``sorted`` gives FeatureTokens: "in" before "out", then
+    neighbor.  Owner i's rows are ``indptr[i]:indptr[i+1]``.
+    """
+
+    def __init__(
+        self, owners: list[str], names: list[str],
+        owner: np.ndarray, token: np.ndarray, weight: np.ndarray,
+    ):
+        self.owners, self.names = owners, names
+        self.owner, self.token, self.weight = owner, token, weight
+        self.indptr = np.searchsorted(owner, np.arange(len(owners) + 1))
+
+    @classmethod
+    def of(cls, fmaps: Mapping[str, FeatureMap]) -> FeatureMaps:
+        """``fmaps`` itself if it is a FeatureMaps, else its maps as one."""
+        if isinstance(fmaps, cls):
+            return fmaps
+        owners = sorted(fmaps)
+        names = sorted({t.neighbor for fmap in fmaps.values() for t in fmap.entries})
+        index = {v: i for i, v in enumerate(names)}
+        owner, token, weight = [], [], []
+        for i, uid in enumerate(owners):
+            entries = fmaps[uid].entries
+            for t in sorted(entries):
+                if t.direction not in TOKEN_DIRECTIONS:
+                    raise ValueError(f"unknown token direction {t.direction!r}")
+                owner.append(i)
+                token.append(TOKEN_DIRECTIONS.index(t.direction) * len(names) + index[t.neighbor])
+                weight.append(entries[t])
+        return cls(
+            owners, names, np.array(owner, dtype=np.int64), np.array(token, dtype=np.int64),
+            np.array(weight, dtype=np.float64),
+        )
+
+    def tokens(self, token_ids: np.ndarray) -> Iterator[FeatureToken]:
+        """The FeatureToken of each token id."""
+        directions, neighbors = np.divmod(token_ids, max(len(self.names), 1))
+        for d, v in zip(directions.tolist(), neighbors.tolist()):
+            yield FeatureToken(TOKEN_DIRECTIONS[d], self.names[v])
+
+    def __getitem__(self, owner: str) -> FeatureMap:
+        i = bisect_left(self.owners, owner)
+        if i == len(self.owners) or self.owners[i] != owner:
+            raise KeyError(owner)
+        rows = slice(int(self.indptr[i]), int(self.indptr[i + 1]))
+        return FeatureMap(owner, dict(zip(self.tokens(self.token[rows]), self.weight[rows].tolist())))
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.owners)
+
+    def __len__(self) -> int:
+        return len(self.owners)
+
+
 def build_feature_maps(
     graph: InteractionGraph,
     mode: str = "max",
     theta: float = 0.5,
     direction: str = "out",
-) -> dict[str, FeatureMap]:
-    """normalize -> filter -> extract, the standard preprocessing chain."""
-    return extract_features(
-        graph, filter_edges(normalize_weights(graph, mode), theta), direction
-    )
+    weighting: str = "weighted",
+) -> FeatureMaps:
+    """normalize -> filter -> extract (-> binarize), for every node at once.
+
+    Equals ``extract_features(graph, filter_edges(normalize_weights(graph,
+    mode), theta), direction)``, with every weight set to 1.0 when weighting
+    is "binary".
+    """
+    check_feature_params(mode, theta, direction, weighting)
+    ids = sorted(graph.nodes)
+    index = {uid: i for i, uid in enumerate(ids)}
+    m = len(graph.edges)
+    try:
+        src, dst = (
+            np.fromiter(map(index.__getitem__, map(itemgetter(end), graph.edges)), np.int64, m)
+            for end in (0, 1)
+        )
+    except KeyError as exc:
+        raise InputError(f"edge endpoint {exc.args[0]!r} is not a graph node") from None
+    total = sum(graph.edges.values())
+    if total >= 2**53:
+        raise InputError(f"edge weights sum to {total}, beyond exact float64 range")
+    raw = np.fromiter(graph.edges.values(), dtype=np.int64, count=m)
+    n = len(ids)
+    # one row per (owner, token): an edge u -> v is the token (out, v) of u
+    # and the token (in, u) of v, each coded as direction * n + neighbor
+    ends = {"in": (dst, src), "out": (src, dst)}
+    sides = [(code, *ends[name]) for code, name in enumerate(TOKEN_DIRECTIONS)
+             if direction in (name, "both")]
+    owner = np.concatenate([o for _, o, _ in sides])
+    token = np.concatenate([code * n + v for code, _, v in sides])
+    order = np.argsort(owner * 2 * n + token)
+    owner, token = owner[order], token[order]
+    raw = np.tile(raw, len(sides))[order]
+    # each (owner, direction) run is one slice to normalize
+    starts = np.flatnonzero(np.diff(owner * 2 + token // max(n, 1), prepend=-1))
+    reduce = np.maximum if mode == "max" else np.add
+    denom = np.repeat(reduce.reduceat(raw, starts), np.diff(np.append(starts, len(raw))))
+    # both operands are integers below 2**53, so each quotient is the
+    # correctly rounded one Python's int / int gives
+    weight = raw.astype(np.float64) / denom.astype(np.float64)
+    keep = weight >= theta
+    if weighting == "binary":
+        weight = np.ones_like(weight)
+    return FeatureMaps(ids, ids, owner[keep], token[keep], weight[keep])
 
 
 def binarize(fmap: FeatureMap) -> FeatureMap:
@@ -149,19 +270,16 @@ def binarize(fmap: FeatureMap) -> FeatureMap:
 
 
 def write_features_tsv(
-    fmaps: dict[str, FeatureMap],
+    fmaps: Mapping[str, FeatureMap],
     path: str | Path,
     header_lines: Iterable[str] = (),
 ) -> None:
     """Write ``owner<TAB>direction<TAB>neighbor<TAB>weight`` rows,
     sorted by (owner, direction, neighbor)."""
+    table = FeatureMaps.of(fmaps)
+    owners = [table.owners[i] for i in table.owner.tolist()]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header_lines:
             fh.write(line + "\n")
-        for owner in sorted(fmaps):
-            entries = fmaps[owner].entries
-            for token in sorted(entries):
-                fh.write(
-                    f"{owner}\t{token.direction}\t{token.neighbor}\t"
-                    f"{entries[token]!r}\n"
-                )
+        for owner, token, weight in zip(owners, table.tokens(table.token), table.weight.tolist()):
+            fh.write(f"{owner}\t{token.direction}\t{token.neighbor}\t{weight!r}\n")

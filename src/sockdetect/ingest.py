@@ -133,12 +133,15 @@ def parse_messages_path(path: str | Path) -> list[MessageRecord]:
         return parse_messages(fh)
 
 
-def convert_telegram_export(document: object) -> list[MessageRecord]:
+def convert_telegram_export(
+    document: object, dropped: Counter[str] | None = None
+) -> list[MessageRecord]:
     """Convert a Telegram desktop export document to message records.
 
     Accepts either the whole export object (with a top-level ``messages``
-    array) or the bare array.  Service/system entries without a sender id
-    are skipped; document order is preserved.
+    array) or the bare array.  Service/system entries without a sender id,
+    and entries that are not objects, are skipped and counted under
+    "service" in ``dropped`` when given; document order is preserved.
     """
     if isinstance(document, dict):
         messages = document.get("messages")
@@ -150,11 +153,11 @@ def convert_telegram_export(document: object) -> list[MessageRecord]:
     records: list[MessageRecord] = []
     seen: dict[int, int] = {}
     for pos, entry in enumerate(messages):
-        if not isinstance(entry, dict):
-            continue
-        sender_raw = entry.get("from_id", entry.get("sender"))
+        sender_raw = entry.get("from_id", entry.get("sender")) if isinstance(entry, dict) else None
         if sender_raw is None:
-            continue  # service message: no sender
+            if dropped is not None:
+                dropped["service"] += 1  # service message: no sender
+            continue
         if "id" not in entry and "message_id" not in entry:
             raise InputError(f"message entry {pos} has no id")
         message_id = _require_int(
@@ -177,11 +180,14 @@ def convert_telegram_export(document: object) -> list[MessageRecord]:
     return records
 
 
-def build_interaction_graph(messages: Iterable[MessageRecord]) -> InteractionGraph:
+def build_interaction_graph(
+    messages: Iterable[MessageRecord], dropped: Counter[str] | None = None
+) -> InteractionGraph:
     """Aggregate reply edges: (u, v) gains 1 per message by u replying to v.
 
     Replies whose target message is absent from the corpus contribute
-    nothing, as do self-replies.  Every sender becomes a node.
+    nothing, as do self-replies; when ``dropped`` is given they are counted
+    there under "dangling" and "self".  Every sender becomes a node.
     """
     messages = list(messages)
     author: dict[int, str] = {}
@@ -198,6 +204,8 @@ def build_interaction_graph(messages: Iterable[MessageRecord]) -> InteractionGra
             continue
         target = author.get(rec.reply_to)
         if target is None or target == rec.sender:
+            if dropped is not None:
+                dropped["dangling" if target is None else "self"] += 1
             continue
         weights[(rec.sender, target)] += 1
     return InteractionGraph(nodes=nodes, edges=dict(weights))

@@ -69,10 +69,12 @@ class LshIndex:
     words: np.ndarray  # uint64 [n, ceil(b/64)]
     max_distance: int
 
-    def largest_bucket(self) -> int:
-        """Most users sharing one key of one top-level block."""
+    def largest_bucket(self, rows: np.ndarray | slice = slice(None)) -> int:
+        """Most of ``rows`` (every user by default) sharing one key of one
+        top-level block."""
+        bits = self.bits[rows]
         sizes = [
-            np.unique(_chunk_keys(self.bits, np.arange(start, start + width)),
+            np.unique(_chunk_keys(bits, np.arange(start, start + width)),
                       return_counts=True)[1].max()
             for start, width in self.plan.ranges
         ]
@@ -250,6 +252,7 @@ def candidate_pairs(
     refiner.flush()
     if stats is not None:
         stats.update(pairs_verified=refiner.pairs_verified, largest_bucket=index.largest_bucket(),
+                     largest_distinct_bucket=index.largest_bucket(reps),
                      distinct_fingerprints=len(reps))
     classes: list[list[str]] = [[] for _ in reps]
     for uid, c in zip(index.users, inverse.tolist()):

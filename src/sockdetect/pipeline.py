@@ -8,18 +8,16 @@ max-normalization over outgoing neighbors.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
 from .detect import MatchReport, build_match_report
-from .errors import ConfigError, InputError
-from .features import binarize, build_feature_maps, check_feature_params
+from .errors import InputError
+from .features import FeatureMaps, build_feature_maps, check_feature_params
 from .ingest import InteractionGraph
 from .lsh import CandidatePair, build_index, candidate_pairs, iter_sorted_pairs, plan_blocks
 from .simhash import Fingerprint, HashConfig, fingerprint_population
-
-WEIGHTINGS = ("weighted", "binary")
 
 
 @dataclass(frozen=True)
@@ -35,11 +33,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         HashConfig(b=self.bits, seed=self.seed)
         plan_blocks(self.bits, self.max_distance)
-        check_feature_params(self.mode, self.theta, self.direction)
-        if self.weighting not in WEIGHTINGS:
-            raise ConfigError(
-                f"weighting must be one of {WEIGHTINGS}, got {self.weighting!r}"
-            )
+        check_feature_params(self.mode, self.theta, self.direction, self.weighting)
 
     def header_line(self) -> str:
         return (
@@ -67,55 +61,83 @@ class DetectionResult:
     report: MatchReport
     fingerprints: dict[str, Fingerprint]
     unfingerprintable: list[str]
-    feature_maps: dict = field(default_factory=dict, repr=False)
+    feature_maps: FeatureMaps | dict = field(default_factory=dict, repr=False)
     stats: dict = field(default_factory=dict)
 
 
-def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
+@dataclass
+class Fingerprinted:
+    """Features and fingerprints of one graph.  They depend on every setting
+    of ``config`` except the radius, so one serves a run at any radius."""
+
+    config: RunConfig
+    feature_maps: FeatureMaps
+    fingerprints: dict[str, Fingerprint]
+    unfingerprintable: list[str]
+    seconds: dict[str, float]
+
+
+def fingerprint_graph(graph: InteractionGraph, cfg: RunConfig) -> Fingerprinted:
+    """Every user's features and fingerprint, each built in one population pass."""
+    t0 = time.perf_counter()
+    fmaps = build_feature_maps(
+        graph, mode=cfg.mode, theta=cfg.theta, direction=cfg.direction, weighting=cfg.weighting
+    )
+    t1 = time.perf_counter()
+    fingerprints, skipped = fingerprint_population(fmaps, HashConfig(b=cfg.bits, seed=cfg.seed))
+    t2 = time.perf_counter()
+    return Fingerprinted(cfg, fmaps, fingerprints, skipped, {"features": t1 - t0, "fingerprint": t2 - t1})
+
+
+def run_detection(
+    graph: InteractionGraph, cfg: RunConfig, fingerprinted: Fingerprinted | None = None
+) -> DetectionResult:
     """Run the full pipeline on an interaction graph.
 
-    Timings for each stage land in ``result.stats``; the candidate
-    generation time covers index construction plus pair retrieval, the part
-    the blocking scheme is supposed to keep from growing quadratically.
+    ``fingerprinted``, from ``fingerprint_graph`` on the same graph with a
+    config differing at most in the radius, skips the features and
+    fingerprint stages; their times in ``result.stats`` are then the ones
+    it recorded.  Timings for each stage land in ``result.stats``; the
+    candidate generation time covers index construction plus pair
+    retrieval, the part the blocking scheme is supposed to keep from
+    growing quadratically.
     """
+    if fingerprinted is None:
+        fingerprinted = fingerprint_graph(graph, cfg)
+    elif replace(fingerprinted.config, max_distance=cfg.max_distance) != cfg:
+        raise ValueError("fingerprints were built with a different configuration")
+    fingerprints = fingerprinted.fingerprints
     t0 = time.perf_counter()
-    fmaps = build_feature_maps(graph, mode=cfg.mode, theta=cfg.theta, direction=cfg.direction)
-    if cfg.weighting == "binary":
-        fmaps = {owner: binarize(fmap) for owner, fmap in fmaps.items()}
-    t1 = time.perf_counter()
-    fingerprints, skipped = fingerprint_population(
-        fmaps, HashConfig(b=cfg.bits, seed=cfg.seed)
-    )
-    t2 = time.perf_counter()
     index = build_index(fingerprints, cfg.max_distance)
-    t3 = time.perf_counter()
+    t1 = time.perf_counter()
     lsh_stats: dict = {}
     candidates = candidate_pairs(index, stats=lsh_stats)
-    t4 = time.perf_counter()
+    t2 = time.perf_counter()
     report = build_match_report(candidates)
-    t5 = time.perf_counter()
+    t3 = time.perf_counter()
 
+    seconds = fingerprinted.seconds
     stats = {
         "nodes": graph.node_count,
         "edges": graph.edge_count,
         "fingerprinted": len(fingerprints),
-        "unfingerprintable": len(skipped),
+        "unfingerprintable": len(fingerprinted.unfingerprintable),
         "distinct_fingerprints": lsh_stats.get("distinct_fingerprints", 0),
         "tables": index.plan.m,
         "bucket_memberships": index.bucket_memberships(),
         "largest_bucket": lsh_stats.get("largest_bucket", 0),
+        "largest_distinct_bucket": lsh_stats.get("largest_distinct_bucket", 0),
         "pairs_verified": lsh_stats.get("pairs_verified", 0),
         "candidates": len(candidates),
         "clusters": len(report.clusters),
         "mutual_matches": len(report.mutual),
         "seconds": {
-            "features": t1 - t0,
-            "fingerprint": t2 - t1,
-            "index_build": t3 - t2,
-            "candidate_pairs": t4 - t3,
-            "candidate_generation": t4 - t2,
-            "report": t5 - t4,
-            "total": t5 - t0,
+            **seconds,
+            "index_build": t1 - t0,
+            "candidate_pairs": t2 - t1,
+            "candidate_generation": t2 - t0,
+            "report": t3 - t2,
+            "total": seconds["features"] + seconds["fingerprint"] + t3 - t0,
         },
     }
     return DetectionResult(
@@ -123,8 +145,8 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
         candidates=candidates,
         report=report,
         fingerprints=fingerprints,
-        unfingerprintable=skipped,
-        feature_maps=fmaps,
+        unfingerprintable=fingerprinted.unfingerprintable,
+        feature_maps=fingerprinted.feature_maps,
         stats=stats,
     )
 

@@ -13,24 +13,37 @@ conventions that pin this down:
 * bit i of a value means (value >> i) & 1;
 * votes accumulate in canonical token order (sorted tokens) and a tied
   accumulator (exactly 0.0) yields bit 0.
+
+``fingerprint_population`` computes every fingerprint in one pass: each
+distinct token is hashed once, by FNV-1a vectorized across tokens, into a
+T x b matrix of +/-1 votes, and the accumulators of all users advance one
+token position at a time, so each user still sums its votes sequentially
+in float64, in token order.  The per-user ``simhash`` is the reference it
+must equal bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from .errors import ConfigError, InputError, UnfingerprintableError
-from .features import FeatureMap, FeatureToken
+from .features import TOKEN_DIRECTIONS, FeatureMap, FeatureMaps, FeatureToken
 
 SUPPORTED_WIDTHS = (32, 64, 128, 256)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_TAGS = {"out": b"\x00", "in": b"\x01"}
+# users whose accumulators are held at once, which bounds the float64
+# working set of fingerprint_population to a few MB per b=128 chunk
+_CHUNK_USERS = 8192
 
 
 @dataclass(frozen=True)
@@ -58,11 +71,8 @@ class Fingerprint:
 
 
 def encode_token(token: FeatureToken) -> bytes:
-    if token.direction == "out":
-        tag = b"\x00"
-    elif token.direction == "in":
-        tag = b"\x01"
-    else:
+    tag = _TAGS.get(token.direction)
+    if tag is None:
         raise ValueError(f"unknown token direction {token.direction!r}")
     payload = token.neighbor.encode("utf-8")
     return tag + len(payload).to_bytes(4, "big") + payload
@@ -122,19 +132,84 @@ def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
     )
 
 
+def _longer_than(lengths: np.ndarray) -> list[int]:
+    """For lengths sorted longest first, entry p counts the lengths above p,
+    for every p below the longest."""
+    top = int(lengths[0]) if len(lengths) else 0
+    return np.searchsorted(-lengths, -np.arange(top), side="left").tolist()
+
+
+def _token_words(messages: list[bytes], nwords: int) -> np.ndarray:
+    """``[T, nwords]`` uint64: word j of message t is FNV-1a-64 over
+    ``messages[t] ++ 1-byte j``, computed one byte position at a time
+    across all messages (uint64 products wrap mod 2**64 as FNV needs)."""
+    lengths = np.array([len(msg) for msg in messages], dtype=np.int64)
+    order = np.argsort(-lengths, kind="stable")
+    flat = np.frombuffer(b"".join([messages[t] for t in order.tolist()]), dtype=np.uint8)
+    lengths = lengths[order]
+    offsets = np.cumsum(lengths) - lengths
+    h = np.full(len(messages), _FNV_OFFSET, dtype=np.uint64)
+    prime = np.uint64(_FNV_PRIME)
+    for p, k in enumerate(_longer_than(lengths)):
+        h[:k] ^= flat[offsets[:k] + p]
+        h[:k] *= prime
+    words = np.empty((len(messages), nwords), dtype=np.uint64)
+    words[order] = np.stack([(h ^ np.uint64(j)) * prime for j in range(nwords)], axis=1)
+    return words
+
+
+def _vote_matrix(table: FeatureMaps, token_ids: np.ndarray, cfg: HashConfig) -> np.ndarray:
+    """``[T, b]`` int8 vote rows of the given tokens: +1 where the token's
+    hash bit is 1, else -1; equals ``_token_votes`` row for row."""
+    seed = cfg.seed.to_bytes(8, "big")
+    payload: dict[int, bytes] = {}
+    messages = []
+    for d, v in zip(*(part.tolist() for part in np.divmod(token_ids, max(len(table.names), 1)))):
+        if v not in payload:
+            raw = table.names[v].encode("utf-8")
+            payload[v] = len(raw).to_bytes(4, "big") + raw + seed
+        messages.append(_TAGS[TOKEN_DIRECTIONS[d]] + payload[v])
+    nwords = (cfg.b + 63) // 64
+    words = _token_words(messages, nwords)
+    # value = word 0 ... word nwords-1, most significant first; bit i of the
+    # value is bit i % 64 of word nwords-1 - i // 64
+    little = np.ascontiguousarray(words[:, ::-1]).astype("<u8").view(np.uint8)
+    bits = np.unpackbits(little, axis=1, bitorder="little")[:, : cfg.b]
+    return bits.astype(np.int8) * 2 - 1
+
+
 def fingerprint_population(
-    fmaps: dict[str, FeatureMap], cfg: HashConfig
+    fmaps: Mapping[str, FeatureMap], cfg: HashConfig
 ) -> tuple[dict[str, Fingerprint], list[str]]:
-    """Fingerprint every non-empty map; returns (fingerprints, skipped owners)."""
-    fingerprints: dict[str, Fingerprint] = {}
-    skipped: list[str] = []
-    for owner in sorted(fmaps):
-        fmap = fmaps[owner]
-        if fmap.is_empty():
-            skipped.append(owner)
-            continue
-        fingerprints[owner] = simhash(fmap, cfg)
-    return fingerprints, skipped
+    """Fingerprint every non-empty map; returns (fingerprints, skipped owners).
+
+    Equals ``simhash`` per non-empty map.  Users are taken in chunks, longest
+    token list first, so the users still holding a p-th token are a prefix
+    of the chunk and step p adds their p-th vote rows in one operation.
+    """
+    table = FeatureMaps.of(fmaps)
+    indptr = table.indptr
+    sizes = np.diff(indptr)
+    skipped = [table.owners[i] for i in np.flatnonzero(sizes == 0).tolist()]
+    tokens, token_index = np.unique(table.token, return_inverse=True)
+    votes = _vote_matrix(table, tokens, cfg)
+    users = np.argsort(-sizes, kind="stable")[: len(sizes) - len(skipped)]
+    nbytes = cfg.b // 8
+    packed = np.zeros((len(sizes), nbytes), dtype=np.uint8)
+    for lo in range(0, len(users), _CHUNK_USERS):
+        chunk = users[lo : lo + _CHUNK_USERS]
+        starts, lengths = indptr[chunk], sizes[chunk]
+        acc = np.zeros((len(chunk), cfg.b))
+        for p, k in enumerate(_longer_than(lengths)):
+            rows = starts[:k] + p
+            acc[:k] += votes[token_index[rows]] * table.weight[rows, None]
+        packed[chunk] = np.packbits(acc > 0, axis=1, bitorder="little")
+    fingerprinted = np.flatnonzero(sizes)
+    owners = [table.owners[i] for i in fingerprinted.tolist()]
+    raw = packed[fingerprinted].tobytes()
+    rows = (raw[at : at + nbytes] for at in range(0, len(raw), nbytes))
+    bits = map(int.from_bytes, rows, repeat("little"))
+    return dict(zip(owners, map(Fingerprint, owners, bits, repeat(cfg.b)))), skipped
 
 
 def hamming(a: Fingerprint, b: Fingerprint) -> int:

@@ -3,6 +3,9 @@ import json
 import pytest
 
 from sockdetect.cli import main
+from sockdetect.ingest import InteractionGraph, build_interaction_graph, parse_messages, write_edges_tsv
+from sockdetect.pipeline import RunConfig, run_detection
+from sockdetect.synth import SynthConfig, generate
 
 DEFAULT_HEADER = "# b=128 d=20 theta=0.5 mode=max direction=out weighting=weighted seed=0"
 
@@ -47,6 +50,7 @@ class TestIngest:
         assert (tmp_path / "edges.tsv").read_text() == EXPECTED_FIXTURE_TSV
         out = capsys.readouterr().out
         assert "12 messages" in out and "6 users" in out and "6 reply edges" in out
+        assert "dropped: 1 replies to missing messages, 1 self-replies, 0 service entries" in out
 
     def test_empty_input_warns_but_succeeds(self, tmp_path, capsys):
         src = tmp_path / "empty.jsonl"
@@ -79,6 +83,20 @@ class TestIngest:
         assert rc == 0
         # only message 3 (user222) replies to a corpus message (1 by user111)
         assert (tmp_path / "edges.tsv").read_text() == "user222\tuser111\t1\n"
+
+    def test_telegram_dropped_inputs_reported(self, fixtures_dir, tmp_path, capsys):
+        rc = main(
+            [
+                "ingest",
+                "--telegram",
+                "--input", str(fixtures_dir / "telegram_dropped.json"),
+                "--output-dir", str(tmp_path),
+            ]
+        )
+        assert rc == 0
+        assert (tmp_path / "edges.tsv").read_text() == "user222\tuser111\t1\n"
+        out = capsys.readouterr().out
+        assert "dropped: 1 replies to missing messages, 1 self-replies, 1 service entries" in out
 
     def test_telegram_invalid_json(self, tmp_path, capsys):
         src = tmp_path / "broken.json"
@@ -165,6 +183,43 @@ class TestDetect:
         assert stats["nodes"] == 405
         assert stats["largest_bucket"] >= 1
         assert 1 <= stats["distinct_fingerprints"] <= stats["fingerprinted"]
+
+    def test_hub_of_reply_only_users_gives_no_bucket_warning(self, tmp_path, capsys):
+        # 1000 lurkers replying only to one admin share one fingerprint;
+        # retrieval refines that class as one row, so no warning is due
+        background, _ = generate(SynthConfig(n=200, seed=3))
+        lurkers = [f"lurker{i:04d}" for i in range(1000)]
+        edges = dict(background.edges)
+        edges.update({(uid, "admin"): 1 + i % 3 for i, uid in enumerate(lurkers)})
+        graph = InteractionGraph(nodes=background.nodes | {"admin", *lurkers}, edges=edges)
+        write_edges_tsv(graph, tmp_path / "edges.tsv")
+        run = tmp_path / "run"
+        assert main(["detect", "--input", str(tmp_path / "edges.tsv"), "--output-dir", str(run)]) == 0
+        assert "warning" not in capsys.readouterr().err
+        stats = json.loads((run / "stats.json").read_text())
+        assert stats["largest_bucket"] >= 1000
+        assert stats["largest_distinct_bucket"] <= 8 * stats["distinct_fingerprints"] ** 0.5
+
+    def test_staged_detect_counts_edge_endpoints_only(self, tmp_path):
+        # "lurker" posts but neither replies nor is replied to, so it is a
+        # node of the in-memory graph and absent from edges.tsv
+        log = tmp_path / "messages.jsonl"
+        log.write_text(
+            '{"message_id": 1, "sender": "a"}\n'
+            '{"message_id": 2, "sender": "b", "reply_to": 1}\n'
+            '{"message_id": 3, "sender": "a", "reply_to": 2}\n'
+            '{"message_id": 4, "sender": "lurker"}\n'
+        )
+        in_memory = run_detection(
+            build_interaction_graph(parse_messages(log.read_text().splitlines())), RunConfig()
+        ).stats
+        assert (in_memory["nodes"], in_memory["unfingerprintable"]) == (3, 1)
+        assert main(["ingest", "--input", str(log), "--output-dir", str(tmp_path)]) == 0
+        run = tmp_path / "run"
+        assert main(["detect", "--input", str(tmp_path / "edges.tsv"), "--output-dir", str(run)]) == 0
+        staged = json.loads((run / "stats.json").read_text())
+        assert (staged["nodes"], staged["unfingerprintable"]) == (2, 0)
+        assert staged["fingerprinted"] == in_memory["fingerprinted"] == 2
 
 
 class TestEval:

@@ -12,7 +12,9 @@ from sockdetect.evaluate import (
     sweep,
     write_truth,
 )
+from sockdetect import pipeline
 from sockdetect.lsh import CandidatePair
+from sockdetect.pipeline import RunConfig, run_detection
 from sockdetect.synth import SynthConfig, generate
 
 
@@ -148,3 +150,53 @@ class TestSweep:
         rows = sweep(graph, truth, SweepGrid(max_distances=[5, 10, 15, 20]))
         recalls = [r.report.recall for r in rows]
         assert recalls == sorted(recalls)
+
+    def test_fingerprints_computed_once_per_key(self, corpus, monkeypatch):
+        graph, truth = corpus
+        calls = []
+        fingerprint_population = pipeline.fingerprint_population
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return fingerprint_population(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fingerprint_population", counted)
+        grid = SweepGrid(max_distances=[6, 8, 10], thetas=[0.3, 0.5])
+        rows = sweep(graph, truth, grid)
+        assert len(calls) == 2
+        assert [(r.max_distance, r.theta) for r in rows] == [
+            (d, theta) for d in (6, 8, 10) for theta in (0.3, 0.5)
+        ]
+        for row in rows:
+            cfg = RunConfig(max_distance=row.max_distance, theta=row.theta)
+            result = run_detection(graph, cfg)
+            assert row.status == "ok"
+            assert row.candidates == len(result.candidates)
+            assert row.report == pairwise_metrics(result.candidates, truth)
+
+    def test_invalid_radius_fails_in_place_within_a_key(self, corpus, monkeypatch):
+        graph, truth = corpus
+        calls = []
+        fingerprint_population = pipeline.fingerprint_population
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return fingerprint_population(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fingerprint_population", counted)
+        rows = sweep(graph, truth, SweepGrid(bits=[32], max_distances=[6, 32, 8]))
+        assert [r.status for r in rows] == ["ok", "failed", "ok"]
+        assert "max distance 32 >= width 32" in rows[1].error
+        assert rows[1].report is None
+        assert len(calls) == 1
+        for row in (rows[0], rows[2]):
+            result = run_detection(graph, RunConfig(bits=32, max_distance=row.max_distance))
+            assert row.candidates == len(result.candidates)
+
+    def test_reused_fingerprints_must_match_config(self, corpus):
+        graph, _ = corpus
+        fingerprinted = pipeline.fingerprint_graph(graph, RunConfig(theta=0.3))
+        result = run_detection(graph, RunConfig(theta=0.3, max_distance=8), fingerprinted)
+        assert result.candidates == run_detection(graph, RunConfig(theta=0.3, max_distance=8)).candidates
+        with pytest.raises(ValueError, match="different configuration"):
+            run_detection(graph, RunConfig(theta=0.5), fingerprinted)

@@ -1,4 +1,6 @@
+import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -105,6 +107,16 @@ class TestTelegramExport:
             MessageRecord(3, "user222", 1),
             MessageRecord(4, "333", None),
         ]
+
+    def test_dropped_inputs_counted_by_kind(self, fixtures_dir):
+        document = json.loads((fixtures_dir / "telegram_dropped.json").read_text())
+        dropped: Counter[str] = Counter()
+        records = convert_telegram_export(document, dropped=dropped)
+        graph = build_interaction_graph(records, dropped=dropped)
+        # frozen in fixtures/README.md
+        assert len(records) == 4
+        assert graph.edges == {("user222", "user111"): 1}
+        assert dropped == {"dangling": 1, "self": 1, "service": 1}
 
     def test_service_messages_skipped(self):
         doc = {
@@ -216,6 +228,9 @@ class TestFixtureCorpus:
         assert graph.edge_count == 6
         assert sum(graph.edges.values()) == 7
         assert graph.edges[("bob", "alice")] == 2
+        dropped: Counter[str] = Counter()
+        build_interaction_graph(records, dropped=dropped)
+        assert dropped == {"dangling": 1, "self": 1}
 
     def test_edge_tsv_bytes(self, fixtures_dir, tmp_path):
         graph = build_interaction_graph(parse_messages_path(fixtures_dir / "small.jsonl"))

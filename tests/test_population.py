@@ -1,0 +1,106 @@
+"""The population pass against the per-user reference chain.
+
+``build_feature_maps`` and ``fingerprint_population`` compute every user at
+once over flat arrays; ``normalize_weights`` -> ``filter_edges`` ->
+``extract_features`` and ``simhash`` compute one user at a time and are
+kept as the reference.  Both must give the same ``features.tsv`` rows and
+the same fingerprint bits.
+"""
+
+import pytest
+
+from sockdetect.errors import InputError
+from sockdetect.features import (
+    DIRECTIONS,
+    MODES,
+    FeatureToken,
+    binarize,
+    build_feature_maps,
+    extract_features,
+    filter_edges,
+    normalize_weights,
+    write_features_tsv,
+)
+from sockdetect.ingest import InteractionGraph
+from sockdetect.simhash import HashConfig, fingerprint_population, hash_token, simhash
+from sockdetect.synth import SynthConfig, generate
+
+
+@pytest.fixture(scope="module")
+def graph() -> InteractionGraph:
+    """A synth chat plus a hub: 150 users reply to "hub" with uneven counts,
+    so the hub's in-direction segment is long and its weights spread over
+    both sides of every threshold.  One user has a 3000-character non-ASCII
+    id, far longer than any other token encoding."""
+    background, _ = generate(SynthConfig(n=300, mean_out_degree=6, clones=6, perturbation=0.2, seed=11))
+    edges = dict(background.edges)
+    users = sorted(background.nodes)
+    for i, uid in enumerate(users[:150]):
+        edges[(uid, "hub")] = 1 + (i * 7) % 9
+    for uid in users[::40]:
+        edges[("hub", uid)] = 2
+    long_id = "ü" * 3000
+    edges.update({(long_id, users[0]): 2, (long_id, users[1]): 1, (users[2], long_id): 1})
+    return InteractionGraph(nodes=background.nodes | {"hub", long_id}, edges=edges)
+
+
+def _reference_maps(graph, mode, theta, direction, weighting):
+    fmaps = extract_features(graph, filter_edges(normalize_weights(graph, mode), theta), direction)
+    if weighting == "binary":
+        fmaps = {owner: binarize(fmap) for owner, fmap in fmaps.items()}
+    return fmaps
+
+
+def _reference_rows(fmaps) -> list[str]:
+    return [
+        f"{owner}\t{t.direction}\t{t.neighbor}\t{fmaps[owner].entries[t]!r}"
+        for owner in sorted(fmaps)
+        for t in sorted(fmaps[owner].entries)
+    ]
+
+
+@pytest.mark.parametrize("weighting", ["weighted", "binary"])
+@pytest.mark.parametrize("direction", DIRECTIONS)
+@pytest.mark.parametrize("mode", MODES)
+def test_population_equals_per_user_reference(graph, tmp_path, mode, direction, weighting):
+    for theta in (0.0, 0.3, 0.5):
+        population = build_feature_maps(graph, mode, theta, direction, weighting)
+        reference = _reference_maps(graph, mode, theta, direction, weighting)
+        path = tmp_path / "features.tsv"
+        write_features_tsv(population, path)
+        rows = path.read_text().splitlines()
+        assert rows == _reference_rows(reference)
+        if direction != "out" and theta == 0.0:
+            assert sum(row.startswith("hub\tin\t") for row in rows) == 150
+        for b in (32, 128, 256):
+            cfg = HashConfig(b=b, seed=5)
+            fingerprints, skipped = fingerprint_population(population, cfg)
+            expected = {u: simhash(m, cfg) for u, m in reference.items() if not m.is_empty()}
+            assert fingerprints == expected
+            assert skipped == sorted(u for u, m in reference.items() if m.is_empty())
+
+
+def test_exact_tie_gives_bit_zero():
+    # binary weighting makes both votes 1.0, so every bit where the two token
+    # hashes differ sums to exactly 0.0 and must come out 0
+    graph = InteractionGraph(nodes={"u", "x", "y"}, edges={("u", "x"): 3, ("u", "y"): 1})
+    cfg = HashConfig(b=128, seed=0)
+    hx, hy = (hash_token(FeatureToken("out", v), cfg) for v in "xy")
+    assert hx != hy
+    fmaps = build_feature_maps(graph, theta=0.0, weighting="binary")
+    fingerprints, _ = fingerprint_population(fmaps, cfg)
+    assert fingerprints["u"].bits == hx & hy
+
+
+def test_graph_outside_exact_float_range_rejected():
+    # normalized weights are float64 quotients of integer counts; past 2**53
+    # the counts themselves stop being exact
+    graph = InteractionGraph(nodes={"u", "x", "y"}, edges={("u", "x"): 2**53, ("u", "y"): 1})
+    with pytest.raises(InputError, match="exact float64"):
+        build_feature_maps(graph)
+
+
+def test_edge_endpoint_outside_nodes_rejected():
+    graph = InteractionGraph(nodes={"u"}, edges={("u", "ghost"): 1})
+    with pytest.raises(InputError, match="'ghost' is not a graph node"):
+        build_feature_maps(graph)
