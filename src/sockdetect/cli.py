@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -107,16 +106,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     graph = read_edges_tsv(args.input)
     result = run_detection(graph, cfg)
 
-    # retrieval refines one row per distinct fingerprint, so only distinct
-    # rows can make a bucket expensive
-    largest = result.stats["largest_distinct_bucket"]
-    bucket_warn = 8 * math.isqrt(max(result.stats["distinct_fingerprints"], 1))
-    if largest > bucket_warn:
-        print(
-            f"warning: largest bucket has {largest} distinct fingerprints (> {bucket_warn});"
-            " candidate generation degrades toward all-pairs inside it",
-            file=sys.stderr,
-        )
+    for warning in result.stats["warnings"]:
+        print(f"warning: {warning['message']}", file=sys.stderr)
 
     out = _out_dir(args)
     write_candidates_tsv(result.candidates, cfg, out / "candidates.tsv")
@@ -191,28 +182,33 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+def _comma_list(convert):
+    """An argparse ``type`` for a non-empty comma-separated list of ``convert`` values."""
 
+    def parse(text: str) -> list:
+        try:
+            values = [convert(part) for part in text.split(",") if part]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}"
+            )
+        return values
 
-def _float_list(text: str) -> list[float]:
-    return [float(part) for part in text.split(",") if part]
-
-
-def _str_list(text: str) -> list[str]:
-    return [part for part in text.split(",") if part]
+    return parse
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     graph = read_edges_tsv(args.input)
     truth = read_truth(args.truth)
     grid = SweepGrid(
-        bits=_int_list(args.bits),
-        max_distances=_int_list(args.max_distance),
-        thetas=_float_list(args.threshold),
-        directions=_str_list(args.direction),
-        modes=_str_list(args.mode),
-        weightings=_str_list(args.weighting),
+        bits=args.bits,
+        max_distances=args.max_distance,
+        thetas=args.threshold,
+        directions=args.direction,
+        modes=args.mode,
+        weightings=args.weighting,
     )
     rows = sweep(graph, truth, grid, seed=args.seed)
     out = _out_dir(args)
@@ -264,15 +260,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", required=True)
     p.add_argument("--output-dir", required=True)
     grid = SweepGrid()
-    for flag, values, what in (
-        ("--bits", grid.bits, "widths"),
-        ("--max-distance", grid.max_distances, "radii"),
-        ("--threshold", grid.thetas, "cutoffs"),
-        ("--mode", grid.modes, "modes"),
-        ("--direction", grid.directions, "directions"),
-        ("--weighting", grid.weightings, "weightings"),
+    for flag, values, convert, what in (
+        ("--bits", grid.bits, int, "widths"),
+        ("--max-distance", grid.max_distances, int, "radii"),
+        ("--threshold", grid.thetas, float, "cutoffs"),
+        ("--mode", grid.modes, str, "modes"),
+        ("--direction", grid.directions, str, "directions"),
+        ("--weighting", grid.weightings, str, "weightings"),
     ):
-        p.add_argument(flag, default=",".join(map(str, values)), help=f"comma-separated {what}")
+        p.add_argument(
+            flag,
+            type=_comma_list(convert),
+            default=",".join(map(str, values)),
+            help=f"comma-separated {what}",
+        )
     p.add_argument("--seed", type=int, default=RunConfig.seed)
     p.set_defaults(func=cmd_sweep)
 

@@ -183,13 +183,17 @@ def sweep(
     grid: SweepGrid,
     seed: int = 0,
 ) -> list[SweepRow]:
-    """Run detection once per grid point and score it; failures become rows.
+    """Score every grid point against ``truth``; failures become rows.
 
-    Features and fingerprints do not depend on the radius, so they are
-    computed once per (bits, theta, direction, mode, weighting) and every
-    radius of that key runs retrieval on them; a key's fingerprinting time
-    is counted in the first of its rows.  Rows come back in grid order
-    regardless of individual outcomes.
+    Retrieval is lossless, so the candidates at radius d are exactly the
+    pairs at distance <= d of a run at any larger radius.  Detection
+    therefore runs once per (bits, theta, direction, mode, weighting) key,
+    at the largest valid radius of that key, and each row of the key scores
+    that run's candidates filtered by its own radius.  A key's run time is
+    counted in the ``seconds`` of its first row; every row adds its own
+    filter-and-score time.  If the run fails, every row of its key fails
+    with that error.  Rows come back in grid order regardless of individual
+    outcomes.
     """
     # looked up at call time, so wrappers installed on pipeline functions apply
     from . import pipeline
@@ -232,17 +236,20 @@ def sweep(
         by_key.setdefault((b, theta, direction, mode, weighting), []).append((row, cfg))
 
     for points in by_key.values():
-        fingerprinted = None
-        for row, cfg in points:
-            started = time.perf_counter()
-            try:
-                if fingerprinted is None:
-                    fingerprinted = pipeline.fingerprint_graph(graph, cfg)
-                result = pipeline.run_detection(graph, cfg, fingerprinted)
-                row.candidates = len(result.candidates)
-                row.report = pairwise_metrics(result.candidates, truth)
-            except ValueError as exc:
+        started = time.perf_counter()
+        widest = max((cfg for _, cfg in points), key=lambda cfg: cfg.max_distance)
+        try:
+            result = pipeline.run_detection(graph, widest)
+        except ValueError as exc:
+            for row, _ in points:
                 row.status = "failed"
                 row.error = str(exc)
-            row.seconds = time.perf_counter() - started
+            continue
+        for row, _ in points:
+            candidates = [p for p in result.candidates if p.distance <= row.max_distance]
+            row.candidates = len(candidates)
+            row.report = pairwise_metrics(candidates, truth)
+            now = time.perf_counter()
+            row.seconds = now - started
+            started = now
     return rows

@@ -81,6 +81,9 @@ def _normalize_id(value: object, what: str, line: int | None = None) -> str:
     if isinstance(value, str):
         if not value:
             raise InputError(f"{what} must be non-empty{where}")
+        # ids are written as TSV fields, one record per line
+        if "\t" in value or "\n" in value or "\r" in value:
+            raise InputError(f"{what} must not contain a tab or line break{where}")
         return value
     raise InputError(f"{what} must be a string or integer{where}")
 

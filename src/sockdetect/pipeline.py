@@ -7,8 +7,9 @@ max-normalization over outgoing neighbors.
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -65,20 +66,15 @@ class DetectionResult:
     stats: dict = field(default_factory=dict)
 
 
-@dataclass
-class Fingerprinted:
-    """Features and fingerprints of one graph.  They depend on every setting
-    of ``config`` except the radius, so one serves a run at any radius."""
+def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
+    """Run the full pipeline on an interaction graph.
 
-    config: RunConfig
-    feature_maps: FeatureMaps
-    fingerprints: dict[str, Fingerprint]
-    unfingerprintable: list[str]
-    seconds: dict[str, float]
-
-
-def fingerprint_graph(graph: InteractionGraph, cfg: RunConfig) -> Fingerprinted:
-    """Every user's features and fingerprint, each built in one population pass."""
+    Timings for each stage land in ``result.stats``; the candidate
+    generation time covers index construction plus pair retrieval, the part
+    the blocking scheme is supposed to keep from growing quadratically.
+    ``result.stats["warnings"]`` lists what made the run degrade, each as a
+    dict with a ``kind`` and a printable ``message``.
+    """
     t0 = time.perf_counter()
     fmaps = build_feature_maps(
         graph, mode=cfg.mode, theta=cfg.theta, direction=cfg.direction, weighting=cfg.weighting
@@ -86,58 +82,47 @@ def fingerprint_graph(graph: InteractionGraph, cfg: RunConfig) -> Fingerprinted:
     t1 = time.perf_counter()
     fingerprints, skipped = fingerprint_population(fmaps, HashConfig(b=cfg.bits, seed=cfg.seed))
     t2 = time.perf_counter()
-    return Fingerprinted(cfg, fmaps, fingerprints, skipped, {"features": t1 - t0, "fingerprint": t2 - t1})
-
-
-def run_detection(
-    graph: InteractionGraph, cfg: RunConfig, fingerprinted: Fingerprinted | None = None
-) -> DetectionResult:
-    """Run the full pipeline on an interaction graph.
-
-    ``fingerprinted``, from ``fingerprint_graph`` on the same graph with a
-    config differing at most in the radius, skips the features and
-    fingerprint stages; their times in ``result.stats`` are then the ones
-    it recorded.  Timings for each stage land in ``result.stats``; the
-    candidate generation time covers index construction plus pair
-    retrieval, the part the blocking scheme is supposed to keep from
-    growing quadratically.
-    """
-    if fingerprinted is None:
-        fingerprinted = fingerprint_graph(graph, cfg)
-    elif replace(fingerprinted.config, max_distance=cfg.max_distance) != cfg:
-        raise ValueError("fingerprints were built with a different configuration")
-    fingerprints = fingerprinted.fingerprints
-    t0 = time.perf_counter()
     index = build_index(fingerprints, cfg.max_distance)
-    t1 = time.perf_counter()
+    t3 = time.perf_counter()
     lsh_stats: dict = {}
     candidates = candidate_pairs(index, stats=lsh_stats)
-    t2 = time.perf_counter()
+    t4 = time.perf_counter()
     report = build_match_report(candidates)
-    t3 = time.perf_counter()
+    t5 = time.perf_counter()
 
-    seconds = fingerprinted.seconds
+    distinct = lsh_stats.get("distinct_fingerprints", 0)
+    largest = lsh_stats.get("largest_distinct_bucket", 0)
+    # a top-level bucket above this many rows is verified nearly pairwise;
+    # retrieval refines one row per distinct fingerprint, so only those count
+    limit = 8 * math.isqrt(max(distinct, 1))
+    warnings = [] if largest <= limit else [{
+        "kind": "large_bucket", "largest_distinct_bucket": largest, "limit": limit,
+        "message": f"largest bucket has {largest} distinct fingerprints (> {limit});"
+                   " candidate generation degrades toward all-pairs inside it",
+    }]
     stats = {
         "nodes": graph.node_count,
         "edges": graph.edge_count,
         "fingerprinted": len(fingerprints),
-        "unfingerprintable": len(fingerprinted.unfingerprintable),
-        "distinct_fingerprints": lsh_stats.get("distinct_fingerprints", 0),
+        "unfingerprintable": len(skipped),
+        "distinct_fingerprints": distinct,
         "tables": index.plan.m,
         "bucket_memberships": index.bucket_memberships(),
         "largest_bucket": lsh_stats.get("largest_bucket", 0),
-        "largest_distinct_bucket": lsh_stats.get("largest_distinct_bucket", 0),
+        "largest_distinct_bucket": largest,
         "pairs_verified": lsh_stats.get("pairs_verified", 0),
         "candidates": len(candidates),
         "clusters": len(report.clusters),
         "mutual_matches": len(report.mutual),
+        "warnings": warnings,
         "seconds": {
-            **seconds,
-            "index_build": t1 - t0,
-            "candidate_pairs": t2 - t1,
-            "candidate_generation": t2 - t0,
-            "report": t3 - t2,
-            "total": seconds["features"] + seconds["fingerprint"] + t3 - t0,
+            "features": t1 - t0,
+            "fingerprint": t2 - t1,
+            "index_build": t3 - t2,
+            "candidate_pairs": t4 - t3,
+            "candidate_generation": t4 - t2,
+            "report": t5 - t4,
+            "total": t5 - t0,
         },
     }
     return DetectionResult(
@@ -145,8 +130,8 @@ def run_detection(
         candidates=candidates,
         report=report,
         fingerprints=fingerprints,
-        unfingerprintable=fingerprinted.unfingerprintable,
-        feature_maps=fingerprinted.feature_maps,
+        unfingerprintable=skipped,
+        feature_maps=fmaps,
         stats=stats,
     )
 

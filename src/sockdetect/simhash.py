@@ -249,5 +249,7 @@ def read_fingerprints_tsv(path: str | Path) -> tuple[dict[str, Fingerprint], Has
                 bits = int(hexbits, 16)
             except ValueError as exc:
                 raise InputError(f"bad fingerprint row at line {lineno}") from exc
+            if not 0 <= bits < 1 << cfg.b:
+                raise InputError(f"fingerprint at line {lineno} does not fit in {cfg.b} bits")
             fingerprints[owner] = Fingerprint(owner=owner, bits=bits, width=cfg.b)
     return fingerprints, cfg

@@ -1,10 +1,13 @@
+import itertools
 import json
 
 import pytest
 
 from sockdetect.cli import main
+from sockdetect.features import FeatureToken
 from sockdetect.ingest import InteractionGraph, build_interaction_graph, parse_messages, write_edges_tsv
 from sockdetect.pipeline import RunConfig, run_detection
+from sockdetect.simhash import HashConfig, hash_token
 from sockdetect.synth import SynthConfig, generate
 
 DEFAULT_HEADER = "# b=128 d=20 theta=0.5 mode=max direction=out weighting=weighted seed=0"
@@ -66,6 +69,20 @@ class TestIngest:
         rc = main(["ingest", "--input", str(src), "--output-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("telegram", [False, True])
+    def test_sender_breaking_tsv_exits_1(self, tmp_path, capsys, telegram):
+        messages = [{"message_id": 1, "sender": "a"}, {"message_id": 2, "sender": "b\tz\t1\nc"}]
+        src = tmp_path / "input"
+        if telegram:
+            entries = [{"id": m["message_id"], "from_id": m["sender"]} for m in messages]
+            src.write_text(json.dumps({"messages": entries}))
+        else:
+            src.write_text("".join(json.dumps(m) + "\n" for m in messages))
+        argv = ["ingest", "--input", str(src), "--output-dir", str(tmp_path / "out")]
+        assert main(argv + ["--telegram"] * telegram) == 1
+        assert "must not contain a tab or line break" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "edges.tsv").exists()
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         rc = main(["ingest", "--input", str(tmp_path / "nope.jsonl"), "--output-dir", str(tmp_path)])
@@ -199,6 +216,34 @@ class TestDetect:
         stats = json.loads((run / "stats.json").read_text())
         assert stats["largest_bucket"] >= 1000
         assert stats["largest_distinct_bucket"] <= 8 * stats["distinct_fingerprints"] ** 0.5
+        assert stats["warnings"] == []
+
+    def test_many_distinct_fingerprints_in_one_bucket_warn(self, tmp_path, capsys):
+        # a user whose only token is one reply has that token's hash as its
+        # fingerprint; 250 tokens agreeing on bits 0-6, the first top-level
+        # block at b=128 d=20, put 250 distinct fingerprints in one bucket
+        cfg = HashConfig(b=128, seed=0)
+        neighbors = []
+        for i in itertools.count():
+            if hash_token(FeatureToken("out", f"n{i}"), cfg) & 0x7F == 0:
+                neighbors.append(f"n{i}")
+                if len(neighbors) == 250:
+                    break
+        edges = {(f"u{i:03d}", v): 1 for i, v in enumerate(neighbors)}
+        graph = InteractionGraph(nodes={x for edge in edges for x in edge}, edges=edges)
+        write_edges_tsv(graph, tmp_path / "edges.tsv")
+        run = tmp_path / "run"
+        assert main(["detect", "--input", str(tmp_path / "edges.tsv"), "--output-dir", str(run)]) == 0
+        stats = json.loads((run / "stats.json").read_text())
+        assert stats["distinct_fingerprints"] == 250
+        [warning] = stats["warnings"]
+        assert warning["kind"] == "large_bucket"
+        assert warning["largest_distinct_bucket"] == stats["largest_distinct_bucket"] >= 250
+        assert warning["limit"] == 8 * 15
+        assert (
+            f"warning: largest bucket has {warning['largest_distinct_bucket']} distinct"
+            " fingerprints (> 120); candidate generation degrades toward all-pairs inside it"
+        ) in capsys.readouterr().err
 
     def test_staged_detect_counts_edge_endpoints_only(self, tmp_path):
         # "lurker" posts but neither replies nor is replied to, so it is a
@@ -318,6 +363,31 @@ class TestSweep:
         assert int(fields["candidates"]) == candidates
         assert abs(float(fields["precision"]) - eval_payload["precision"]) < 1e-6
         assert abs(float(fields["recall"]) - eval_payload["recall"]) < 1e-6
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--bits", "128,x"),
+            ("--max-distance", "6,x"),
+            ("--threshold", "0.3,high"),
+            ("--max-distance", ","),
+            ("--mode", ""),
+        ],
+    )
+    def test_malformed_list_is_usage_error(self, synth_corpus, tmp_path, capsys, flag, value):
+        argv = [
+            "sweep",
+            "--input", str(synth_corpus / "edges.tsv"),
+            "--truth", str(synth_corpus / "truth.txt"),
+            "--output-dir", str(tmp_path / "sweep"),
+            flag, value,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected comma-separated" in err
+        assert "Traceback" not in err
 
     def test_failed_grid_point_row(self, synth_corpus, tmp_path):
         out = tmp_path / "sweep"

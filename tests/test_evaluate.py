@@ -13,6 +13,7 @@ from sockdetect.evaluate import (
     write_truth,
 )
 from sockdetect import pipeline
+from sockdetect.ingest import InteractionGraph
 from sockdetect.lsh import CandidatePair
 from sockdetect.pipeline import RunConfig, run_detection
 from sockdetect.synth import SynthConfig, generate
@@ -151,19 +152,26 @@ class TestSweep:
         recalls = [r.report.recall for r in rows]
         assert recalls == sorted(recalls)
 
-    def test_fingerprints_computed_once_per_key(self, corpus, monkeypatch):
-        graph, truth = corpus
+    @staticmethod
+    def _count_calls(monkeypatch, name: str) -> list:
         calls = []
-        fingerprint_population = pipeline.fingerprint_population
+        wrapped = getattr(pipeline, name)
 
         def counted(*args, **kwargs):
             calls.append(args[1])
-            return fingerprint_population(*args, **kwargs)
+            return wrapped(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "fingerprint_population", counted)
+        monkeypatch.setattr(pipeline, name, counted)
+        return calls
+
+    def test_fingerprints_computed_once_per_key(self, corpus, monkeypatch):
+        graph, truth = corpus
+        fingerprint_calls = self._count_calls(monkeypatch, "fingerprint_population")
+        run_calls = self._count_calls(monkeypatch, "run_detection")
         grid = SweepGrid(max_distances=[6, 8, 10], thetas=[0.3, 0.5])
         rows = sweep(graph, truth, grid)
-        assert len(calls) == 2
+        assert len(fingerprint_calls) == 2
+        assert [cfg.max_distance for cfg in run_calls] == [10, 10]
         assert [(r.max_distance, r.theta) for r in rows] == [
             (d, theta) for d in (6, 8, 10) for theta in (0.3, 0.5)
         ]
@@ -176,27 +184,24 @@ class TestSweep:
 
     def test_invalid_radius_fails_in_place_within_a_key(self, corpus, monkeypatch):
         graph, truth = corpus
-        calls = []
-        fingerprint_population = pipeline.fingerprint_population
-
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return fingerprint_population(*args, **kwargs)
-
-        monkeypatch.setattr(pipeline, "fingerprint_population", counted)
+        fingerprint_calls = self._count_calls(monkeypatch, "fingerprint_population")
+        run_calls = self._count_calls(monkeypatch, "run_detection")
         rows = sweep(graph, truth, SweepGrid(bits=[32], max_distances=[6, 32, 8]))
         assert [r.status for r in rows] == ["ok", "failed", "ok"]
         assert "max distance 32 >= width 32" in rows[1].error
         assert rows[1].report is None
-        assert len(calls) == 1
+        assert len(fingerprint_calls) == 1
+        assert [cfg.max_distance for cfg in run_calls] == [8]
         for row in (rows[0], rows[2]):
             result = run_detection(graph, RunConfig(bits=32, max_distance=row.max_distance))
             assert row.candidates == len(result.candidates)
 
-    def test_reused_fingerprints_must_match_config(self, corpus):
-        graph, _ = corpus
-        fingerprinted = pipeline.fingerprint_graph(graph, RunConfig(theta=0.3))
-        result = run_detection(graph, RunConfig(theta=0.3, max_distance=8), fingerprinted)
-        assert result.candidates == run_detection(graph, RunConfig(theta=0.3, max_distance=8)).candidates
-        with pytest.raises(ValueError, match="different configuration"):
-            run_detection(graph, RunConfig(theta=0.5), fingerprinted)
+    def test_failed_run_fails_every_row_of_its_key(self):
+        # an edge endpoint outside graph.nodes makes the feature pass raise
+        graph = InteractionGraph(nodes={"a"}, edges={("a", "b"): 1})
+        truth = GroundTruth([{"a", "b"}])
+        rows = sweep(graph, truth, SweepGrid(bits=[32], max_distances=[6, 32, 8]))
+        assert [r.status for r in rows] == ["failed"] * 3
+        assert "max distance 32" in rows[1].error
+        assert rows[0].error == rows[2].error == "edge endpoint 'b' is not a graph node"
+        assert all(r.report is None for r in rows)

@@ -82,6 +82,12 @@ class TestParseMessages:
         with pytest.raises(InputError, match="sender must be non-empty"):
             parse_messages(['{"message_id": 1, "sender": ""}'])
 
+    @pytest.mark.parametrize("sender", ["b\tz\t1\nc", "a\nb", "a\rb"])
+    def test_sender_breaking_tsv_rejected(self, sender):
+        lines = ['{"message_id": 1, "sender": "a"}', json.dumps({"message_id": 2, "sender": sender})]
+        with pytest.raises(InputError, match="tab or line break at line 2"):
+            parse_messages(lines)
+
     def test_unknown_fields_ignored_and_order_kept(self):
         lines = [
             '{"message_id": 5, "sender": "a", "text": "hi", "views": 3}',
@@ -128,6 +134,11 @@ class TestTelegramExport:
             ]
         }
         assert len(convert_telegram_export(doc)) == 3
+
+    def test_sender_breaking_tsv_rejected(self):
+        doc = {"messages": [{"id": 1, "from_id": "a"}, {"id": 2, "from_id": "b\tz\t1\nc"}]}
+        with pytest.raises(InputError, match="sender of entry 1 must not contain a tab or line break"):
+            convert_telegram_export(doc)
 
     def test_document_order_preserved(self):
         doc = {"messages": [{"id": 5, "from_id": "a"}, {"id": 2, "from_id": "b"}, {"id": 9, "from_id": "c"}]}

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sockdetect.errors import UnfingerprintableError
+from sockdetect.errors import InputError, UnfingerprintableError
 from sockdetect.features import FeatureMap, FeatureToken
 from sockdetect.simhash import (
     Fingerprint,
@@ -210,3 +210,11 @@ def test_fingerprint_tsv_round_trip(tmp_path):
     header, first_row = path.read_text().splitlines()[:2]
     assert header == "# b=128 seed=0"
     assert len(first_row.split("\t")[1]) == 32  # 2*b/8 hex chars
+
+
+@pytest.mark.parametrize("row", ["a\t1ffffffff", "b\t-1"])
+def test_fingerprint_tsv_rejects_values_outside_width(tmp_path, row):
+    path = tmp_path / "fingerprints.tsv"
+    path.write_text(f"# b=32 seed=0\nok\tffffffff\n{row}\n")
+    with pytest.raises(InputError, match="line 3"):
+        read_fingerprints_tsv(path)
