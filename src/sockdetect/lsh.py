@@ -1,22 +1,20 @@
-"""Lossless Hamming-radius retrieval via pigeonhole blocking.
+"""Lossless Hamming-radius retrieval by multi-index hashing (Norouzi et al. 2012).
 
-A b-bit fingerprint is split into m = d+1 disjoint blocks.  Two fingerprints
-within Hamming distance d differ in at most d positions, so they must agree
-exactly on at least one block: grouping users by exact block bits therefore
-co-buckets every true pair at least once.  Verification with exact Hamming
-distance then removes every false bucket collision, so retrieval is lossless
-and ``candidate_pairs`` equals the all-pairs scan by construction.
-
-Within a bucket the same guarantee holds on the remaining bit positions,
-so one recursive grouping over one row per distinct fingerprint does both:
-its first call forms the d+1 top-level blocks, and a large bucket is split
-the same way while its chunks are wide enough for a split to pay, else
-verified pairwise in batched popcounts; ``query`` is an exact popcount scan.
+A b-bit fingerprint is split into m blocks, each searched at radius
+r = ⌊d/m⌋.  Two fingerprints within distance d differ in at most d bits and
+m·(r+1) > d, so some block holds at most r of them: probing every key
+within radius r of each row's block key reaches every true pair.  A pair is
+emitted only from the lowest block whose r-ball holds it and verified once
+by exact popcount, so ``candidate_pairs`` equals the all-pairs scan.  It
+runs on one row per distinct fingerprint, and one cost rule
+(``BlockPlan.cost``: lookups, directory work and VERIFY_COST per pair that
+uniform bits co-bucket) picks m or the all-pairs scan.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
@@ -25,20 +23,54 @@ import numpy as np
 from .errors import ConfigError
 from .simhash import Fingerprint
 
-# Buckets up to this size are verified pairwise; larger ones are recursively
-# re-partitioned.  Crossover between C(k,2) vectorized popcounts and the cost
-# of another round of block keying sits around k ~ 100.
-LEAF_SIZE = 96
-_FLUSH_PAIRS = 1 << 22
+# One verification costs about this many key lookups: fitted by timing every
+# plan on ten (corpus, radius) cases, synth 2k, 5k, 20k and a hub-shaped chat
+# at b=128, d = 6..20 (2-core x86 VM: 1.2e-8 s a lookup, 1.1e-7 s a pair).  The
+# rule then picks the fastest plan in all ten (m=11 at 2k, 8 at 5k, 7 at 20k).
+VERIFY_COST = 15
+_KEY_BITS = 62  # widest block key, so every key is one int64
+_DENSE_BITS = 22  # widest block given a dense count table, sorted keys above
+_PROBE_CHUNK = 1 << 18  # probe keys looked up per step
+_PAIR_CHUNK = 1 << 20  # row pairs expanded and verified per step
 _POW2 = (np.int64(1) << np.arange(63, dtype=np.int64))
+
+
+def _ball(width: int, radius: int) -> int:
+    """Keys within Hamming distance ``radius`` of one ``width``-bit key."""
+    return sum(math.comb(width, k) for k in range(radius + 1))
+
+
+def _dense(width: int, lookups: int, n: int) -> bool:
+    """A dense count table, when 2^width entries cost less than log2 n per lookup."""
+    return width <= _DENSE_BITS and 1 << width <= lookups * n.bit_length()
 
 
 @dataclass(frozen=True)
 class BlockPlan:
-    """m = d+1 contiguous disjoint bit ranges covering [0, b), widest first."""
+    """m contiguous disjoint bit ranges covering [0, b), widest first, each
+    searched at Hamming radius ``radius``; m = 0 is the all-pairs scan."""
 
     m: int
     ranges: list[tuple[int, int]]  # (start, width)
+    radius: int = 0
+
+    def probes(self) -> int:
+        """Keys looked up per row, over all blocks."""
+        return sum(_ball(width, self.radius) for _, width in self.ranges)
+
+    def expected_verifications(self, n: int) -> float:
+        """Pairs verified among n rows of uniform random bits."""
+        share = sum(_ball(w, self.radius) / 2**w for _, w in self.ranges) if self.m else 1.0
+        return n * (n - 1) / 2 * share
+
+    def cost(self, n: int) -> float:
+        """Lookups, directory work, and VERIFY_COST per expected verification."""
+        total = VERIFY_COST * self.expected_verifications(n)
+        for _, width in self.ranges:
+            lookups = n * _ball(width, self.radius)
+            directory = 1 << width if _dense(width, lookups, n) else lookups * n.bit_length()
+            total += lookups + directory
+        return total
 
 
 @dataclass(frozen=True, order=True)
@@ -61,31 +93,33 @@ class CandidatePair:
 @dataclass
 class LshIndex:
     """Fingerprints packed once: row i of ``bits`` holds ``users[i]``, bit j
-    in column j, and ``words`` holds the same rows as ``uint64`` words."""
+    in column j, and ``words`` holds the same rows as ``uint64`` words.
+    ``reps`` holds the first row of each distinct fingerprint, ``classes``
+    each row's position in ``reps``; ``plan`` is chosen for the ``reps``."""
 
     plan: BlockPlan
     users: list[str]
     bits: np.ndarray  # uint8 [n, b]
     words: np.ndarray  # uint64 [n, ceil(b/64)]
+    reps: np.ndarray
+    classes: np.ndarray
     max_distance: int
 
-    def largest_bucket(self, rows: np.ndarray | slice = slice(None)) -> int:
-        """Most of ``rows`` (every user by default) sharing one key of one
-        top-level block."""
-        bits = self.bits[rows]
-        sizes = [
-            np.unique(_chunk_keys(bits, np.arange(start, start + width)),
-                      return_counts=True)[1].max()
-            for start, width in self.plan.ranges
-        ]
-        return int(max(sizes, default=0))
-
     def bucket_memberships(self) -> int:
-        return len(self.users) * self.plan.m
+        """Entries over all block tables: one per distinct row and block."""
+        return len(self.reps) * self.plan.m
+
+
+def _split(b: int, d: int, m: int) -> BlockPlan:
+    """[0, b) as m ranges whose sizes differ by at most one, at radius ⌊d/m⌋."""
+    q, r = divmod(b, m)
+    widths = [q + 1] * r + [q] * (m - r)
+    starts = itertools.accumulate(widths[:-1], initial=0)
+    return BlockPlan(m=m, ranges=list(zip(starts, widths)), radius=d // m)
 
 
 def plan_blocks(b: int, d: int) -> BlockPlan:
-    """Partition [0, b) into d+1 ranges whose sizes differ by at most one."""
+    """The exact-match pigeonhole plan: d+1 ranges, each searched at radius 0."""
     if d < 0:
         raise ConfigError(f"max distance must be >= 0, got {d}")
     if d >= b:
@@ -93,11 +127,17 @@ def plan_blocks(b: int, d: int) -> BlockPlan:
             f"max distance {d} >= width {b}: every pair would be a candidate,"
             " use the brute-force scan instead"
         )
-    m = d + 1
-    q, r = divmod(b, m)
-    widths = [q + 1] * r + [q] * (m - r)
-    starts = itertools.accumulate(widths[:-1], initial=0)
-    return BlockPlan(m=m, ranges=list(zip(starts, widths)))
+    return _split(b, d, d + 1)
+
+
+def _plans(b: int, d: int) -> list[BlockPlan]:
+    """The plans the cost rule chooses from: the scan, and m blocks for every
+    m whose keys fit in 62 bits, up to d+1 (beyond it r stays 0 and the
+    blocks only narrow)."""
+    plan_blocks(b, d)
+    fewest = -(-b // _KEY_BITS)
+    scan = BlockPlan(m=0, ranges=[], radius=d)
+    return [scan, *(_split(b, d, m) for m in range(fewest, max(fewest, d + 1) + 1))]
 
 
 def _pack(fps: Mapping[str, Fingerprint]) -> tuple[list[str], np.ndarray]:
@@ -119,147 +159,106 @@ def _words(bits: np.ndarray) -> np.ndarray:
 
 
 def build_index(fps: Mapping[str, Fingerprint], d: int) -> LshIndex:
-    """Pack the fingerprints once; the block plan covers their width."""
+    """Pack the fingerprints once, collapse equal rows and plan for the rest."""
     users, bits = _pack(fps)
-    plan = plan_blocks(bits.shape[1], d) if users else BlockPlan(m=d + 1, ranges=[])
-    return LshIndex(plan=plan, users=users, bits=bits, words=_words(bits), max_distance=d)
+    words = _words(bits)
+    _, reps, classes = np.unique(words, axis=0, return_index=True, return_inverse=True)
+    n = len(reps)
+    plan = min(_plans(bits.shape[1], d), key=lambda p: p.cost(n)) if users else BlockPlan(0, [], d)
+    return LshIndex(plan=plan, users=users, bits=bits, words=words, reps=reps,
+                    classes=classes.ravel(), max_distance=d)
 
 
-class _Refiner:
-    """Recursive pigeonhole grouping over an index's bit matrix; the pairs
-    it emits are buffered and verified in large batches of popcounts."""
-
-    def __init__(self, index: LshIndex, leaf_size: int):
-        self.bits = index.bits
-        self.words = index.words
-        self.d = index.max_distance
-        self.leaf_size = leaf_size
-        self.pairs_verified = 0
-        self._buffer: list[tuple[np.ndarray, np.ndarray]] = []
-        self._buffered = 0
-        self._triu: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        # verified pairs as low*n + high, and their distances; deduplicated per
-        # flush so repeated co-bucketing cannot grow them past the pair count
-        self.keys = np.zeros(0, dtype=np.int64)
-        self.dists = np.zeros(0, dtype=np.int64)
-
-    def refine(self, members: np.ndarray, avail: np.ndarray) -> None:
-        """Emit a superset of all within-distance pairs among ``members``.
-
-        Invariant: members are distinct rows that agree on all bit positions
-        outside ``avail``, so the d+1-way split of ``avail`` gives every true
-        pair a chunk of exact agreement.  A split pays only when its narrowest
-        chunk, q = len(avail) // (d+1) bits, takes more than d+1 keys: under
-        uniform bits it re-verifies about (d+1)/2**q of the node's pairs.
-        """
-        k = len(members)
-        if k <= self.leaf_size or 2 ** (len(avail) // (self.d + 1)) <= self.d + 1:
-            self._clique(members)
-            return
-        sub = self.bits[members]
-        ranges = plan_blocks(len(avail), self.d).ranges
-        chunks = [avail[start : start + width] for start, width in ranges]
-        keys = [_chunk_keys(sub, chunk) for chunk in chunks]
-        live = [i for i, chunk_keys in enumerate(keys) if (chunk_keys != chunk_keys[0]).any()]
-        if len(live) < len(chunks):
-            # every pair agrees on the constant chunks, and distinct members
-            # leave some chunk live: split the live ones afresh
-            self.refine(members, np.concatenate([chunks[i] for i in live]))
-            return
-        for (start, width), chunk_keys in zip(ranges, keys):
-            order = np.argsort(chunk_keys, kind="stable")
-            sorted_keys = chunk_keys[order]
-            starts = np.flatnonzero(np.diff(sorted_keys, prepend=sorted_keys[0] - 1))
-            sizes = np.diff(np.append(starts, k))
-            remaining = np.delete(avail, slice(start, start + width))
-            for size in np.unique(sizes[sizes > 1]):
-                seg_starts = starts[sizes == size]
-                rows = members[order[seg_starts[:, None] + np.arange(size)[None, :]]]
-                if size <= self.leaf_size:
-                    self._cliques(rows)
-                else:
-                    for row in rows:
-                        self.refine(row, remaining)
-
-    def _clique(self, members: np.ndarray) -> None:
-        if len(members) > 2048:
-            # degenerate giant bucket: emit row by row to bound memory
-            for i in range(len(members) - 1):
-                tail = members[i + 1 :]
-                self._push(np.full(len(tail), members[i]), tail)
+def _block_pairs(keys: list[np.ndarray], t: int, width: int, radius: int
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row pairs i < j within ``radius`` on block t and on no lower block."""
+    key = keys[t]
+    n = len(key)
+    masks = np.array([sum(1 << i for i in c) for k in range(radius + 1)  # <= radius bits set
+                      for c in itertools.combinations(range(width), k)], dtype=np.int64)
+    order = np.argsort(key, kind="stable")
+    dense = _dense(width, n * len(masks), n)
+    if dense:  # bucket of key k: order[start[k] : start[k] + count[k]]
+        count = np.bincount(key, minlength=1 << width)
+        start = np.cumsum(count) - count
+    else:
+        sorted_keys = key[order]
+    step = max(1, _PROBE_CHUNK // len(masks))
+    for i0 in range(0, n, step):
+        probe = (key[i0 : i0 + step, None] ^ masks).ravel()
+        if dense:
+            cnt = count[probe]
         else:
-            self._cliques(members[None, :])
-
-    def _cliques(self, blocks: np.ndarray) -> None:
-        """blocks: [g, s] matrix, each row an independent clique of size s."""
-        s = blocks.shape[1]
-        triu = self._triu.get(s)
-        if triu is None:
-            triu = np.triu_indices(s, 1)
-            if s <= LEAF_SIZE:  # keep the cache small
-                self._triu[s] = triu
-        self._push(blocks[:, triu[0]].ravel(), blocks[:, triu[1]].ravel())
-
-    def _push(self, I: np.ndarray, J: np.ndarray) -> None:
-        self._buffer.append((I, J))
-        self._buffered += len(I)
-        if self._buffered >= _FLUSH_PAIRS:
-            self.flush()
-
-    def flush(self) -> None:
-        if not self._buffer:
-            return
-        I, J = map(np.concatenate, zip(*self._buffer))
-        self._buffer.clear()
-        self._buffered = 0
-        self.pairs_verified += len(I)
-        dist = np.bitwise_count(self.words[I] ^ self.words[J]).sum(axis=1, dtype=np.int64)
-        ok = dist <= self.d
-        n = len(self.words)
-        keys = np.minimum(I[ok], J[ok]) * n + np.maximum(I[ok], J[ok])
-        self.keys, first = np.unique(np.append(self.keys, keys), return_index=True)
-        self.dists = np.append(self.dists, dist[ok])[first]
+            lo = np.searchsorted(sorted_keys, probe)
+            cnt = np.searchsorted(sorted_keys, probe, side="right") - lo
+        hit = np.flatnonzero(cnt)
+        lo, cnt = start[probe[hit]] if dense else lo[hit], cnt[hit]
+        owner = hit // len(masks) + i0
+        # cut the hits into runs of about _PAIR_CHUNK pairs
+        cuts = np.arange(_PAIR_CHUNK, cnt.sum(), _PAIR_CHUNK)
+        bounds = [0, *np.searchsorted(np.cumsum(cnt), cuts, side="right"), len(hit)]
+        for a, z in itertools.pairwise(bounds):
+            if a == z:
+                continue
+            c = cnt[a:z]
+            offset = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
+            I, J = np.repeat(owner[a:z], c), order[np.repeat(lo[a:z], c) + offset]
+            up = J > I
+            I, J = I[up], J[up]
+            for lower in keys[:t]:
+                far = np.bitwise_count(lower[I] ^ lower[J]) > radius
+                I, J = I[far], J[far]
+            yield I, J
 
 
-def _chunk_keys(sub_bits: np.ndarray, chunk: np.ndarray) -> np.ndarray:
-    cols = sub_bits[:, chunk]
-    if len(chunk) <= 63:
-        return cols.astype(np.int64) @ _POW2[: len(chunk)]
-    packed = np.packbits(cols, axis=1)
-    _, inverse = np.unique(packed, axis=0, return_inverse=True)
-    return inverse.ravel().astype(np.int64)
+def _candidates(bits: np.ndarray, plan: BlockPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row pairs i < j, each at most once, covering every pair within the
+    plan's reach: all of them for the scan."""
+    n = len(bits)
+    if not plan.m:
+        step = max(1, _PAIR_CHUNK // max(n, 1))
+        for i0 in range(0, n, step):
+            I, J = np.nonzero(np.arange(i0, min(i0 + step, n))[:, None] < np.arange(n))
+            yield I + i0, J
+        return
+    keys = [bits[:, s : s + w].astype(np.int64) @ _POW2[:w] for s, w in plan.ranges]
+    for t, (_, width) in enumerate(plan.ranges):
+        yield from _block_pairs(keys, t, width, plan.radius)
 
 
-def candidate_pairs(
-    index: LshIndex,
-    stats: dict | None = None,
-    leaf_size: int = LEAF_SIZE,
-) -> set[CandidatePair]:
+def _search(bits: np.ndarray, words: np.ndarray, plan: BlockPlan, d: int
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Rows i < j within distance d, as index arrays and their distances,
+    and the number of pairs verified."""
+    found, verified = [(np.zeros(0, dtype=np.int64),) * 3], 0
+    for I, J in _candidates(bits, plan):
+        dist = np.bitwise_count(words[I] ^ words[J]).sum(axis=1, dtype=np.int64)
+        ok = dist <= d
+        verified += len(I)
+        found.append((I[ok], J[ok], dist[ok]))
+    I, J, dist = map(np.concatenate, zip(*found))
+    return I, J, dist, verified
+
+
+def candidate_pairs(index: LshIndex, stats: dict | None = None) -> set[CandidatePair]:
     """All pairs of indexed users within the index's Hamming radius.
 
-    Only one row per distinct fingerprint is refined; a class of equal rows
+    Only one row per distinct fingerprint is searched; a class of equal rows
     gives all its member pairs at distance 0, and a verified pair of distinct
     rows gives the product of their classes.  Equals ``brute_force_pairs``:
-    the top-level blocks co-bucket every true pair at least once, refinement
-    never separates two members that agree on a chunk, and every emitted
-    pair is verified with the exact distance.
+    the plan's blocks reach every true pair, and every emitted pair is
+    verified with the exact distance.
     """
-    n, b = index.bits.shape
-    _, reps, inverse = np.unique(index.words, axis=0, return_index=True, return_inverse=True)
-    inverse = inverse.ravel()
-    refiner = _Refiner(index, leaf_size)
-    refiner.refine(reps, np.arange(b))
-    refiner.flush()
+    reps = index.reps
+    I, J, dist, verified = _search(index.bits[reps], index.words[reps], index.plan,
+                                   index.max_distance)
     if stats is not None:
-        stats.update(pairs_verified=refiner.pairs_verified, largest_bucket=index.largest_bucket(),
-                     largest_distinct_bucket=index.largest_bucket(reps),
-                     distinct_fingerprints=len(reps))
+        stats.update(pairs_verified=verified, distinct_fingerprints=len(reps))
     classes: list[list[str]] = [[] for _ in reps]
-    for uid, c in zip(index.users, inverse.tolist()):
+    for uid, c in zip(index.users, index.classes.tolist()):
         classes[c].append(uid)  # users are sorted, so each class is too
     pairs = {CandidatePair(u, v, 0) for ids in classes for u, v in itertools.combinations(ids, 2)}
-    low, high = np.divmod(refiner.keys, max(n, 1))
-    for i, j, dd in zip(inverse[low].tolist(), inverse[high].tolist(), refiner.dists.tolist()):
+    for i, j, dd in zip(I.tolist(), J.tolist(), dist.tolist()):
         pairs.update(CandidatePair.ordered(u, v, dd) for u in classes[i] for v in classes[j])
     return pairs
 

@@ -7,7 +7,6 @@ max-normalization over outgoing neighbors.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -91,26 +90,31 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
     t5 = time.perf_counter()
 
     distinct = lsh_stats.get("distinct_fingerprints", 0)
-    largest = lsh_stats.get("largest_distinct_bucket", 0)
-    # a top-level bucket above this many rows is verified nearly pairwise;
-    # retrieval refines one row per distinct fingerprint, so only those count
-    limit = 8 * math.isqrt(max(distinct, 1))
-    warnings = [] if largest <= limit else [{
-        "kind": "large_bucket", "largest_distinct_bucket": largest, "limit": limit,
-        "message": f"largest bucket has {largest} distinct fingerprints (> {limit});"
-                   " candidate generation degrades toward all-pairs inside it",
+    verified = lsh_stats.get("pairs_verified", 0)
+    expected = round(index.plan.expected_verifications(distinct))
+    # The cost rule plans for uniform fingerprint bits; synth and benchmark
+    # corpora verify 0.7-1.35x the expectation.  Far more means that many
+    # fingerprints agree on block bits and retrieval drifts toward all pairs.
+    limit = 4 * expected + 1000
+    warnings = [] if verified <= limit else [{
+        "kind": "excess_verifications", "pairs_verified": verified, "limit": limit,
+        "message": f"verified {verified} pairs, more than {limit} (4x the {expected}"
+                   " expected for uniform bits, plus 1000); many fingerprints agree"
+                   " on block bits, so retrieval drifts toward all pairs",
     }]
     stats = {
+        "schema_version": 2,
         "nodes": graph.node_count,
         "edges": graph.edge_count,
         "fingerprinted": len(fingerprints),
         "unfingerprintable": len(skipped),
         "distinct_fingerprints": distinct,
         "tables": index.plan.m,
+        "block_radius": index.plan.radius,
+        "probes": distinct * index.plan.probes(),
         "bucket_memberships": index.bucket_memberships(),
-        "largest_bucket": lsh_stats.get("largest_bucket", 0),
-        "largest_distinct_bucket": largest,
-        "pairs_verified": lsh_stats.get("pairs_verified", 0),
+        "expected_verifications": expected,
+        "pairs_verified": verified,
         "candidates": len(candidates),
         "clusters": len(report.clusters),
         "mutual_matches": len(report.mutual),

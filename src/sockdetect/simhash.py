@@ -241,8 +241,8 @@ def read_fingerprints_tsv(path: str | Path) -> tuple[dict[str, Fingerprint], Has
             raise InputError(f"bad fingerprint header {header!r}") from exc
         fingerprints: dict[str, Fingerprint] = {}
         for lineno, raw in enumerate(fh, start=2):
-            line = raw.strip()
-            if not line:
+            line = raw.rstrip("\n")  # ids may begin or end with spaces
+            if not line.strip():
                 continue
             try:
                 owner, hexbits = line.split("\t")

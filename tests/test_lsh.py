@@ -1,10 +1,15 @@
+import dataclasses
+import math
 import random
 
 import pytest
 
 from sockdetect.errors import ConfigError
 from sockdetect.lsh import (
+    BlockPlan,
     CandidatePair,
+    _plans,
+    _search,
     brute_force_pairs,
     build_index,
     candidate_pairs,
@@ -40,6 +45,17 @@ def _population(
         uid = f"v{j:04d}"
         fps[uid] = Fingerprint(uid, bits, b)
     return fps
+
+
+def _forced_plans(b: int, d: int) -> list[BlockPlan]:
+    """The scan and every m the cost rule weighs, except those probing more
+    than 4096 keys a row: those cost more than the scan below about 550
+    distinct rows, so the rule cannot pick them at these test sizes."""
+    return [plan for plan in _plans(b, d) if plan.probes() <= 4096]
+
+
+def _forced(index, plan: BlockPlan, stats: dict | None = None):
+    return candidate_pairs(dataclasses.replace(index, plan=plan), stats=stats)
 
 
 class TestPlanBlocks:
@@ -84,19 +100,22 @@ class TestBuildIndex:
     def test_empty_population(self):
         index = build_index({}, 20)
         assert candidate_pairs(index) == set()
-        assert index.largest_bucket() == 0
+        assert index.bucket_memberships() == 0
 
     def test_identical_fingerprints_cobucket_everywhere(self):
         fps = {
             "a": Fingerprint("a", 0xDEADBEEF, 128),
             "b": Fingerprint("b", 0xDEADBEEF, 128),
         }
-        assert build_index(fps, 20).largest_bucket() == 2
+        index = build_index(fps, 20)
+        assert len(index.reps) == 1
+        assert index.classes.tolist() == [0, 0]
 
     def test_membership_count_is_n_times_m(self):
         fps = _population(seed=1, n=500)
         index = build_index(fps, 20)
-        assert index.bucket_memberships() == 500 * 21
+        assert index.plan.m > 0
+        assert index.bucket_memberships() == 500 * index.plan.m
 
     def test_width_mismatch_rejected(self):
         fps = {"a": Fingerprint("a", 1, 128), "b": Fingerprint("b", 1, 64)}
@@ -132,8 +151,11 @@ class TestCandidatePairs:
             "b": Fingerprint("b", flipped, 128),
         }
         index = build_index(fps, 20)
-        assert index.largest_bucket() == 1
         assert candidate_pairs(index) == set()
+        # no block agrees, so the exact-match plan verifies nothing
+        stats: dict = {}
+        assert _forced(index, plan, stats) == set()
+        assert stats["pairs_verified"] == 0
 
     def test_matches_brute_force_on_random_population(self):
         fps = _population(seed=5, n=500, planted=60)
@@ -153,15 +175,15 @@ class TestCandidatePairs:
         fps = _population(seed=b + d, n=150, b=b, planted=50, max_flips=d + 8)
         assert candidate_pairs(build_index(fps, d)) == brute_force_pairs(fps, d)
 
-    def test_lossless_under_forced_deep_recursion(self):
+    def test_lossless_under_every_forced_plan(self):
         fps = _population(seed=77, n=150, planted=50, max_flips=25)
         want = brute_force_pairs(fps, 20)
         index = build_index(fps, 20)
-        assert candidate_pairs(index, leaf_size=2) == want
-        assert candidate_pairs(index, leaf_size=10_000) == want
+        for plan in _forced_plans(128, 20):
+            assert _forced(index, plan) == want, plan.m
 
     def test_duplicate_heavy_population(self):
-        # an 80-member class of identical fingerprints is refined as one row
+        # an 80-member class of identical fingerprints is searched as one row
         rng = random.Random(11)
         shared = rng.getrandbits(128)
         fps = {f"d{i:03d}": Fingerprint(f"d{i:03d}", shared, 128) for i in range(80)}
@@ -169,7 +191,7 @@ class TestCandidatePairs:
             fps[f"r{i:03d}"] = Fingerprint(f"r{i:03d}", rng.getrandbits(128), 128)
         near = shared ^ (1 << 40) ^ (1 << 90)
         fps["near"] = Fingerprint("near", near, 128)
-        got = candidate_pairs(build_index(fps, 20), leaf_size=8)
+        got = candidate_pairs(build_index(fps, 20))
         want = brute_force_pairs(fps, 20)
         assert got == want
         assert len(want) == 80 * 79 // 2 + 80  # clique plus the near twin
@@ -185,9 +207,9 @@ class TestCandidatePairs:
         index = build_index(fps, 20)
         stats: dict = {}
         assert candidate_pairs(index, stats=stats) == brute_force_pairs(fps, 20)
-        assert stats["largest_bucket"] >= 1000
-        assert index.bucket_memberships() == len(fps) * 21
-        # the class is refined as one row, so at most the 201 distinct rows'
+        assert index.plan.m > 0
+        assert index.bucket_memberships() == 201 * index.plan.m
+        # the class is searched as one row, so at most the 201 distinct rows'
         # pairs are verified, never the class's 499,500
         assert stats["pairs_verified"] < 201 * 200 // 2
         assert stats["distinct_fingerprints"] == 201
@@ -200,19 +222,26 @@ class TestCandidatePairs:
         assert {p.distance for p in got} == {0}
         assert stats["pairs_verified"] == 0
 
-    @pytest.mark.parametrize("leaf_size", [96, 8, 2])
-    def test_narrow_chunks_stop_splitting(self, leaf_size):
-        # at b=32, d=12 a split leaves 2-bit chunks with 4 keys for 13 chunks,
-        # so a split cannot pay and the node is verified pairwise at once
+    @pytest.mark.parametrize("class_size", [96, 8, 2])
+    def test_narrow_chunks_stop_splitting(self, class_size):
+        # at b=32, d=12 every block plan has blocks of a few bits that
+        # co-bucket most pairs, so the rule keeps the scan and does not split;
+        # a forced plan still verifies each pair once, from the lowest block
+        # whose ball holds it, and the duplicate class is one row at any size
         fps = _population(seed=23, n=180, b=32, planted=50, max_flips=16)
         shared = random.Random(29).getrandbits(32)
-        fps.update({f"w{i:03d}": Fingerprint(f"w{i:03d}", shared, 32) for i in range(120)})
+        fps.update(
+            {f"w{i:03d}": Fingerprint(f"w{i:03d}", shared, 32) for i in range(class_size)}
+        )
         index = build_index(fps, 12)
-        stats: dict = {}
-        assert candidate_pairs(index, stats=stats, leaf_size=leaf_size) == brute_force_pairs(fps, 12)
-        distinct = stats["distinct_fingerprints"]
-        assert distinct == len({fp.bits for fp in fps.values()})
-        assert stats["pairs_verified"] <= distinct * (distinct - 1) // 2
+        assert index.plan.m == 0  # probing cannot beat the scan at this size
+        want = brute_force_pairs(fps, 12)
+        for plan in _forced_plans(32, 12):
+            stats: dict = {}
+            assert _forced(index, plan, stats) == want, plan.m
+            distinct = stats["distinct_fingerprints"]
+            assert distinct == len({fp.bits for fp in fps.values()})
+            assert stats["pairs_verified"] <= distinct * (distinct - 1) // 2
 
     def test_distance_zero_radius(self):
         fps = _population(seed=13, n=200, planted=50, max_flips=4)
@@ -231,7 +260,89 @@ class TestCandidatePairs:
         stats: dict = {}
         candidate_pairs(build_index(fps, 20), stats=stats)
         assert stats["pairs_verified"] > 0
-        assert stats["largest_bucket"] >= 2
+        assert stats["distinct_fingerprints"] == len({fp.bits for fp in fps.values()})
+
+
+SWEEP = [(b, d) for b in (32, 64, 128, 256) for d in (0, 1, 3, 7, 12, 20, 31, 40) if d < b]
+
+
+def _sweep_population(b: int, d: int, duplicates: bool) -> dict[str, Fingerprint]:
+    """Random rows with planted neighbors, plus optionally a 120-member and a
+    5-member class of equal rows, with a twin of the large class exactly at
+    the radius and one just beyond it."""
+    fps = _population(seed=b * 100 + d, n=100, b=b, planted=40, max_flips=min(d + 6, b))
+    if duplicates:
+        rng = random.Random(b + d)
+        for tag, size in (("w", 120), ("x", 5)):
+            shared = rng.getrandbits(b)
+            fps.update({f"{tag}{i:03d}": Fingerprint(f"{tag}{i:03d}", shared, b) for i in range(size)})
+        flips = rng.sample(range(b), min(d + 1, b))
+        for name, count in (("at", d), ("beyond", d + 1)):
+            bits = fps["w000"].bits
+            for pos in flips[:count]:
+                bits ^= 1 << pos
+            fps[name] = Fingerprint(name, bits, b)
+    return fps
+
+
+class TestOracleSweep:
+    @pytest.mark.parametrize("duplicates", [False, True])
+    @pytest.mark.parametrize("b,d", SWEEP)
+    def test_every_plan_matches_brute_force(self, b, d, duplicates):
+        fps = _sweep_population(b, d, duplicates)
+        want = brute_force_pairs(fps, d)
+        index = build_index(fps, d)
+        assert candidate_pairs(index) == want
+        # every forced plan must find the same pairs of distinct rows, each once
+        row = dict(zip(index.users, index.classes.tolist()))
+        want_rows = sorted(
+            {(*sorted((row[p.a], row[p.b])), p.distance) for p in want if row[p.a] != row[p.b]}
+        )
+        k = len(index.reps)
+        bits, words = index.bits[index.reps], index.words[index.reps]
+        for plan in _forced_plans(b, d):
+            I, J, dist, verified = _search(bits, words, plan, d)
+            assert sorted(zip(I.tolist(), J.tolist(), dist.tolist())) == want_rows, plan.m
+            assert verified <= k * (k - 1) // 2
+
+
+class TestCostRule:
+    @pytest.mark.parametrize("b,d", SWEEP)
+    def test_every_plan_covers_the_radius(self, b, d):
+        for plan in _plans(b, d)[1:]:
+            widths = [w for _, w in plan.ranges]
+            assert sum(widths) == b and max(widths) <= 62
+            assert plan.radius == d // plan.m
+            assert plan.m * (plan.radius + 1) > d  # the pigeonhole condition
+
+    def test_scan_for_a_handful_of_rows(self):
+        fps = _population(seed=3, n=4)
+        index = build_index(fps, 20)
+        assert (index.plan.m, index.bucket_memberships()) == (0, 0)
+        assert candidate_pairs(index) == brute_force_pairs(fps, 20)
+
+    @pytest.mark.parametrize("n,m,radius", [(2_000, 11, 1), (5_000, 8, 2), (20_000, 7, 2)])
+    def test_default_operating_point(self, n, m, radius):
+        plan = min(_plans(128, 20), key=lambda p: p.cost(n))
+        assert (plan.m, plan.radius) == (m, radius)
+
+    def test_wide_fingerprints_split_to_fit_keys(self):
+        # at b=256, d=0 the pigeonhole split is one 256-bit block; five
+        # blocks of at most 52 bits searched exactly are the fewest that fit
+        plan = min(_plans(256, 0), key=lambda p: p.cost(10**6))
+        assert (plan.m, plan.radius) == (5, 0)
+
+    def test_expected_verifications(self):
+        scan, *plans = _plans(128, 20)
+        assert scan.expected_verifications(100) == 100 * 99 / 2
+        exact = plan_blocks(128, 20)
+        share = 2 * 2**-7 + 19 * 2**-6
+        assert exact.expected_verifications(1000) == pytest.approx(1000 * 999 / 2 * share)
+        assert exact.probes() == 21
+        # m=11: seven 12-bit and four 11-bit blocks, each probed at radius 1
+        eleven = {p.m: p for p in plans}[11]
+        assert eleven.radius == 1
+        assert eleven.probes() == 7 * (1 + math.comb(12, 1)) + 4 * (1 + math.comb(11, 1))
 
 
 class TestQuery:
