@@ -10,17 +10,10 @@ __version__ = "0.1.0"
 from .detect import MatchCluster, MatchReport, MutualMatch, build_match_report, cluster, mutual_matches
 from .errors import ConfigError, InputError, UnfingerprintableError
 from .evaluate import EvalReport, GroundTruth, SweepGrid, pairwise_metrics, read_truth, sweep, write_truth
-from .features import (
-    DirectionalWeights,
-    FeatureMap,
-    FeatureToken,
-    build_feature_maps,
-    extract_features,
-    filter_edges,
-    normalize_weights,
-)
+from .features import FeatureMap, FeatureToken, build_feature_maps
 from .ingest import (
     InteractionGraph,
+    MessageLog,
     MessageRecord,
     build_interaction_graph,
     convert_telegram_export,
@@ -47,7 +40,6 @@ __all__ = [
     "CandidatePair",
     "ConfigError",
     "DetectionResult",
-    "DirectionalWeights",
     "EvalReport",
     "FeatureMap",
     "FeatureToken",
@@ -59,6 +51,7 @@ __all__ = [
     "LshIndex",
     "MatchCluster",
     "MatchReport",
+    "MessageLog",
     "MessageRecord",
     "MutualMatch",
     "RunConfig",
@@ -73,13 +66,10 @@ __all__ = [
     "candidate_pairs",
     "cluster",
     "convert_telegram_export",
-    "extract_features",
-    "filter_edges",
     "generate",
     "hamming",
     "hash_token",
     "mutual_matches",
-    "normalize_weights",
     "pairwise_metrics",
     "parse_messages",
     "plan_blocks",

@@ -74,6 +74,10 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+def _write_json(path: Path, obj: dict) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     dropped: Counter[str] = Counter()
     if args.telegram:
@@ -90,6 +94,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     graph = build_interaction_graph(records, dropped=dropped)
     out = _out_dir(args)
     write_edges_tsv(graph, out / "edges.tsv")
+    _write_json(out / "ingest.json", {
+        "schema_version": 1,
+        "messages": len(records),
+        "users": graph.node_count,
+        "edges": graph.edge_count,
+        "dropped": {kind: dropped[kind] for kind in ("dangling", "self", "service")},
+    })
     print(
         f"ingested {len(records)} messages: {graph.node_count} users,"
         f" {graph.edge_count} reply edges -> {out / 'edges.tsv'}"
@@ -112,18 +123,14 @@ def cmd_detect(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     write_candidates_tsv(result.candidates, cfg, out / "candidates.tsv")
     report = {"config": cfg.to_dict(), **result.report.to_dict()}
-    (out / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "report.json", report)
     write_features_tsv(
         result.feature_maps, out / "features.tsv", header_lines=[cfg.header_line()]
     )
     write_fingerprints_tsv(
         result.fingerprints, HashConfig(b=cfg.bits, seed=cfg.seed), out / "fingerprints.tsv"
     )
-    (out / "stats.json").write_text(
-        json.dumps(result.stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "stats.json", result.stats)
 
     secs = result.stats["seconds"]
     print(cfg.header_line())
@@ -172,9 +179,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     write_edges_tsv(graph, out / "edges.tsv")
     write_truth(truth, out / "truth.txt")
-    (out / "manifest.json").write_text(
-        json.dumps(cfg.to_dict(), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(out / "manifest.json", cfg.to_dict())
     print(
         f"generated {graph.node_count} users, {graph.edge_count} edges,"
         f" {len(truth.clusters)} planted pairs -> {out}"

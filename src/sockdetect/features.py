@@ -4,12 +4,11 @@ Each user is described by the neighbors it interacts with.  Outgoing and
 incoming edge weights are normalized independently per user, weak links are
 dropped, and the survivors become direction-tagged feature tokens.
 
-``build_feature_maps`` does this for the whole population at once: node ids
-are interned in sorted order, each direction's edges become per-owner
-segments, and normalization and the threshold are segment reductions and a
-mask over flat arrays, which a ``FeatureMaps`` holds.  The per-user chain
-``normalize_weights`` -> ``filter_edges`` -> ``extract_features`` is the
-reference it must equal entry for entry.
+``build_feature_maps`` does this for the whole population at once, on the
+graph's interned arrays (sorted node ids, int edge endpoints and weights):
+each direction's edges become per-owner segments, and normalization and the threshold are segment reductions and a
+mask over flat arrays, which a ``FeatureMaps`` holds.  The per-user
+reference it must equal entry for entry is in the test suite.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
@@ -49,19 +47,6 @@ class FeatureMap:
         return not self.entries
 
 
-@dataclass
-class DirectionalWeights:
-    """Per-user normalized weights, one map per edge direction.
-
-    ``out_weights[u][v]`` is the normalized weight of u's replies to v;
-    ``in_weights[u][v]`` the normalized weight of v's replies to u.  Users
-    with an empty slice are simply absent from that map.
-    """
-
-    out_weights: dict[str, dict[str, float]] = field(default_factory=dict)
-    in_weights: dict[str, dict[str, float]] = field(default_factory=dict)
-
-
 def check_feature_params(
     mode: str = "max", theta: float = 0.0, direction: str = "out", weighting: str = "weighted"
 ) -> None:
@@ -75,79 +60,6 @@ def check_feature_params(
         raise ConfigError(f"unknown direction {direction!r}; expected one of {DIRECTIONS}")
     if weighting not in WEIGHTINGS:
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
-
-
-def _normalize_slice(raw: dict[str, int], mode: str) -> dict[str, float]:
-    if mode == "max":
-        denom = max(raw.values())
-    else:
-        denom = sum(raw.values())
-    return {v: w / denom for v, w in raw.items()}
-
-
-def normalize_weights(graph: InteractionGraph, mode: str = "max") -> DirectionalWeights:
-    """Normalize each user's out- and in-slices independently.
-
-    mode="max" divides by the slice maximum (so each non-empty slice attains
-    1.0); mode="sum" divides by the slice total (so each sums to 1.0).
-    """
-    check_feature_params(mode=mode)
-    out = {
-        u: _normalize_slice(slice_, mode)
-        for u, slice_ in sorted(graph.out_adjacency().items())
-    }
-    in_ = {
-        u: _normalize_slice(slice_, mode)
-        for u, slice_ in sorted(graph.in_adjacency().items())
-    }
-    return DirectionalWeights(out_weights=out, in_weights=in_)
-
-
-def filter_edges(weights: DirectionalWeights, theta: float) -> DirectionalWeights:
-    """Keep only entries with normalized weight >= theta.
-
-    Weights strictly below the threshold are dropped; users may end up with
-    empty slices (they become unfingerprintable downstream).
-    """
-    check_feature_params(theta=theta)
-
-    def _filter(side: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
-        out: dict[str, dict[str, float]] = {}
-        for u, slice_ in side.items():
-            kept = {v: w for v, w in slice_.items() if w >= theta}
-            if kept:
-                out[u] = kept
-        return out
-
-    return DirectionalWeights(
-        out_weights=_filter(weights.out_weights),
-        in_weights=_filter(weights.in_weights),
-    )
-
-
-def extract_features(
-    graph: InteractionGraph,
-    weights: DirectionalWeights,
-    direction: str = "out",
-) -> dict[str, FeatureMap]:
-    """Build a FeatureMap per graph node from filtered weights.
-
-    direction="out" uses reply targets, "in" uses repliers, "both" the tagged
-    union of the two (tokens carry the direction, so there is no collision).
-    Every node appears in the result, possibly with an empty map.
-    """
-    check_feature_params(direction=direction)
-    maps: dict[str, FeatureMap] = {}
-    for user in sorted(graph.nodes):
-        entries: dict[FeatureToken, float] = {}
-        if direction in ("out", "both"):
-            for v, w in weights.out_weights.get(user, {}).items():
-                entries[FeatureToken("out", v)] = w
-        if direction in ("in", "both"):
-            for v, w in weights.in_weights.get(user, {}).items():
-                entries[FeatureToken("in", v)] = w
-        maps[user] = FeatureMap(owner=user, entries=entries)
-    return maps
 
 
 class FeatureMaps(Mapping[str, FeatureMap]):
@@ -219,27 +131,22 @@ def build_feature_maps(
     direction: str = "out",
     weighting: str = "weighted",
 ) -> FeatureMaps:
-    """normalize -> filter -> extract (-> binarize), for every node at once.
+    """Normalize, threshold and direction-tag every node's edges at once.
 
-    Equals ``extract_features(graph, filter_edges(normalize_weights(graph,
-    mode), theta), direction)``, with every weight set to 1.0 when weighting
-    is "binary".
+    Each user's out- and in-slices are normalized independently: mode="max"
+    divides by the slice maximum, mode="sum" by the slice total.  Entries
+    below ``theta`` are dropped; direction "out" keeps reply targets, "in"
+    repliers, "both" the tagged union.  Every node gets a map, possibly
+    empty; every weight is 1.0 when weighting is "binary".
     """
     check_feature_params(mode, theta, direction, weighting)
-    ids = sorted(graph.nodes)
-    index = {uid: i for i, uid in enumerate(ids)}
-    m = len(graph.edges)
-    try:
-        src, dst = (
-            np.fromiter(map(index.__getitem__, map(itemgetter(end), graph.edges)), np.int64, m)
-            for end in (0, 1)
-        )
-    except KeyError as exc:
-        raise InputError(f"edge endpoint {exc.args[0]!r} is not a graph node") from None
-    total = sum(graph.edges.values())
-    if total >= 2**53:
-        raise InputError(f"edge weights sum to {total}, beyond exact float64 range")
-    raw = np.fromiter(graph.edges.values(), dtype=np.int64, count=m)
+    ids, src, dst, raw = graph.ids, graph.src, graph.dst, graph.weight
+    # the total is at most max * count, so only a graph near the limit pays
+    # for the exact sum over Python ints
+    if len(raw) and int(raw.max()) * len(raw) >= 2**53:
+        total = sum(raw.tolist())
+        if total >= 2**53:
+            raise InputError(f"edge weights sum to {total}, beyond exact float64 range")
     n = len(ids)
     # one row per (owner, token): an edge u -> v is the token (out, v) of u
     # and the token (in, u) of v, each coded as direction * n + neighbor
@@ -262,11 +169,6 @@ def build_feature_maps(
     if weighting == "binary":
         weight = np.ones_like(weight)
     return FeatureMaps(ids, ids, owner[keep], token[keep], weight[keep])
-
-
-def binarize(fmap: FeatureMap) -> FeatureMap:
-    """Replace every weight with 1.0 (presence-only features)."""
-    return FeatureMap(owner=fmap.owner, entries={t: 1.0 for t in fmap.entries})
 
 
 def write_features_tsv(

@@ -1,0 +1,166 @@
+"""Independent reference implementations the production code is compared against.
+
+``parse_messages`` is the per-line JSONL parser that the columnar parser in
+``sockdetect.ingest`` replaced: one ``json.loads`` and one set of checks per
+line, returning a list of records.  It must give the same records, or raise
+the same error text, on every input.
+
+``normalize_weights`` -> ``filter_edges`` -> ``extract_features`` (->
+``binarize``) computes features one user at a time over the graph's
+adjacency dicts; ``features.build_feature_maps`` must equal it entry for
+entry.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+from typing import Iterable
+
+from sockdetect.errors import InputError
+from sockdetect.features import FeatureMap, FeatureToken, check_feature_params
+from sockdetect.ingest import InteractionGraph, MessageRecord
+
+
+def _normalize_id(value: object, what: str, line: int | None = None) -> str:
+    where = f" at line {line}" if line is not None else ""
+    if isinstance(value, bool):
+        raise InputError(f"{what} must be a string or integer{where}")
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, str):
+        if not value:
+            raise InputError(f"{what} must be non-empty{where}")
+        if "\t" in value or "\n" in value or "\r" in value:
+            raise InputError(f"{what} must not contain a tab or line break{where}")
+        return value
+    raise InputError(f"{what} must be a string or integer{where}")
+
+
+def _require_int(value: object, what: str, line: int | None = None) -> int:
+    where = f" at line {line}" if line is not None else ""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what} must be an integer{where}")
+    return value
+
+
+def parse_messages(lines: Iterable[str]) -> list[MessageRecord]:
+    records: list[MessageRecord] = []
+    seen: dict[int, int] = {}
+    for lineno, raw in enumerate(lines, start=1):
+        if not raw.strip():
+            continue
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as exc:
+            raise InputError(f"invalid JSON at line {lineno}: {exc.msg}") from exc
+        if not isinstance(obj, dict):
+            raise InputError(f"expected an object at line {lineno}")
+        if "message_id" not in obj:
+            raise InputError(f"missing message_id at line {lineno}")
+        message_id = _require_int(obj["message_id"], "message_id", lineno)
+        if "sender" not in obj:
+            raise InputError(f"missing sender at line {lineno}")
+        sender = _normalize_id(obj["sender"], "sender", lineno)
+        reply_to = obj.get("reply_to")
+        if reply_to is not None:
+            reply_to = _require_int(reply_to, "reply_to", lineno)
+        if message_id in seen:
+            raise InputError(
+                f"duplicate message_id {message_id} at line {lineno}"
+                f" (first seen at line {seen[message_id]})"
+            )
+        seen[message_id] = lineno
+        records.append(MessageRecord(message_id, sender, reply_to))
+    return records
+
+
+@dataclass
+class DirectionalWeights:
+    """Per-user normalized weights, one map per edge direction.
+
+    ``out_weights[u][v]`` is the normalized weight of u's replies to v;
+    ``in_weights[u][v]`` the normalized weight of v's replies to u.  Users
+    with an empty slice are simply absent from that map.
+    """
+
+    out_weights: dict[str, dict[str, float]] = field(default_factory=dict)
+    in_weights: dict[str, dict[str, float]] = field(default_factory=dict)
+
+
+def _normalize_slice(raw: dict[str, int], mode: str) -> dict[str, float]:
+    if mode == "max":
+        denom = max(raw.values())
+    else:
+        denom = sum(raw.values())
+    return {v: w / denom for v, w in raw.items()}
+
+
+def normalize_weights(graph: InteractionGraph, mode: str = "max") -> DirectionalWeights:
+    """Normalize each user's out- and in-slices independently.
+
+    mode="max" divides by the slice maximum (so each non-empty slice attains
+    1.0); mode="sum" divides by the slice total (so each sums to 1.0).
+    """
+    check_feature_params(mode=mode)
+    out = {
+        u: _normalize_slice(slice_, mode)
+        for u, slice_ in sorted(graph.out_adjacency().items())
+    }
+    in_ = {
+        u: _normalize_slice(slice_, mode)
+        for u, slice_ in sorted(graph.in_adjacency().items())
+    }
+    return DirectionalWeights(out_weights=out, in_weights=in_)
+
+
+def filter_edges(weights: DirectionalWeights, theta: float) -> DirectionalWeights:
+    """Keep only entries with normalized weight >= theta.
+
+    Weights strictly below the threshold are dropped; users may end up with
+    empty slices (they become unfingerprintable downstream).
+    """
+    check_feature_params(theta=theta)
+
+    def _filter(side: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
+        out: dict[str, dict[str, float]] = {}
+        for u, slice_ in side.items():
+            kept = {v: w for v, w in slice_.items() if w >= theta}
+            if kept:
+                out[u] = kept
+        return out
+
+    return DirectionalWeights(
+        out_weights=_filter(weights.out_weights),
+        in_weights=_filter(weights.in_weights),
+    )
+
+
+def extract_features(
+    graph: InteractionGraph,
+    weights: DirectionalWeights,
+    direction: str = "out",
+) -> dict[str, FeatureMap]:
+    """Build a FeatureMap per graph node from filtered weights.
+
+    direction="out" uses reply targets, "in" uses repliers, "both" the tagged
+    union of the two (tokens carry the direction, so there is no collision).
+    Every node appears in the result, possibly with an empty map.
+    """
+    check_feature_params(direction=direction)
+    maps: dict[str, FeatureMap] = {}
+    for user in sorted(graph.nodes):
+        entries: dict[FeatureToken, float] = {}
+        if direction in ("out", "both"):
+            for v, w in weights.out_weights.get(user, {}).items():
+                entries[FeatureToken("out", v)] = w
+        if direction in ("in", "both"):
+            for v, w in weights.in_weights.get(user, {}).items():
+                entries[FeatureToken("in", v)] = w
+        maps[user] = FeatureMap(owner=user, entries=entries)
+    return maps
+
+
+def binarize(fmap: FeatureMap) -> FeatureMap:
+    """Replace every weight with 1.0 (presence-only features)."""
+    return FeatureMap(owner=fmap.owner, entries={t: 1.0 for t in fmap.entries})

@@ -116,6 +116,25 @@ class TestIngest:
         out = capsys.readouterr().out
         assert "dropped: 1 replies to missing messages, 1 self-replies, 1 service entries" in out
 
+    @pytest.mark.parametrize(
+        "fixture, telegram, counts",
+        [
+            ("small.jsonl", False, (12, 6, 6, {"dangling": 1, "self": 1, "service": 0})),
+            ("telegram_dropped.json", True, (4, 3, 1, {"dangling": 1, "self": 1, "service": 1})),
+        ],
+    )
+    def test_counts_saved_beside_edges(self, fixtures_dir, tmp_path, fixture, telegram, counts):
+        argv = ["ingest", "--input", str(fixtures_dir / fixture), "--output-dir", str(tmp_path)]
+        assert main(argv + ["--telegram"] * telegram) == 0
+        messages, users, edges, dropped = counts
+        assert json.loads((tmp_path / "ingest.json").read_text()) == {
+            "schema_version": 1,
+            "messages": messages,
+            "users": users,
+            "edges": edges,
+            "dropped": dropped,
+        }
+
     def test_telegram_invalid_json(self, tmp_path, capsys):
         src = tmp_path / "broken.json"
         src.write_text("{not json")

@@ -197,11 +197,13 @@ class TestSweep:
             assert row.candidates == len(result.candidates)
 
     def test_failed_run_fails_every_row_of_its_key(self):
-        # an edge endpoint outside graph.nodes makes the feature pass raise
-        graph = InteractionGraph(nodes={"a"}, edges={("a", "b"): 1})
+        # edge weights summing past 2**53 make the feature pass raise
+        graph = InteractionGraph(nodes={"a", "b"}, edges={("a", "b"): 2**53})
         truth = GroundTruth([{"a", "b"}])
         rows = sweep(graph, truth, SweepGrid(bits=[32], max_distances=[6, 32, 8]))
         assert [r.status for r in rows] == ["failed"] * 3
         assert "max distance 32" in rows[1].error
-        assert rows[0].error == rows[2].error == "edge endpoint 'b' is not a graph node"
+        assert rows[0].error == rows[2].error == (
+            f"edge weights sum to {2**53}, beyond exact float64 range"
+        )
         assert all(r.report is None for r in rows)

@@ -1,14 +1,11 @@
 import pytest
 
+from reference import binarize, extract_features, filter_edges, normalize_weights
 from sockdetect.errors import ConfigError
 from sockdetect.features import (
     FeatureMap,
     FeatureToken,
-    binarize,
     build_feature_maps,
-    extract_features,
-    filter_edges,
-    normalize_weights,
     write_features_tsv,
 )
 from sockdetect.ingest import InteractionGraph

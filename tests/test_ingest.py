@@ -2,12 +2,17 @@ import json
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
+import reference
 from sockdetect.errors import InputError
+from sockdetect.features import build_feature_maps
 from sockdetect.ingest import (
     InteractionGraph,
+    MessageLog,
     MessageRecord,
+    _parse_columns,
     build_interaction_graph,
     convert_telegram_export,
     parse_messages,
@@ -29,11 +34,11 @@ EXPECTED_FIXTURE_TSV = (
 class TestParseMessages:
     def test_full_record(self):
         records = parse_messages(['{"message_id": 10, "sender": "u1", "reply_to": 3}'])
-        assert records == [MessageRecord(10, "u1", 3)]
+        assert list(records) == [MessageRecord(10, "u1", 3)]
 
     def test_reply_to_absent(self):
         records = parse_messages(['{"message_id": 11, "sender": "u2"}'])
-        assert records == [MessageRecord(11, "u2", None)]
+        assert list(records) == [MessageRecord(11, "u2", None)]
 
     def test_missing_message_id(self):
         with pytest.raises(InputError, match="missing message_id at line 1"):
@@ -72,11 +77,11 @@ class TestParseMessages:
 
     def test_null_reply_to_means_absent(self):
         records = parse_messages(['{"message_id": 1, "sender": "a", "reply_to": null}'])
-        assert records[0].reply_to is None
+        assert records.reply_to[0] is None
 
     def test_numeric_sender_normalized_to_decimal_string(self):
         records = parse_messages(['{"message_id": 1, "sender": 42}'])
-        assert records[0].sender == "42"
+        assert records.sender[0] == "42"
 
     def test_empty_sender_rejected(self):
         with pytest.raises(InputError, match="sender must be non-empty"):
@@ -108,7 +113,7 @@ class TestTelegramExport:
 
         document = json.loads((fixtures_dir / "telegram_export.json").read_text())
         records = convert_telegram_export(document)
-        assert records == [
+        assert list(records) == [
             MessageRecord(1, "user111", None),
             MessageRecord(3, "user222", 1),
             MessageRecord(4, "333", None),
@@ -284,6 +289,175 @@ class TestEdgeTsv:
         path.write_text("")
         graph = read_edges_tsv(path)
         assert graph.node_count == 0 and graph.edge_count == 0
+
+
+# senders that are valid but odd: ints, a digit string equal to an int,
+# padding, and raw characters str.splitlines() would break a line on
+ODD_SENDERS = ["a", "b", 0, 1, 5, "5", -3, " pad ", "\u00fc", "x\u2028y", "p\x85q", "f\x0cg", "v\x1dw"]
+
+
+def _log_lines(rng: random.Random, count: int) -> list[str]:
+    """A random valid JSONL log, each line ending in a line break."""
+    ids = rng.sample(range(-40, 200), count)
+    ids = [mid + 2**64 if rng.random() < 0.15 else mid for mid in ids]
+    lines = []
+    for mid in ids:
+        obj = {"message_id": mid, "sender": rng.choice(ODD_SENDERS)}
+        if rng.random() < 0.6:
+            obj["reply_to"] = rng.choice(ids) if rng.random() < 0.8 else rng.randrange(-60, 300)
+        elif rng.random() < 0.3:
+            obj["reply_to"] = None
+        if rng.random() < 0.3:
+            obj["text"] = "hi\u2028there\r\n"
+        items = list(obj.items())
+        rng.shuffle(items)
+        lines.append(json.dumps(dict(items), ensure_ascii=rng.random() < 0.5) + "\n")
+    return lines
+
+
+def _mutate(rng: random.Random, lines: list[str], kind: str) -> list[str]:
+    lines = lines[:]
+    i = rng.randrange(len(lines))
+    j = rng.randrange(i, len(lines))
+    obj = json.loads(lines[i])
+    if kind == "blank":
+        lines.insert(i, rng.choice(["\n", "   \n", "\x0c\n", "\t\x0c \n", "\u2028\n"]))
+    elif kind == "crlf":
+        lines = [line[:-1] + "\r\n" for line in lines]
+    elif kind == "bom":
+        lines[i] = "\ufeff" + lines[i]
+    elif kind == "padded":
+        # json.loads skips only " \t\n\r"; str.strip would also take the rest
+        pad = [" \t", "\r ", "\x0c", "\xa0", "\u2028", "\x1c"]
+        lines[i] = rng.choice(pad) + lines[i][:-1] + rng.choice(pad) + "\n"
+    elif kind == "two_values" and i + 1 < len(lines):
+        lines[i : i + 2] = [lines[i][:-1] + " " + lines[i + 1]]
+    elif kind == "spanning":
+        head, _, tail = lines[i].partition(", ")
+        lines[i : i + 1] = [head + ",\n", tail] if tail else [head]
+    elif kind == "bool":
+        obj[rng.choice(["message_id", "sender", "reply_to"])] = rng.choice([True, False])
+        lines[i] = json.dumps(obj) + "\n"
+    elif kind == "duplicate":
+        obj["message_id"] = json.loads(lines[j])["message_id"]
+        lines[i] = json.dumps(obj) + "\n"
+    elif kind == "error_then_undecodable":
+        del obj["sender"]
+        lines[i] = json.dumps(obj) + "\n"
+        lines.insert(j + 1, '{"message_id": 1, "sender"\n')
+    elif kind == "bad_value":
+        obj[rng.choice(["message_id", "sender", "reply_to"])] = rng.choice(
+            [1.0, "", "a\tb", "7", [1], {}, "x\ny"]
+        )
+        lines[i] = json.dumps(obj) + "\n"
+    elif kind == "unterminated":
+        # json.loads words this error by what follows the open string
+        lines[i] = lines[i].rstrip("\r\n").rsplit('"', 1)[0] + "\n"
+    elif kind == "not_object":
+        lines[i] = rng.choice(["[1, 2]\n", '"m"\n', "3\n", "null\n"])
+    return lines
+
+
+def _outcome(parse, lines):
+    try:
+        return list(parse(lines))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+MUTATIONS = [
+    "none", "blank", "crlf", "bom", "padded", "two_values", "spanning", "bool",
+    "duplicate", "error_then_undecodable", "bad_value", "unterminated", "not_object",
+]
+
+
+class TestColumnarParser:
+    """The columnar parser against the per-line reference in tests/reference.py."""
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    def test_same_records_or_same_error_as_reference(self, kind):
+        for seed in range(25):
+            rng = random.Random(f"{kind}-{seed}")
+            lines = _mutate(rng, _log_lines(rng, rng.randrange(2, 40)), kind)
+            expected = _outcome(reference.parse_messages, lines)
+            assert _outcome(parse_messages, lines) == expected, (seed, lines)
+            if kind == "none":
+                # a valid log never needs the per-line pass
+                assert _parse_columns(lines) == MessageLog.of(expected)
+
+    @pytest.mark.parametrize(
+        "kind", ["none", "crlf", "blank", "spanning", "error_then_undecodable", "unterminated"]
+    )
+    def test_file_path_matches_reference(self, tmp_path, kind):
+        path = tmp_path / "log.jsonl"
+        for seed in range(10):
+            rng = random.Random(f"file-{kind}-{seed}")
+            lines = _mutate(rng, _log_lines(rng, rng.randrange(2, 30)), kind)
+            path.write_text("".join(lines), encoding="utf-8", newline="")
+            with open(path, encoding="utf-8") as fh:
+                expected = _outcome(reference.parse_messages, fh)
+            assert _outcome(parse_messages_path, path) == expected, (seed, lines)
+
+    def test_lines_without_line_breaks(self):
+        lines = ['{"message_id": 1, "sender": "a"}', "", '{"message_id": 2, "sender": "b", "reply_to": 1}']
+        assert list(parse_messages(lines)) == reference.parse_messages(lines)
+
+    def test_message_log_of_records_round_trips(self):
+        records = _random_messages(seed=4, count=50, users=6)
+        log = MessageLog.of(records)
+        assert MessageLog.of(log) is log
+        assert len(log) == 50 and list(log) == records
+
+
+class TestOddValues:
+    def test_huge_and_negative_message_ids(self):
+        lines = [
+            json.dumps({"message_id": 2**64, "sender": "a"}),
+            json.dumps({"message_id": -(2**70), "sender": "b", "reply_to": 2**64}),
+            json.dumps({"message_id": -1, "sender": "c", "reply_to": -(2**70)}),
+            json.dumps({"message_id": 2**63, "sender": "c", "reply_to": 2**64 + 1}),
+        ]
+        records = parse_messages(lines)
+        assert list(records) == reference.parse_messages(lines)
+        dropped: Counter[str] = Counter()
+        graph = build_interaction_graph(records, dropped=dropped)
+        assert graph.edges == {("b", "a"): 1, ("c", "b"): 1}
+        assert dropped == {"dangling": 1}
+
+    def test_bool_beside_an_equal_int_is_rejected(self):
+        # True == 1 and False == 0, so a set of values alone cannot tell them apart
+        for field, first in (("sender", 1), ("message_id", 1)):
+            lines = [
+                json.dumps({"message_id": 2, "sender": "a", field: first}),
+                json.dumps({"message_id": 3, "sender": "b", field: True}),
+            ]
+            with pytest.raises(InputError, match=f"{field} must be .*at line 2"):
+                parse_messages(lines)
+
+    def test_int_and_string_sender_are_one_user(self):
+        lines = [
+            '{"message_id": 1, "sender": 5}',
+            '{"message_id": 2, "sender": "5"}',
+            '{"message_id": 3, "sender": "x", "reply_to": 1}',
+            '{"message_id": 4, "sender": "x", "reply_to": 2}',
+        ]
+        graph = build_interaction_graph(parse_messages(lines))
+        assert graph.ids == ["5", "x"]
+        assert graph.edges == {("x", "5"): 2}
+
+    def test_edge_weight_beyond_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text(f"a\tb\t1\nc\td\t{2**63}\n")
+        with pytest.raises(InputError, match="edge line 2: weight 9223372036854775808 does not fit"):
+            read_edges_tsv(path)
+        with pytest.raises(InputError, match="edge weight does not fit in 64 bits"):
+            InteractionGraph(nodes={"a", "b"}, edges={("a", "b"): 2**63})
+
+    def test_weight_sum_past_int64_does_not_wrap(self):
+        graph = InteractionGraph(nodes={"u", "x", "y"}, edges={("u", "x"): 2**62, ("u", "y"): 2**62})
+        assert graph.weight.dtype == np.int64
+        with pytest.raises(InputError, match=f"edge weights sum to {2**63}, beyond"):
+            build_feature_maps(graph)
 
 
 def _random_messages(seed: int, count: int, users: int) -> list[MessageRecord]:

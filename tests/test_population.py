@@ -2,23 +2,20 @@
 
 ``build_feature_maps`` and ``fingerprint_population`` compute every user at
 once over flat arrays; ``normalize_weights`` -> ``filter_edges`` ->
-``extract_features`` and ``simhash`` compute one user at a time and are
-kept as the reference.  Both must give the same ``features.tsv`` rows and
+``extract_features`` (in tests/reference.py) and ``simhash`` compute one user
+at a time and are kept as the reference.  Both must give the same ``features.tsv`` rows and
 the same fingerprint bits.
 """
 
 import pytest
 
+from reference import binarize, extract_features, filter_edges, normalize_weights
 from sockdetect.errors import InputError
 from sockdetect.features import (
     DIRECTIONS,
     MODES,
     FeatureToken,
-    binarize,
     build_feature_maps,
-    extract_features,
-    filter_edges,
-    normalize_weights,
     write_features_tsv,
 )
 from sockdetect.ingest import InteractionGraph
@@ -101,6 +98,6 @@ def test_graph_outside_exact_float_range_rejected():
 
 
 def test_edge_endpoint_outside_nodes_rejected():
-    graph = InteractionGraph(nodes={"u"}, edges={("u", "ghost"): 1})
+    # the graph interns its edges, so it cannot hold an unknown endpoint
     with pytest.raises(InputError, match="'ghost' is not a graph node"):
-        build_feature_maps(graph)
+        InteractionGraph(nodes={"u"}, edges={("u", "ghost"): 1})

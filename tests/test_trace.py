@@ -1,9 +1,10 @@
 """The benchmark's tracer (``benchmarks/tracing.py``) around an in-process
-``sockdetect detect``: the retrieval counters it reports must still be found
-where it looks for them."""
+``sockdetect ingest`` and ``detect``: the counters it reports must still be
+found where it looks for them."""
 
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import sockdetect.cli as cli
@@ -22,7 +23,7 @@ def _tracing_module():
     return module
 
 
-def test_tracer_counts_retrieval_work(tmp_path, monkeypatch):
+def _installed_tracer(monkeypatch):
     tracing = _tracing_module()
     modules = {"cli": cli, "pipeline": pipeline, "evaluate": evaluate}
     for module, attr, _ in tracing.SPANS:
@@ -31,6 +32,41 @@ def test_tracer_counts_retrieval_work(tmp_path, monkeypatch):
         monkeypatch.setattr(modules[module], attr, getattr(modules[module], attr))
     tracer = tracing.Tracer()
     tracer.install(modules)
+    return tracer
+
+
+def test_tracer_counts_ingest_work(tmp_path, monkeypatch):
+    tracer = _installed_tracer(monkeypatch)
+    rng = random.Random(2)
+    messages = [
+        {"message_id": mid, "sender": rng.choice(["a", "b", "c", 7, "7", "d"])}
+        | ({"reply_to": rng.randrange(1, 450)} if rng.random() < 0.7 else {})
+        for mid in range(1, 400)
+    ]
+    author = {m["message_id"]: str(m["sender"]) for m in messages}
+    edges, dropped = set(), 0
+    for m in messages:
+        if "reply_to" in m:
+            target = author.get(m["reply_to"])
+            if target is None or target == str(m["sender"]):
+                dropped += 1
+            else:
+                edges.add((str(m["sender"]), target))
+    log = tmp_path / "messages.jsonl"
+    log.write_text("".join(json.dumps(m) + "\n" for m in messages))
+    assert cli.main(["ingest", "--input", str(log), "--output-dir", str(tmp_path)]) == 0
+
+    counts = tracer.counts()
+    assert counts["ingest.messages"] == 399
+    assert counts["ingest.edges"] == len(edges) > 0
+    assert counts["ingest.replies_dropped"] == dropped > 0
+    assert {"ingest.parse", "ingest.graph", "ingest.write_edges"} <= set(
+        tracer.self_times()["cli.ingest"]
+    )
+
+
+def test_tracer_counts_retrieval_work(tmp_path, monkeypatch):
+    tracer = _installed_tracer(monkeypatch)
 
     graph, _ = generate(SynthConfig(n=400, clones=8, seed=5))
     write_edges_tsv(graph, tmp_path / "edges.tsv")
