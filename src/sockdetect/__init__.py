@@ -24,6 +24,7 @@ from .ingest import (
 from .lsh import (
     BlockPlan,
     CandidatePair,
+    CandidatePairs,
     LshIndex,
     brute_force_pairs,
     build_index,
@@ -38,6 +39,7 @@ from .synth import SynthConfig, generate
 __all__ = [
     "BlockPlan",
     "CandidatePair",
+    "CandidatePairs",
     "ConfigError",
     "DetectionResult",
     "EvalReport",

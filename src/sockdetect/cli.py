@@ -122,8 +122,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     out = _out_dir(args)
     write_candidates_tsv(result.candidates, cfg, out / "candidates.tsv")
-    report = {"config": cfg.to_dict(), **result.report.to_dict()}
-    _write_json(out / "report.json", report)
+    result.report.write_json(out / "report.json", config=cfg.to_dict())
     write_features_tsv(
         result.feature_maps, out / "features.tsv", header_lines=[cfg.header_line()]
     )

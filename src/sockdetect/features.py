@@ -13,6 +13,7 @@ reference it must equal entry for entry is in the test suite.
 
 from __future__ import annotations
 
+import itertools
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -177,11 +178,16 @@ def write_features_tsv(
     header_lines: Iterable[str] = (),
 ) -> None:
     """Write ``owner<TAB>direction<TAB>neighbor<TAB>weight`` rows,
-    sorted by (owner, direction, neighbor)."""
+    sorted by (owner, direction, neighbor), in one join; each owner, token
+    and distinct weight is formatted once."""
     table = FeatureMaps.of(fmaps)
-    owners = [table.owners[i] for i in table.owner.tolist()]
+    owner = [uid + "\t" for uid in table.owners]
+    token = [f"{d}\t{v}\t" for d in TOKEN_DIRECTIONS for v in table.names]
+    values, weight = np.unique(table.weight, return_inverse=True)
+    weight_text = [f"{w!r}\n" for w in values.tolist()]
+    rows = zip(map(owner.__getitem__, table.owner.tolist()), map(token.__getitem__, table.token.tolist()),
+               map(weight_text.__getitem__, weight.tolist()))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for line in header_lines:
             fh.write(line + "\n")
-        for owner, token, weight in zip(owners, table.tokens(table.token), table.weight.tolist()):
-            fh.write(f"{owner}\t{token.direction}\t{token.neighbor}\t{weight!r}\n")
+        fh.write("".join(itertools.chain.from_iterable(rows)))

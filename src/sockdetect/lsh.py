@@ -8,15 +8,19 @@ emitted only from the lowest block whose r-ball holds it and verified once
 by exact popcount, so ``candidate_pairs`` equals the all-pairs scan.  It
 runs on one row per distinct fingerprint, and one cost rule
 (``BlockPlan.cost``: lookups, directory work and VERIFY_COST per pair that
-uniform bits co-bucket) picks m or the all-pairs scan.
+uniform bits co-bucket) picks m or the all-pairs scan.  The pairs come
+back as ``CandidatePairs``, row-index arrays in canonical order, with
+each class of equal fingerprints expanded into its member pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
+from collections.abc import Iterable, Iterator, Mapping, Set
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +37,45 @@ _DENSE_BITS = 22  # widest block given a dense count table, sorted keys above
 _PROBE_CHUNK = 1 << 18  # probe keys looked up per step
 _PAIR_CHUNK = 1 << 20  # row pairs expanded and verified per step
 _POW2 = (np.int64(1) << np.arange(63, dtype=np.int64))
+
+
+def _ragged(counts: np.ndarray) -> np.ndarray:
+    """0, 1, .., counts[0]-1, 0, 1, .., counts[1]-1, ...: each position within its run."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def bound(values: np.ndarray) -> int:
+    """One more than the largest of non-negative ``values``; 1 if there are none."""
+    return int(values.max()) + 1 if len(values) else 1
+
+
+def pack_rows(columns: list[np.ndarray], bounds: list[int]) -> np.ndarray:
+    """One int64 key per row of ``columns``, where column k holds integers in
+    [0, bounds[k]): keys sort as the rows do lexicographically, first column
+    first, and sorting them is many times faster than ``np.lexsort``."""
+    if math.prod(bounds) > 2**63:
+        raise ValueError(f"rows with bounds {bounds} do not fit one int64 key")
+    key = np.zeros(len(columns[0]), dtype=np.int64)
+    for column, radix in zip(columns, bounds):
+        key *= radix
+        key += column
+    return key
+
+
+def unpack_rows(key: np.ndarray, bounds: list[int]) -> list[np.ndarray]:
+    """The columns ``pack_rows`` packed into ``key``."""
+    columns = []
+    for radix in reversed(bounds):
+        key, column = np.divmod(key, radix)
+        columns.append(column)
+    return columns[::-1]
+
+
+def sort_rows(columns: list[np.ndarray], bounds: list[int]) -> list[np.ndarray]:
+    """``columns`` reordered so their rows sort lexicographically."""
+    key = pack_rows(columns, bounds)
+    key.sort()
+    return unpack_rows(key, bounds)
 
 
 def _ball(width: int, radius: int) -> int:
@@ -88,6 +131,82 @@ class CandidatePair:
     @classmethod
     def ordered(cls, u: str, v: str, distance: int) -> "CandidatePair":
         return cls(u, v, distance) if u < v else cls(v, u, distance)
+
+
+class CandidatePairs(Set):
+    """Candidate pairs as row-index arrays over the sorted ``users``: pair k
+    is ``CandidatePair(users[a[k]], users[b[k]], distance[k])``, with
+    a[k] < b[k], and the pairs are in canonical (distance, a, b) order.
+
+    A read-only set of CandidatePair: ``len`` is free, iteration builds each
+    pair on demand in canonical order, and membership looks the pair's rows
+    up, so it compares equal to the ``set`` of the same pairs.
+    """
+
+    def __init__(self, users: list[str], a: np.ndarray, b: np.ndarray, distance: np.ndarray):
+        self.users, self.a, self.b, self.distance = users, a, b, distance
+
+    @classmethod
+    def canonical(cls, users: list[str], a: np.ndarray, b: np.ndarray,
+                  distance: np.ndarray) -> CandidatePairs:
+        """The pairs (a, b, distance), each a < b, put in canonical order."""
+        n = len(users)
+        distance, a, b = sort_rows([distance, a, b], [bound(distance), n, n])
+        return cls(users, a, b, distance)
+
+    @classmethod
+    def of(cls, pairs: Iterable[CandidatePair]) -> CandidatePairs:
+        """``pairs`` itself if it is a CandidatePairs, else its distinct pairs as one."""
+        if isinstance(pairs, cls):
+            return pairs
+        pairs = set(pairs)
+        users = sorted({uid for p in pairs for uid in (p.a, p.b)})
+        row = {uid: i for i, uid in enumerate(users)}
+        rows = np.array([(row[p.a], row[p.b], p.distance) for p in pairs], dtype=np.int64)
+        return cls.canonical(users, *rows.reshape(-1, 3).T)
+
+    def within(self, d: int) -> CandidatePairs:
+        """The pairs at distance <= d: a prefix, since distance sorts first."""
+        k = int(np.searchsorted(self.distance, d, side="right"))
+        return CandidatePairs(self.users, self.a[:k], self.b[:k], self.distance[:k])
+
+    @classmethod
+    def _from_iterable(cls, pairs: Iterable[CandidatePair]) -> set[CandidatePair]:
+        return set(pairs)  # what the operators Set provides (|, &, -, ^) return
+
+    @cached_property
+    def _top(self) -> int:
+        return bound(self.distance)
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """(a, b, distance) of every pair as one sorted key, for lookups."""
+        n = len(self.users)
+        return np.sort((self.a * n + self.b) * self._top + self.distance)
+
+    def __contains__(self, pair: object) -> bool:
+        if not isinstance(pair, CandidatePair) or not 0 <= pair.distance < self._top:
+            return False
+        users = self.users
+        i, j = bisect_left(users, pair.a), bisect_left(users, pair.b)
+        if j == len(users) or users[i] != pair.a or users[j] != pair.b:
+            return False
+        key = (i * len(users) + j) * self._top + pair.distance
+        k = int(np.searchsorted(self._keys, key))
+        return k < len(self._keys) and int(self._keys[k]) == key
+
+    def __iter__(self) -> Iterator[CandidatePair]:
+        name = self.users.__getitem__
+        for s in range(0, len(self), _PAIR_CHUNK):
+            rows = slice(s, s + _PAIR_CHUNK)
+            yield from map(CandidatePair, map(name, self.a[rows].tolist()),
+                           map(name, self.b[rows].tolist()), self.distance[rows].tolist())
+
+    def __len__(self) -> int:
+        return len(self.distance)
+
+    def __repr__(self) -> str:
+        return f"CandidatePairs({set(self)!r})"
 
 
 @dataclass
@@ -201,8 +320,7 @@ def _block_pairs(keys: list[np.ndarray], t: int, width: int, radius: int
             if a == z:
                 continue
             c = cnt[a:z]
-            offset = np.arange(c.sum()) - np.repeat(np.cumsum(c) - c, c)
-            I, J = np.repeat(owner[a:z], c), order[np.repeat(lo[a:z], c) + offset]
+            I, J = np.repeat(owner[a:z], c), order[np.repeat(lo[a:z], c) + _ragged(c)]
             up = J > I
             I, J = I[up], J[up]
             for lower in keys[:t]:
@@ -240,27 +358,47 @@ def _search(bits: np.ndarray, words: np.ndarray, plan: BlockPlan, d: int
     return I, J, dist, verified
 
 
-def candidate_pairs(index: LshIndex, stats: dict | None = None) -> set[CandidatePair]:
-    """All pairs of indexed users within the index's Hamming radius.
+def _expand(classes: np.ndarray, I: np.ndarray, J: np.ndarray, dist: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """User row pairs u < v and their distances: every pair inside a class
+    at 0, and for each pair (I, J) of classes every pair of their members."""
+    members = np.argsort(classes, kind="stable")  # each class's rows, ascending
+    size = np.bincount(classes)
+    start = np.cumsum(size) - size
+    # the member at position p of its class pairs with positions p+1 .. size-1
+    later = np.repeat(start + size, size) - np.arange(len(members)) - 1
+    u0 = np.repeat(members, later)
+    v0 = members[np.repeat(np.arange(len(members)) + 1, later) + _ragged(later)]
+    # pair k of classes gives size[I[k]] * size[J[k]] member pairs
+    width = size[J]
+    count = size[I] * width
+    k = np.repeat(np.arange(len(dist)), count)
+    q, r = np.divmod(_ragged(count), width[k])
+    u1, v1 = members[start[I][k] + q], members[start[J][k] + r]
+    a = np.concatenate([u0, np.minimum(u1, v1)])
+    b = np.concatenate([v0, np.maximum(u1, v1)])
+    return a, b, np.concatenate([np.zeros(len(u0), dtype=np.int64), dist[k]])
+
+
+def candidate_pairs(index: LshIndex, stats: dict | None = None) -> CandidatePairs:
+    """All pairs of indexed users within the index's Hamming radius, as
+    arrays over ``index.users``.
 
     Only one row per distinct fingerprint is searched; a class of equal rows
     gives all its member pairs at distance 0, and a verified pair of distinct
     rows gives the product of their classes.  Equals ``brute_force_pairs``:
     the plan's blocks reach every true pair, and every emitted pair is
-    verified with the exact distance.
+    verified with the exact distance.  ``stats`` receives
+    ``pairs_verified``, ``distinct_fingerprints`` and
+    ``largest_duplicate_class``.
     """
     reps = index.reps
     I, J, dist, verified = _search(index.bits[reps], index.words[reps], index.plan,
                                    index.max_distance)
     if stats is not None:
-        stats.update(pairs_verified=verified, distinct_fingerprints=len(reps))
-    classes: list[list[str]] = [[] for _ in reps]
-    for uid, c in zip(index.users, index.classes.tolist()):
-        classes[c].append(uid)  # users are sorted, so each class is too
-    pairs = {CandidatePair(u, v, 0) for ids in classes for u, v in itertools.combinations(ids, 2)}
-    for i, j, dd in zip(I.tolist(), J.tolist(), dist.tolist()):
-        pairs.update(CandidatePair.ordered(u, v, dd) for u in classes[i] for v in classes[j])
-    return pairs
+        stats.update(pairs_verified=verified, distinct_fingerprints=len(reps),
+                     largest_duplicate_class=int(np.bincount(index.classes).max(initial=0)))
+    return CandidatePairs.canonical(index.users, *_expand(index.classes, I, J, dist))
 
 
 def query(index: LshIndex, fp: Fingerprint) -> list[tuple[str, int]]:
@@ -294,8 +432,3 @@ def brute_force_pairs(fps: Mapping[str, Fingerprint], d: int) -> set[CandidatePa
         for r, c in zip(*np.nonzero((dist <= d) & upper)):
             pairs.add(CandidatePair(users[i0 + r], users[c], int(dist[r, c])))
     return pairs
-
-
-def iter_sorted_pairs(pairs: set[CandidatePair]) -> Iterator[CandidatePair]:
-    """Canonical report order: by (distance, a, b)."""
-    return iter(sorted(pairs, key=lambda p: (p.distance, p.a, p.b)))

@@ -7,6 +7,7 @@ max-normalization over outgoing neighbors.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -16,8 +17,11 @@ from .detect import MatchReport, build_match_report
 from .errors import InputError
 from .features import FeatureMaps, build_feature_maps, check_feature_params
 from .ingest import InteractionGraph
-from .lsh import CandidatePair, build_index, candidate_pairs, iter_sorted_pairs, plan_blocks
+from .lsh import CandidatePair, CandidatePairs, bound, build_index, candidate_pairs, plan_blocks
 from .simhash import Fingerprint, HashConfig, fingerprint_population
+
+
+_WRITE_CHUNK = 1 << 18  # candidate rows joined per write
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ class RunConfig:
 @dataclass
 class DetectionResult:
     config: RunConfig
-    candidates: set[CandidatePair]
+    candidates: CandidatePairs
     report: MatchReport
     fingerprints: dict[str, Fingerprint]
     unfingerprintable: list[str]
@@ -103,12 +107,13 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
                    " on block bits, so retrieval drifts toward all pairs",
     }]
     stats = {
-        "schema_version": 2,
+        "schema_version": 3,
         "nodes": graph.node_count,
         "edges": graph.edge_count,
         "fingerprinted": len(fingerprints),
         "unfingerprintable": len(skipped),
         "distinct_fingerprints": distinct,
+        "largest_duplicate_class": lsh_stats.get("largest_duplicate_class", 0),
         "tables": index.plan.m,
         "block_radius": index.plan.radius,
         "probes": distinct * index.plan.probes(),
@@ -144,11 +149,18 @@ def write_candidates_tsv(
     candidates: Iterable[CandidatePair], cfg: RunConfig, path: str | Path
 ) -> None:
     """Write ``a<TAB>b<TAB>distance`` rows sorted by (distance, a, b) after a
-    header line echoing the run configuration."""
+    header line echoing the run configuration, one join per chunk of rows."""
+    pairs = CandidatePairs.of(candidates)
+    left = [uid + "\t" for uid in pairs.users]
+    right = [f"{d}\n" for d in range(bound(pairs.distance))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(cfg.header_line() + "\n")
-        for pair in iter_sorted_pairs(set(candidates)):
-            fh.write(f"{pair.a}\t{pair.b}\t{pair.distance}\n")
+        for s in range(0, len(pairs), _WRITE_CHUNK):
+            rows = slice(s, s + _WRITE_CHUNK)
+            fh.write("".join(itertools.chain.from_iterable(zip(
+                map(left.__getitem__, pairs.a[rows].tolist()),
+                map(left.__getitem__, pairs.b[rows].tolist()),
+                map(right.__getitem__, pairs.distance[rows].tolist())))))
 
 
 def read_candidates_tsv(path: str | Path) -> set[CandidatePair]:

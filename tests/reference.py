@@ -9,17 +9,26 @@ the same error text, on every input.
 ``binarize``) computes features one user at a time over the graph's
 adjacency dicts; ``features.build_feature_maps`` must equal it entry for
 entry.
+
+``cluster``, ``mutual_matches`` and ``one_to_many`` build the match report
+one ``CandidatePair`` at a time, over union-find and per-user candidate
+lists; ``detect.build_match_report`` must give the same report.
+``report_json`` and ``candidates_tsv`` are the bytes ``report.json`` and
+``candidates.tsv`` hold for a set of pairs, written as
+``json.dumps(..., indent=2, sort_keys=True)`` and one row per sorted pair.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
+from sockdetect.detect import MatchCluster, MutualMatch
 from sockdetect.errors import InputError
 from sockdetect.features import FeatureMap, FeatureToken, check_feature_params
 from sockdetect.ingest import InteractionGraph, MessageRecord
+from sockdetect.lsh import CandidatePair
 
 
 def _normalize_id(value: object, what: str, line: int | None = None) -> str:
@@ -164,3 +173,113 @@ def extract_features(
 def binarize(fmap: FeatureMap) -> FeatureMap:
     """Replace every weight with 1.0 (presence-only features)."""
     return FeatureMap(owner=fmap.owner, entries={t: 1.0 for t in fmap.entries})
+
+
+class UnionFind:
+    """Disjoint sets over arbitrary hashable items, union by size with
+    path compression."""
+
+    def __init__(self) -> None:
+        self._parent: dict[str, str] = {}
+        self._size: dict[str, int] = {}
+
+    def add(self, item: str) -> None:
+        if item not in self._parent:
+            self._parent[item] = item
+            self._size[item] = 1
+
+    def find(self, item: str) -> str:
+        root = item
+        while self._parent[root] != root:
+            root = self._parent[root]
+        while self._parent[item] != root:
+            self._parent[item], item = root, self._parent[item]
+        return root
+
+    def union(self, a: str, b: str) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return
+        if self._size[ra] < self._size[rb]:
+            ra, rb = rb, ra
+        self._parent[rb] = ra
+        self._size[ra] += self._size[rb]
+
+    def items(self) -> Iterable[str]:
+        return self._parent.keys()
+
+
+def iter_sorted_pairs(pairs: Iterable[CandidatePair]) -> Iterator[CandidatePair]:
+    """Canonical report order: by (distance, a, b)."""
+    return iter(sorted(pairs, key=lambda p: (p.distance, p.a, p.b)))
+
+
+def cluster(pairs: Iterable[CandidatePair]) -> list[MatchCluster]:
+    uf = UnionFind()
+    for p in pairs:
+        uf.add(p.a)
+        uf.add(p.b)
+        uf.union(p.a, p.b)
+    members_by_root: dict[str, set[str]] = {}
+    for uid in uf.items():
+        members_by_root.setdefault(uf.find(uid), set()).add(uid)
+    clusters = [MatchCluster(members=sorted(members)) for members in members_by_root.values()]
+    clusters.sort(key=lambda c: (-len(c.members), c.members[0]))
+    return clusters
+
+
+def _candidate_lists(pairs: Iterable[CandidatePair]) -> dict[str, list[tuple[int, str]]]:
+    lists: dict[str, list[tuple[int, str]]] = {}
+    for p in pairs:
+        lists.setdefault(p.a, []).append((p.distance, p.b))
+        lists.setdefault(p.b, []).append((p.distance, p.a))
+    for cands in lists.values():
+        cands.sort()
+    return lists
+
+
+def mutual_matches(pairs: Iterable[CandidatePair]) -> list[MutualMatch]:
+    lists = _candidate_lists(pairs)
+    nearest = {uid: cands[0] for uid, cands in lists.items()}
+    matches: list[MutualMatch] = []
+    for uid, (dd, other) in nearest.items():
+        if uid < other and nearest[other] == (dd, uid):
+            matches.append(MutualMatch(a=uid, b=other, distance=dd, exact=dd == 0))
+    matches.sort(key=lambda m: (m.distance, m.a, m.b))
+    return matches
+
+
+def one_to_many(pairs: Iterable[CandidatePair]) -> dict[str, list[tuple[str, int]]]:
+    lists = _candidate_lists(pairs)
+    return {
+        uid: [(other, dd) for dd, other in cands]
+        for uid, cands in sorted(lists.items())
+        if len(cands) >= 2
+    }
+
+
+def report_dict(pairs: Iterable[CandidatePair]) -> dict:
+    """What ``MatchReport.to_dict`` gives for ``pairs``."""
+    pairs = set(pairs)
+    return {
+        "clusters": [c.members for c in cluster(pairs)],
+        "mutual": [
+            {"a": m.a, "b": m.b, "distance": m.distance, "exact": m.exact}
+            for m in mutual_matches(pairs)
+        ],
+        "one_to_many": {
+            uid: [{"id": other, "distance": dd} for other, dd in cands]
+            for uid, cands in one_to_many(pairs).items()
+        },
+    }
+
+
+def report_json(pairs: Iterable[CandidatePair], config: dict) -> str:
+    """The text of ``report.json`` for ``pairs`` under ``config``."""
+    return json.dumps({"config": config, **report_dict(pairs)}, indent=2, sort_keys=True) + "\n"
+
+
+def candidates_tsv(pairs: Iterable[CandidatePair], header: str) -> str:
+    """The text of ``candidates.tsv`` for ``pairs`` under a header line."""
+    rows = (f"{p.a}\t{p.b}\t{p.distance}\n" for p in iter_sorted_pairs(set(pairs)))
+    return header + "\n" + "".join(rows)

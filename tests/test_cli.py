@@ -1,8 +1,10 @@
 import itertools
 import json
+from collections import Counter
 
 import pytest
 
+import reference
 from sockdetect.cli import main
 from sockdetect.features import FeatureToken
 from sockdetect.ingest import InteractionGraph, build_interaction_graph, parse_messages, write_edges_tsv
@@ -236,9 +238,28 @@ class TestDetect:
         stats = json.loads((run / "stats.json").read_text())
         assert stats["seconds"]["candidate_generation"] >= 0
         assert stats["nodes"] == 405
-        assert stats["schema_version"] == 2
+        assert stats["schema_version"] == 3
         assert stats["bucket_memberships"] == stats["distinct_fingerprints"] * stats["tables"]
         assert 1 <= stats["distinct_fingerprints"] <= stats["fingerprinted"]
+
+    def test_largest_duplicate_class_counts_equal_fingerprints(self, synth_corpus, tmp_path):
+        # two more users copy an existing user's only reply, so all three
+        # share its fingerprint
+        edges = (synth_corpus / "edges.tsv").read_text().splitlines(keepends=True)
+        lone = {}
+        for line in edges:
+            src, dst, _ = line.split("\t")
+            lone.setdefault(src, []).append(dst)
+        src, [dst] = next((u, vs) for u, vs in sorted(lone.items()) if len(vs) == 1)
+        edges += [f"zz_copy{i}\t{dst}\t1\n" for i in range(2)]
+        (tmp_path / "edges.tsv").write_text("".join(edges))
+        run = tmp_path / "run"
+        assert main(["detect", "--input", str(tmp_path / "edges.tsv"), "--output-dir", str(run)]) == 0
+        stats = json.loads((run / "stats.json").read_text())
+        fps, _ = read_fingerprints_tsv(run / "fingerprints.tsv")
+        sizes = Counter(fp.bits for fp in fps.values())
+        assert stats["largest_duplicate_class"] == max(sizes.values()) >= 3
+        assert sizes[fps[src].bits] >= 3
 
     def test_hub_of_reply_only_users_gives_no_bucket_warning(self, tmp_path, capsys):
         # 1000 lurkers replying only to one admin share one fingerprint;
@@ -255,6 +276,13 @@ class TestDetect:
         stats = json.loads((run / "stats.json").read_text())
         assert stats["distinct_fingerprints"] <= stats["fingerprinted"] - 999
         assert stats["warnings"] == []
+        # the star's outputs are the bytes the per-pair reference writes for
+        # the brute-force pairs
+        fps, _ = read_fingerprints_tsv(run / "fingerprints.tsv")
+        pairs = brute_force_pairs(fps, 20)
+        assert len(pairs) >= 1000 * 999 // 2
+        assert (run / "candidates.tsv").read_text() == reference.candidates_tsv(pairs, DEFAULT_HEADER)
+        assert (run / "report.json").read_text() == reference.report_json(pairs, RunConfig().to_dict())
 
     def test_many_distinct_fingerprints_in_one_bucket_warn(self, tmp_path, capsys):
         # a user whose only token is one reply has that token's hash as its

@@ -1,12 +1,16 @@
 import random
 
+import pytest
+
+import reference
 from sockdetect.detect import (
     build_match_report,
     cluster,
     mutual_matches,
     one_to_many,
 )
-from sockdetect.lsh import CandidatePair
+from sockdetect.lsh import CandidatePair, brute_force_pairs, build_index, candidate_pairs
+from sockdetect.simhash import Fingerprint
 
 
 def _pairs(*triples: tuple[str, str, int]) -> list[CandidatePair]:
@@ -132,3 +136,79 @@ class TestMatchReport:
         for uid, cands in report.one_to_many.items():
             for other, dd in cands:
                 assert (min(uid, other), max(uid, other)) in keys
+
+
+ODD_IDS = ["é", '"q', "back\\slash", " sp", "☃", "tab\tin", "line\nbreak", "Z", "a"]
+
+
+def _random_pair_set(rng: random.Random) -> set[CandidatePair]:
+    """Random pairs over a few distances, so ties are broken by id, plus a
+    chain and a duplicate class: k users pairwise at 0 that share every
+    other candidate at one distance each."""
+    users = [f"u{i:02d}" for i in range(rng.randint(2, 30))] + rng.sample(ODD_IDS, 3)
+    by_ends: dict[tuple[str, str], int] = {}
+
+    def add(u: str, v: str, d: int) -> None:
+        by_ends[min(u, v), max(u, v)] = d
+
+    for _ in range(rng.randint(0, 40)):
+        add(*rng.sample(users, 2), rng.randint(0, 3))
+    chain = rng.sample(users, rng.randint(2, min(8, len(users))))
+    for u, v in zip(chain, chain[1:]):
+        add(u, v, rng.randint(0, 20))
+    dup = rng.sample(users, rng.randint(2, min(6, len(users) - 1)))
+    for i, u in enumerate(dup):
+        for v in dup[i + 1 :]:
+            add(u, v, 0)
+    rest = [u for u in users if u not in dup]
+    for other in rng.sample(rest, rng.randint(0, min(3, len(rest)))):
+        d = rng.randint(1, 5)
+        for u in dup:
+            add(u, other, d)
+    return {CandidatePair(a, b, d) for (a, b), d in by_ends.items()}
+
+
+def _assert_report_matches_reference(pairs: set[CandidatePair], tmp_path) -> None:
+    report = build_match_report(pairs)
+    assert report.clusters == reference.cluster(pairs)
+    assert report.mutual == reference.mutual_matches(pairs)
+    assert dict(report.one_to_many) == reference.one_to_many(pairs)
+    assert report.to_dict() == reference.report_dict(pairs)
+    config = {"b": 128, "d": 20, "theta": 0.5, "seed": 0}
+    report.write_json(tmp_path / "report.json", config)
+    assert (tmp_path / "report.json").read_text(encoding="utf-8") == reference.report_json(pairs, config)
+
+
+class TestAgainstReference:
+    """The array report equals the per-pair reference, text included."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_random_pair_sets(self, seed, tmp_path):
+        _assert_report_matches_reference(_random_pair_set(random.Random(seed)), tmp_path)
+
+    @pytest.mark.parametrize("pairs", [
+        set(),
+        {CandidatePair("a", "b", 7)},
+        {CandidatePair("a", "b", 3), CandidatePair("a", "c", 3), CandidatePair("b", "c", 3)},
+        set(_pairs(("a", "b", 1), ("b", "c", 1), ("c", "d", 1), ("d", "e", 1))),
+    ], ids=["empty", "single", "tied-triangle", "chain"])
+    def test_edge_shapes(self, pairs, tmp_path):
+        _assert_report_matches_reference(pairs, tmp_path)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_retrieved_duplicate_classes(self, seed, tmp_path):
+        # retrieval expands classes of equal fingerprints itself; the report
+        # over its pairs equals the reference over the same pairs as a set
+        rng = random.Random(seed)
+        fps = {}
+        for c in range(8):
+            bits = rng.getrandbits(64)
+            for i in range(rng.randint(1, 6)):
+                uid = f"c{c}m{i}"
+                fps[uid] = Fingerprint(uid, bits ^ (rng.getrandbits(64) if c == 7 else 0), 64)
+            near = bits ^ (1 << rng.randrange(64))
+            fps[f"c{c}near"] = Fingerprint(f"c{c}near", near, 64)
+        candidates = candidate_pairs(build_index(fps, 6))
+        assert candidates == brute_force_pairs(fps, 6)
+        _assert_report_matches_reference(set(candidates), tmp_path)
+        assert build_match_report(candidates) == build_match_report(set(candidates))

@@ -50,6 +50,14 @@ class TestPairwiseMetrics:
         report = pairwise_metrics(predicted, truth)
         assert (report.tp, report.fp, report.fn) == (1, 0, 0)
 
+    def test_a_pair_listed_at_two_distances_counts_once(self):
+        # a hand-edited candidates.tsv can list one pair twice
+        truth = GroundTruth([{"a", "b"}, {"c", "d"}])
+        predicted = {CandidatePair("a", "b", 1), CandidatePair("a", "b", 4),
+                     CandidatePair("a", "c", 2), CandidatePair("a", "c", 3)}
+        report = pairwise_metrics(predicted, truth)
+        assert (report.tp, report.fp, report.fn) == (1, 1, 1)
+
     def test_no_truth_at_all(self):
         report = pairwise_metrics(_pairs(("a", "b")), GroundTruth([]))
         assert report.precision == 1.0 and report.recall == 1.0

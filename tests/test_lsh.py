@@ -196,6 +196,25 @@ class TestCandidatePairs:
         assert got == want
         assert len(want) == 80 * 79 // 2 + 80  # clique plus the near twin
 
+    def test_pairs_as_a_set(self):
+        # the array pairs behave as the set of their CandidatePairs:
+        # canonical iteration, lookups, the set operators and radius prefixes
+        fps = _population(seed=5, n=150, planted=60, max_flips=24)
+        fps.update({f"w{i}": Fingerprint(f"w{i}", fps["u0000"].bits, 128) for i in range(4)})
+        got = candidate_pairs(build_index(fps, 20))
+        want = brute_force_pairs(fps, 20)
+        assert list(got) == sorted(want, key=lambda p: (p.distance, p.a, p.b))
+        assert len(got) == len(want) and all(p in got for p in want)
+        p = next(iter(want))
+        for absent in (CandidatePair(p.a, p.b, p.distance + 1), CandidatePair(p.a, "zz", p.distance),
+                       CandidatePair("a", p.b, p.distance), (p.a, p.b, p.distance)):
+            assert absent not in got
+        extra = {CandidatePair("a", "b", 3)}
+        assert extra | got == got | extra == want | extra
+        assert got - want == set() and got & want == want
+        for d in (0, 5, 12, 20):
+            assert got.within(d) == {q for q in want if q.distance <= d}
+
     def test_star_shape_duplicate_class(self):
         # a reply-only fan class: 1000 identical fingerprints overfill one
         # bucket of every block, next to 200 unrelated users

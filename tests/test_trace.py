@@ -10,7 +10,7 @@ from pathlib import Path
 import sockdetect.cli as cli
 import sockdetect.evaluate as evaluate
 import sockdetect.pipeline as pipeline
-from sockdetect.ingest import write_edges_tsv
+from sockdetect.ingest import InteractionGraph, write_edges_tsv
 from sockdetect.synth import SynthConfig, generate
 
 TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
@@ -68,7 +68,12 @@ def test_tracer_counts_ingest_work(tmp_path, monkeypatch):
 def test_tracer_counts_retrieval_work(tmp_path, monkeypatch):
     tracer = _installed_tracer(monkeypatch)
 
-    graph, _ = generate(SynthConfig(n=400, clones=8, seed=5))
+    # a synth chat plus 12 users who reply only to one admin: a duplicate
+    # class whose members each have 11 candidates
+    background, _ = generate(SynthConfig(n=400, clones=8, seed=5))
+    edges = dict(background.edges)
+    edges.update({(f"lurker{i:02d}", "admin"): 1 + i % 3 for i in range(12)})
+    graph = InteractionGraph(nodes={u for edge in edges for u in edge}, edges=edges)
     write_edges_tsv(graph, tmp_path / "edges.tsv")
     run = tmp_path / "run"
     assert cli.main(["detect", "--input", str(tmp_path / "edges.tsv"), "--output-dir", str(run)]) == 0
@@ -80,3 +85,10 @@ def test_tracer_counts_retrieval_work(tmp_path, monkeypatch):
     assert counts["lsh.pairs_verified"] == stats["pairs_verified"] > 0
     assert counts["lsh.bucket_memberships"] == stats["bucket_memberships"] > 0
     assert "lsh.candidate_pairs" in tracer.self_times()["cli.detect"]
+    # the report is backed by arrays; its counters still equal report.json
+    report = json.loads((run / "report.json").read_text())
+    assert counts["detect.clusters"] == len(report["clusters"]) == stats["clusters"] > 0
+    assert counts["detect.mutual"] == len(report["mutual"]) == stats["mutual_matches"] > 0
+    entries = sum(len(cands) for cands in report["one_to_many"].values())
+    assert counts["detect.one_to_many_entries"] == entries >= 12 * 11
+    assert counts["simhash.largest_duplicate_class"] == stats["largest_duplicate_class"] >= 12
