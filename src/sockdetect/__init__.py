@@ -33,7 +33,7 @@ from .lsh import (
     query,
 )
 from .pipeline import DetectionResult, RunConfig, run_detection, write_candidates_tsv
-from .simhash import Fingerprint, HashConfig, hamming, hash_token, simhash
+from .simhash import Fingerprint, Fingerprints, HashConfig, hamming, hash_token
 from .synth import SynthConfig, generate
 
 __all__ = [
@@ -46,6 +46,7 @@ __all__ = [
     "FeatureMap",
     "FeatureToken",
     "Fingerprint",
+    "Fingerprints",
     "GroundTruth",
     "HashConfig",
     "InputError",
@@ -79,7 +80,6 @@ __all__ = [
     "read_edges_tsv",
     "read_truth",
     "run_detection",
-    "simhash",
     "sweep",
     "write_candidates_tsv",
     "write_edges_tsv",

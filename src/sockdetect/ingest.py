@@ -109,20 +109,6 @@ class InteractionGraph:
     def edge_count(self) -> int:
         return len(self.src)
 
-    def out_adjacency(self) -> dict[str, dict[str, int]]:
-        """Per-source map of outgoing neighbors to reply counts."""
-        adj: dict[str, dict[str, int]] = {}
-        for (src, dst), w in self.edges.items():
-            adj.setdefault(src, {})[dst] = w
-        return adj
-
-    def in_adjacency(self) -> dict[str, dict[str, int]]:
-        """Per-target map of incoming neighbors to reply counts."""
-        adj: dict[str, dict[str, int]] = {}
-        for (src, dst), w in self.edges.items():
-            adj.setdefault(dst, {})[src] = w
-        return adj
-
     def validate(self) -> None:
         for (src, dst), w in self.edges.items():
             if w < 1:
@@ -158,6 +144,9 @@ def _normalize_id(value: object, what: str, line: int | None = None) -> str:
         # ids are written as TSV fields, one record per line
         if "\t" in value or "\n" in value or "\r" in value:
             raise InputError(f"{what} must not contain a tab or line break{where}")
+        # readers such as read_truth strip ids, so " a" and "a" would merge there
+        if value != value.strip():
+            raise InputError(f"{what} must not begin or end with whitespace{where}")
         return value
     raise InputError(f"{what} must be a string or integer{where}")
 

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .simhash import Fingerprint
+from .simhash import Fingerprint, Fingerprints
 
 # One verification costs about this many key lookups: fitted by timing every
 # plan on ten (corpus, radius) cases, synth 2k, 5k, 20k and a hub-shaped chat
@@ -36,7 +36,6 @@ _KEY_BITS = 62  # widest block key, so every key is one int64
 _DENSE_BITS = 22  # widest block given a dense count table, sorted keys above
 _PROBE_CHUNK = 1 << 18  # probe keys looked up per step
 _PAIR_CHUNK = 1 << 20  # row pairs expanded and verified per step
-_POW2 = (np.int64(1) << np.arange(63, dtype=np.int64))
 
 
 def _ragged(counts: np.ndarray) -> np.ndarray:
@@ -211,15 +210,15 @@ class CandidatePairs(Set):
 
 @dataclass
 class LshIndex:
-    """Fingerprints packed once: row i of ``bits`` holds ``users[i]``, bit j
-    in column j, and ``words`` holds the same rows as ``uint64`` words.
-    ``reps`` holds the first row of each distinct fingerprint, ``classes``
-    each row's position in ``reps``; ``plan`` is chosen for the ``reps``."""
+    """The sorted ``users`` and their ``width``-bit fingerprints, row i of
+    ``words`` holding ``users[i]`` as in ``Fingerprints``.  ``reps`` holds
+    the first row of each distinct fingerprint, ``classes`` each row's
+    position in ``reps``; ``plan`` is chosen for the ``reps``."""
 
     plan: BlockPlan
     users: list[str]
-    bits: np.ndarray  # uint8 [n, b]
-    words: np.ndarray  # uint64 [n, ceil(b/64)]
+    words: np.ndarray  # uint64 [n, ceil(width/64)]
+    width: int
     reps: np.ndarray
     classes: np.ndarray
     max_distance: int
@@ -259,33 +258,23 @@ def _plans(b: int, d: int) -> list[BlockPlan]:
     return [scan, *(_split(b, d, m) for m in range(fewest, max(fewest, d + 1) + 1))]
 
 
-def _pack(fps: Mapping[str, Fingerprint]) -> tuple[list[str], np.ndarray]:
-    """Sorted ids and their fingerprints as an ``[n, b]`` uint8 bit matrix."""
-    users = sorted(fps)
-    widths = {fps[uid].width for uid in users}
-    if len(widths) > 1:
-        raise ValueError(f"fingerprint width mismatch: {sorted(widths)}")
-    nbytes = widths.pop() // 8 if widths else 0
-    raw = b"".join(fps[uid].bits.to_bytes(nbytes, "little") for uid in users)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(users), nbytes)
-    return users, np.unpackbits(packed, axis=1, bitorder="little")
-
-
-def _words(bits: np.ndarray) -> np.ndarray:
-    """Bit-matrix rows as ``uint64`` words, zero-padded (b=32 fills half a word)."""
-    padded = np.pad(bits, ((0, 0), (0, -bits.shape[1] % 64)))
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
-
-
 def build_index(fps: Mapping[str, Fingerprint], d: int) -> LshIndex:
-    """Pack the fingerprints once, collapse equal rows and plan for the rest."""
-    users, bits = _pack(fps)
-    words = _words(bits)
-    _, reps, classes = np.unique(words, axis=0, return_index=True, return_inverse=True)
+    """Collapse equal fingerprints and plan for the distinct ones."""
+    fps = Fingerprints.of(fps)
+    _, reps, classes = np.unique(fps.words, axis=0, return_index=True, return_inverse=True)
     n = len(reps)
-    plan = min(_plans(bits.shape[1], d), key=lambda p: p.cost(n)) if users else BlockPlan(0, [], d)
-    return LshIndex(plan=plan, users=users, bits=bits, words=words, reps=reps,
+    plan = min(_plans(fps.width, d), key=lambda p: p.cost(n)) if fps else BlockPlan(0, [], d)
+    return LshIndex(plan=plan, users=fps.owners, words=fps.words, width=fps.width, reps=reps,
                     classes=classes.ravel(), max_distance=d)
+
+
+def _block_keys(words: np.ndarray, start: int, width: int) -> np.ndarray:
+    """Bits [start, start + width) of each row as one int64 key, bit start lowest."""
+    w, s = divmod(start, 64)
+    key = words[:, w] >> np.uint64(s)
+    if s + width > 64:
+        key |= words[:, w + 1] << np.uint64(64 - s)
+    return (key & np.uint64((1 << width) - 1)).astype(np.int64)
 
 
 def _block_pairs(keys: list[np.ndarray], t: int, width: int, radius: int
@@ -329,27 +318,27 @@ def _block_pairs(keys: list[np.ndarray], t: int, width: int, radius: int
             yield I, J
 
 
-def _candidates(bits: np.ndarray, plan: BlockPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _candidates(words: np.ndarray, plan: BlockPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Row pairs i < j, each at most once, covering every pair within the
     plan's reach: all of them for the scan."""
-    n = len(bits)
+    n = len(words)
     if not plan.m:
         step = max(1, _PAIR_CHUNK // max(n, 1))
         for i0 in range(0, n, step):
             I, J = np.nonzero(np.arange(i0, min(i0 + step, n))[:, None] < np.arange(n))
             yield I + i0, J
         return
-    keys = [bits[:, s : s + w].astype(np.int64) @ _POW2[:w] for s, w in plan.ranges]
+    keys = [_block_keys(words, s, w) for s, w in plan.ranges]
     for t, (_, width) in enumerate(plan.ranges):
         yield from _block_pairs(keys, t, width, plan.radius)
 
 
-def _search(bits: np.ndarray, words: np.ndarray, plan: BlockPlan, d: int
+def _search(words: np.ndarray, plan: BlockPlan, d: int
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Rows i < j within distance d, as index arrays and their distances,
     and the number of pairs verified."""
     found, verified = [(np.zeros(0, dtype=np.int64),) * 3], 0
-    for I, J in _candidates(bits, plan):
+    for I, J in _candidates(words, plan):
         dist = np.bitwise_count(words[I] ^ words[J]).sum(axis=1, dtype=np.int64)
         ok = dist <= d
         verified += len(I)
@@ -393,8 +382,7 @@ def candidate_pairs(index: LshIndex, stats: dict | None = None) -> CandidatePair
     ``largest_duplicate_class``.
     """
     reps = index.reps
-    I, J, dist, verified = _search(index.bits[reps], index.words[reps], index.plan,
-                                   index.max_distance)
+    I, J, dist, verified = _search(index.words[reps], index.plan, index.max_distance)
     if stats is not None:
         stats.update(pairs_verified=verified, distinct_fingerprints=len(reps),
                      largest_duplicate_class=int(np.bincount(index.classes).max(initial=0)))
@@ -406,9 +394,9 @@ def query(index: LshIndex, fp: Fingerprint) -> list[tuple[str, int]]:
     by an exact popcount scan of every row; the owner of ``fp`` is excluded."""
     if not index.users:
         return []
-    if fp.width != index.bits.shape[1]:
-        raise ValueError(f"width mismatch: query {fp.width} vs index {index.bits.shape[1]}")
-    probe = _words(_pack({fp.owner: fp})[1])
+    if fp.width != index.width:
+        raise ValueError(f"width mismatch: query {fp.width} vs index {index.width}")
+    probe = Fingerprints.of({fp.owner: fp}).words
     dist = np.bitwise_count(index.words ^ probe).sum(axis=1, dtype=np.int64)
     hits = np.flatnonzero(dist <= index.max_distance).tolist()
     results = sorted((int(dist[i]), index.users[i]) for i in hits)
@@ -419,8 +407,8 @@ def brute_force_pairs(fps: Mapping[str, Fingerprint], d: int) -> set[CandidatePa
     """All-pairs exact Hamming filter; the O(n^2) oracle the index replaces."""
     if len(fps) < 2:
         return set()
-    users, bits = _pack(fps)
-    words = _words(bits)
+    fps = Fingerprints.of(fps)
+    users, words = fps.owners, fps.words
     n, nwords = words.shape
     pairs: set[CandidatePair] = set()
     rows_per_chunk = max(1, (1 << 22) // (n * nwords))

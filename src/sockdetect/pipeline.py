@@ -18,7 +18,7 @@ from .errors import InputError
 from .features import FeatureMaps, build_feature_maps, check_feature_params
 from .ingest import InteractionGraph
 from .lsh import CandidatePair, CandidatePairs, bound, build_index, candidate_pairs, plan_blocks
-from .simhash import Fingerprint, HashConfig, fingerprint_population
+from .simhash import Fingerprints, HashConfig, fingerprint_population
 
 
 _WRITE_CHUNK = 1 << 18  # candidate rows joined per write
@@ -63,9 +63,9 @@ class DetectionResult:
     config: RunConfig
     candidates: CandidatePairs
     report: MatchReport
-    fingerprints: dict[str, Fingerprint]
+    fingerprints: Fingerprints
     unfingerprintable: list[str]
-    feature_maps: FeatureMaps | dict = field(default_factory=dict, repr=False)
+    feature_maps: FeatureMaps = field(repr=False)
     stats: dict = field(default_factory=dict)
 
 

@@ -18,28 +18,28 @@ conventions that pin this down:
 distinct token is hashed once, by FNV-1a vectorized across tokens, into a
 T x b matrix of +/-1 votes, and the accumulators of all users advance one
 token position at a time, so each user still sums its votes sequentially
-in float64, in token order.  The per-user ``simhash`` is the reference it
-must equal bit for bit.
+in float64, in token order.  The per-user reference it must equal bit for
+bit is in the test suite.  Its result is a ``Fingerprints``: the sorted
+owners and one packed ``uint64`` matrix, the form retrieval and
+``fingerprints.tsv`` read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import repeat
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .errors import ConfigError, InputError, UnfingerprintableError
+from .errors import ConfigError, InputError
 from .features import TOKEN_DIRECTIONS, FeatureMap, FeatureMaps, FeatureToken
 
 SUPPORTED_WIDTHS = (32, 64, 128, 256)
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
-_MASK64 = 0xFFFFFFFFFFFFFFFF
 _TAGS = {"out": b"\x00", "in": b"\x01"}
 # users whose accumulators are held at once, which bounds the float64
 # working set of fingerprint_population to a few MB per b=128 chunk
@@ -70,6 +70,55 @@ class Fingerprint:
         return format(self.bits, f"0{self.width // 4}x")
 
 
+class Fingerprints(Mapping[str, Fingerprint]):
+    """Read-only ``owner -> Fingerprint`` mapping stored as one packed
+    matrix; a Fingerprint is built only when looked up.
+
+    ``owners`` are sorted, and row i of the ``uint64`` matrix ``words``
+    ``[n, ceil(width/64)]`` is the fingerprint of owners[i]: bit j is bit
+    j % 64 of word j // 64, and the bits from ``width`` up are zero.
+    """
+
+    def __init__(self, owners: list[str], words: np.ndarray, width: int):
+        self.owners, self.words, self.width = owners, words, width
+
+    @classmethod
+    def of(cls, fps: Mapping[str, Fingerprint]) -> Fingerprints:
+        """``fps`` itself if it is a Fingerprints, else its fingerprints packed."""
+        if isinstance(fps, cls):
+            return fps
+        owners = sorted(fps)
+        widths = {fps[uid].width for uid in owners}
+        if len(widths) > 1:
+            raise ValueError(f"fingerprint width mismatch: {sorted(widths)}")
+        width = widths.pop() if widths else 0
+        nbytes = 8 * -(-width // 64)
+        raw = b"".join(fps[uid].bits.to_bytes(nbytes, "little") for uid in owners)
+        return cls(owners, np.frombuffer(raw, dtype="<u8").reshape(len(owners), nbytes // 8), width)
+
+    def hex(self) -> list[str]:
+        """Each row's ``Fingerprint.hex()``, in ``owners`` order."""
+        if not self.owners:
+            return []
+        # the rows as big-endian bytes, most significant word first
+        text = self.words[:, ::-1].astype(">u8").tobytes().hex()
+        step, digits = 16 * self.words.shape[1], self.width // 4
+        return [text[at - digits : at] for at in range(step, len(text) + 1, step)]
+
+    def __getitem__(self, owner: str) -> Fingerprint:
+        i = bisect_left(self.owners, owner)
+        if i == len(self.owners) or self.owners[i] != owner:
+            raise KeyError(owner)
+        bits = int.from_bytes(self.words[i].astype("<u8").tobytes(), "little")
+        return Fingerprint(owner, bits, self.width)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.owners)
+
+    def __len__(self) -> int:
+        return len(self.owners)
+
+
 def encode_token(token: FeatureToken) -> bytes:
     tag = _TAGS.get(token.direction)
     if tag is None:
@@ -78,58 +127,10 @@ def encode_token(token: FeatureToken) -> bytes:
     return tag + len(payload).to_bytes(4, "big") + payload
 
 
-def _fnv1a64(data: bytes) -> int:
-    h = _FNV_OFFSET
-    for byte in data:
-        h ^= byte
-        h = (h * _FNV_PRIME) & _MASK64
-    return h
-
-
-@lru_cache(maxsize=1 << 18)
-def _token_hash(direction: str, neighbor: str, b: int, seed: int) -> int:
-    encoded = encode_token(FeatureToken(direction, neighbor))
-    suffix = encoded + seed.to_bytes(8, "big")
-    value = 0
-    for j in range((b + 63) // 64):
-        value = (value << 64) | _fnv1a64(suffix + bytes([j]))
-    return value & ((1 << b) - 1)
-
-
 def hash_token(token: FeatureToken, cfg: HashConfig) -> int:
     """Deterministic b-bit hash of a feature token."""
-    return _token_hash(token.direction, token.neighbor, cfg.b, cfg.seed)
-
-
-@lru_cache(maxsize=1 << 18)
-def _token_votes(direction: str, neighbor: str, b: int, seed: int) -> np.ndarray:
-    """Per-bit vote row for one token: +1 where the hash bit is 1, else -1."""
-    value = _token_hash(direction, neighbor, b, seed)
-    raw = np.frombuffer(value.to_bytes(b // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")
-    row = bits.astype(np.int8) * 2 - 1
-    row.setflags(write=False)
-    return row
-
-
-def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
-    """Classic weighted SimHash: each token votes +/- its weight per bit.
-
-    Raises UnfingerprintableError for an empty feature map; the caller
-    decides whether to skip the user.
-    """
-    if fmap.is_empty():
-        raise UnfingerprintableError(fmap.owner)
-    tokens = sorted(fmap.entries)
-    rows = np.stack(
-        [_token_votes(t.direction, t.neighbor, cfg.b, cfg.seed) for t in tokens]
-    )
-    weights = np.array([fmap.entries[t] for t in tokens], dtype=np.float64)
-    votes = np.add.reduce(rows * weights[:, None], axis=0)
-    bits = np.packbits(votes > 0, bitorder="little").tobytes()
-    return Fingerprint(
-        owner=fmap.owner, bits=int.from_bytes(bits, "little"), width=cfg.b
-    )
+    words = _token_words([encode_token(token) + cfg.seed.to_bytes(8, "big")], (cfg.b + 63) // 64)
+    return int.from_bytes(words.astype(">u8").tobytes(), "big") & ((1 << cfg.b) - 1)
 
 
 def _longer_than(lengths: np.ndarray) -> list[int]:
@@ -160,7 +161,7 @@ def _token_words(messages: list[bytes], nwords: int) -> np.ndarray:
 
 def _vote_matrix(table: FeatureMaps, token_ids: np.ndarray, cfg: HashConfig) -> np.ndarray:
     """``[T, b]`` int8 vote rows of the given tokens: +1 where the token's
-    hash bit is 1, else -1; equals ``_token_votes`` row for row."""
+    hash bit is 1, else -1."""
     seed = cfg.seed.to_bytes(8, "big")
     payload: dict[int, bytes] = {}
     messages = []
@@ -180,12 +181,12 @@ def _vote_matrix(table: FeatureMaps, token_ids: np.ndarray, cfg: HashConfig) -> 
 
 def fingerprint_population(
     fmaps: Mapping[str, FeatureMap], cfg: HashConfig
-) -> tuple[dict[str, Fingerprint], list[str]]:
+) -> tuple[Fingerprints, list[str]]:
     """Fingerprint every non-empty map; returns (fingerprints, skipped owners).
 
-    Equals ``simhash`` per non-empty map.  Users are taken in chunks, longest
-    token list first, so the users still holding a p-th token are a prefix
-    of the chunk and step p adds their p-th vote rows in one operation.
+    Users are taken in chunks, longest token list first, so the users still
+    holding a p-th token are a prefix of the chunk and step p adds their
+    p-th vote rows in one operation.
     """
     table = FeatureMaps.of(fmaps)
     indptr = table.indptr
@@ -194,8 +195,8 @@ def fingerprint_population(
     tokens, token_index = np.unique(table.token, return_inverse=True)
     votes = _vote_matrix(table, tokens, cfg)
     users = np.argsort(-sizes, kind="stable")[: len(sizes) - len(skipped)]
-    nbytes = cfg.b // 8
-    packed = np.zeros((len(sizes), nbytes), dtype=np.uint8)
+    # whole little-endian words: b=32 fills half of one
+    packed = np.zeros((len(sizes), 8 * -(-cfg.b // 64)), dtype=np.uint8)
     for lo in range(0, len(users), _CHUNK_USERS):
         chunk = users[lo : lo + _CHUNK_USERS]
         starts, lengths = indptr[chunk], sizes[chunk]
@@ -203,13 +204,10 @@ def fingerprint_population(
         for p, k in enumerate(_longer_than(lengths)):
             rows = starts[:k] + p
             acc[:k] += votes[token_index[rows]] * table.weight[rows, None]
-        packed[chunk] = np.packbits(acc > 0, axis=1, bitorder="little")
+        packed[chunk, : cfg.b // 8] = np.packbits(acc > 0, axis=1, bitorder="little")
     fingerprinted = np.flatnonzero(sizes)
     owners = [table.owners[i] for i in fingerprinted.tolist()]
-    raw = packed[fingerprinted].tobytes()
-    rows = (raw[at : at + nbytes] for at in range(0, len(raw), nbytes))
-    bits = map(int.from_bytes, rows, repeat("little"))
-    return dict(zip(owners, map(Fingerprint, owners, bits, repeat(cfg.b)))), skipped
+    return Fingerprints(owners, packed[fingerprinted].view("<u8"), cfg.b), skipped
 
 
 def hamming(a: Fingerprint, b: Fingerprint) -> int:
@@ -220,16 +218,16 @@ def hamming(a: Fingerprint, b: Fingerprint) -> int:
 
 
 def write_fingerprints_tsv(
-    fingerprints: dict[str, Fingerprint], cfg: HashConfig, path: str | Path
+    fingerprints: Mapping[str, Fingerprint], cfg: HashConfig, path: str | Path
 ) -> None:
-    """Write ``user<TAB>hex`` rows after a header recording b and seed."""
+    """Write ``user<TAB>hex`` rows sorted by user after a header recording b and seed."""
+    fps = Fingerprints.of(fingerprints)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# b={cfg.b} seed={cfg.seed}\n")
-        for owner in sorted(fingerprints):
-            fh.write(f"{owner}\t{fingerprints[owner].hex()}\n")
+        fh.write("".join(map("{}\t{}\n".format, fps.owners, fps.hex())))
 
 
-def read_fingerprints_tsv(path: str | Path) -> tuple[dict[str, Fingerprint], HashConfig]:
+def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, HashConfig]:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         fields = dict(
@@ -252,4 +250,4 @@ def read_fingerprints_tsv(path: str | Path) -> tuple[dict[str, Fingerprint], Has
             if not 0 <= bits < 1 << cfg.b:
                 raise InputError(f"fingerprint at line {lineno} does not fit in {cfg.b} bits")
             fingerprints[owner] = Fingerprint(owner=owner, bits=bits, width=cfg.b)
-    return fingerprints, cfg
+    return Fingerprints.of(fingerprints), cfg

@@ -10,6 +10,10 @@ the same error text, on every input.
 adjacency dicts; ``features.build_feature_maps`` must equal it entry for
 entry.
 
+``simhash`` fingerprints one feature map at a time, hashing each token by
+FNV-1a over Python integers (``token_hash``); ``simhash.fingerprint_population``
+must give the same bits, and ``simhash.hash_token`` the same token hashes.
+
 ``cluster``, ``mutual_matches`` and ``one_to_many`` build the match report
 one ``CandidatePair`` at a time, over union-find and per-user candidate
 lists; ``detect.build_match_report`` must give the same report.
@@ -22,13 +26,21 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from sockdetect.detect import MatchCluster, MutualMatch
-from sockdetect.errors import InputError
+from sockdetect.errors import InputError, UnfingerprintableError
 from sockdetect.features import FeatureMap, FeatureToken, check_feature_params
 from sockdetect.ingest import InteractionGraph, MessageRecord
 from sockdetect.lsh import CandidatePair
+from sockdetect.simhash import Fingerprint, HashConfig, encode_token
+
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _normalize_id(value: object, what: str, line: int | None = None) -> str:
@@ -42,6 +54,8 @@ def _normalize_id(value: object, what: str, line: int | None = None) -> str:
             raise InputError(f"{what} must be non-empty{where}")
         if "\t" in value or "\n" in value or "\r" in value:
             raise InputError(f"{what} must not contain a tab or line break{where}")
+        if value != value.strip():
+            raise InputError(f"{what} must not begin or end with whitespace{where}")
         return value
     raise InputError(f"{what} must be a string or integer{where}")
 
@@ -97,6 +111,22 @@ class DirectionalWeights:
     in_weights: dict[str, dict[str, float]] = field(default_factory=dict)
 
 
+def out_adjacency(graph: InteractionGraph) -> dict[str, dict[str, int]]:
+    """Per-source map of outgoing neighbors to reply counts."""
+    adj: dict[str, dict[str, int]] = {}
+    for (src, dst), w in graph.edges.items():
+        adj.setdefault(src, {})[dst] = w
+    return adj
+
+
+def in_adjacency(graph: InteractionGraph) -> dict[str, dict[str, int]]:
+    """Per-target map of incoming neighbors to reply counts."""
+    adj: dict[str, dict[str, int]] = {}
+    for (src, dst), w in graph.edges.items():
+        adj.setdefault(dst, {})[src] = w
+    return adj
+
+
 def _normalize_slice(raw: dict[str, int], mode: str) -> dict[str, float]:
     if mode == "max":
         denom = max(raw.values())
@@ -114,11 +144,11 @@ def normalize_weights(graph: InteractionGraph, mode: str = "max") -> Directional
     check_feature_params(mode=mode)
     out = {
         u: _normalize_slice(slice_, mode)
-        for u, slice_ in sorted(graph.out_adjacency().items())
+        for u, slice_ in sorted(out_adjacency(graph).items())
     }
     in_ = {
         u: _normalize_slice(slice_, mode)
-        for u, slice_ in sorted(graph.in_adjacency().items())
+        for u, slice_ in sorted(in_adjacency(graph).items())
     }
     return DirectionalWeights(out_weights=out, in_weights=in_)
 
@@ -173,6 +203,61 @@ def extract_features(
 def binarize(fmap: FeatureMap) -> FeatureMap:
     """Replace every weight with 1.0 (presence-only features)."""
     return FeatureMap(owner=fmap.owner, entries={t: 1.0 for t in fmap.entries})
+
+
+def _fnv1a64(data: bytes) -> int:
+    h = _FNV_OFFSET
+    for byte in data:
+        h ^= byte
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+@lru_cache(maxsize=1 << 18)
+def _token_hash(direction: str, neighbor: str, b: int, seed: int) -> int:
+    encoded = encode_token(FeatureToken(direction, neighbor))
+    suffix = encoded + seed.to_bytes(8, "big")
+    value = 0
+    for j in range((b + 63) // 64):
+        value = (value << 64) | _fnv1a64(suffix + bytes([j]))
+    return value & ((1 << b) - 1)
+
+
+def token_hash(token: FeatureToken, cfg: HashConfig) -> int:
+    """The b-bit token hash: word j = FNV-1a-64 over (encoding ++ seed ++ j),
+    word 0 most significant, low b bits kept."""
+    return _token_hash(token.direction, token.neighbor, cfg.b, cfg.seed)
+
+
+@lru_cache(maxsize=1 << 18)
+def _token_votes(direction: str, neighbor: str, b: int, seed: int) -> np.ndarray:
+    """Per-bit vote row for one token: +1 where the hash bit is 1, else -1."""
+    value = _token_hash(direction, neighbor, b, seed)
+    raw = np.frombuffer(value.to_bytes(b // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, bitorder="little")
+    row = bits.astype(np.int8) * 2 - 1
+    row.setflags(write=False)
+    return row
+
+
+def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
+    """Classic weighted SimHash: each token votes +/- its weight per bit.
+
+    Raises UnfingerprintableError for an empty feature map; the caller
+    decides whether to skip the user.
+    """
+    if fmap.is_empty():
+        raise UnfingerprintableError(fmap.owner)
+    tokens = sorted(fmap.entries)
+    rows = np.stack(
+        [_token_votes(t.direction, t.neighbor, cfg.b, cfg.seed) for t in tokens]
+    )
+    weights = np.array([fmap.entries[t] for t in tokens], dtype=np.float64)
+    votes = np.add.reduce(rows * weights[:, None], axis=0)
+    bits = np.packbits(votes > 0, bitorder="little").tobytes()
+    return Fingerprint(
+        owner=fmap.owner, bits=int.from_bytes(bits, "little"), width=cfg.b
+    )
 
 
 class UnionFind:

@@ -14,7 +14,7 @@ from sockdetect.features import FeatureMap, FeatureToken, build_feature_maps
 from sockdetect.ingest import build_interaction_graph, parse_messages_path, write_edges_tsv
 from sockdetect.lsh import CandidatePair, brute_force_pairs, build_index, candidate_pairs
 from sockdetect.pipeline import RunConfig, run_detection
-from sockdetect.simhash import Fingerprint, HashConfig, fingerprint_population, hash_token, simhash
+from sockdetect.simhash import Fingerprint, HashConfig, fingerprint_population, hash_token
 from sockdetect.synth import SynthConfig, generate
 
 DEFAULT_HEADER = "# b=128 d=20 theta=0.5 mode=max direction=out weighting=weighted seed=0"
@@ -157,6 +157,10 @@ def test_criterion_4_near_linear_scaling():
 
 def test_criterion_5_simhash_invariants():
     cfg = HashConfig()
+
+    def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
+        return fingerprint_population({fmap.owner: fmap}, cfg)[0][fmap.owner]
+
     rng = random.Random(123)
     for _ in range(1000):
         entries = {

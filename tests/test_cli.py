@@ -164,17 +164,20 @@ class TestDetect:
         for artifact in ("candidates.tsv", "report.json", "features.tsv", "fingerprints.tsv"):
             assert (runs[0] / artifact).read_bytes() == (runs[1] / artifact).read_bytes()
 
-    def test_ids_with_surrounding_spaces_round_trip(self, tmp_path):
-        # " a" and "c" both reply only to "b", so they are twins at distance 0
+    def test_ids_with_surrounding_spaces_round_trip(self, tmp_path, capsys):
+        # ingest rejects such ids, as read_truth would strip them
         log = tmp_path / "messages.jsonl"
         log.write_text(
             '{"message_id": 1, "sender": "b"}\n'
             '{"message_id": 2, "sender": " a", "reply_to": 1}\n'
-            '{"message_id": 3, "sender": "c", "reply_to": 1}\n'
-            '{"message_id": 4, "sender": "a ", "reply_to": 2}\n'
         )
         corpus, run = tmp_path / "corpus", tmp_path / "run"
-        assert main(["ingest", "--input", str(log), "--output-dir", str(corpus)]) == 0
+        assert main(["ingest", "--input", str(log), "--output-dir", str(corpus)]) == 1
+        assert "must not begin or end with whitespace at line 2" in capsys.readouterr().err
+        # an edge list may still hold them, and detect keeps them intact:
+        # " a" and "c" both reply only to "b", so they are twins at distance 0
+        corpus.mkdir()
+        (corpus / "edges.tsv").write_text(" a\tb\t1\na \t a\t1\nc\tb\t1\n")
         assert main(["detect", "--input", str(corpus / "edges.tsv"), "--output-dir", str(run)]) == 0
         fps, cfg = read_fingerprints_tsv(run / "fingerprints.tsv")
         assert sorted(fps) == [" a", "a ", "c"]

@@ -93,6 +93,17 @@ class TestParseMessages:
         with pytest.raises(InputError, match="tab or line break at line 2"):
             parse_messages(lines)
 
+    @pytest.mark.parametrize("sender", [" a", "a ", "\u00a0a", "a\x0c", "\u2028"])
+    def test_sender_with_surrounding_whitespace_rejected(self, sender):
+        # read_truth strips ids, so " a" would become "a" there
+        lines = ['{"message_id": 1, "sender": "a"}', json.dumps({"message_id": 2, "sender": sender})]
+        with pytest.raises(InputError, match="sender must not begin or end with whitespace"):
+            _parse_columns(lines)
+        message = "sender must not begin or end with whitespace at line 2"
+        for parse in (parse_messages, reference.parse_messages):
+            with pytest.raises(InputError, match=message):
+                parse(lines)
+
     def test_unknown_fields_ignored_and_order_kept(self):
         lines = [
             '{"message_id": 5, "sender": "a", "text": "hi", "views": 3}',
@@ -143,6 +154,11 @@ class TestTelegramExport:
     def test_sender_breaking_tsv_rejected(self):
         doc = {"messages": [{"id": 1, "from_id": "a"}, {"id": 2, "from_id": "b\tz\t1\nc"}]}
         with pytest.raises(InputError, match="sender of entry 1 must not contain a tab or line break"):
+            convert_telegram_export(doc)
+
+    def test_sender_with_surrounding_whitespace_rejected(self):
+        doc = {"messages": [{"id": 1, "from_id": "a"}, {"id": 2, "from_id": "a "}]}
+        with pytest.raises(InputError, match="sender of entry 1 must not begin or end with whitespace"):
             convert_telegram_export(doc)
 
     def test_document_order_preserved(self):
@@ -292,8 +308,8 @@ class TestEdgeTsv:
 
 
 # senders that are valid but odd: ints, a digit string equal to an int,
-# padding, and raw characters str.splitlines() would break a line on
-ODD_SENDERS = ["a", "b", 0, 1, 5, "5", -3, " pad ", "\u00fc", "x\u2028y", "p\x85q", "f\x0cg", "v\x1dw"]
+# inner spaces, and raw characters str.splitlines() would break a line on
+ODD_SENDERS = ["a", "b", 0, 1, 5, "5", -3, "in ner", "\u00fc", "x\u2028y", "p\x85q", "f\x0cg", "v\x1dw"]
 
 
 def _log_lines(rng: random.Random, count: int) -> list[str]:
@@ -347,7 +363,7 @@ def _mutate(rng: random.Random, lines: list[str], kind: str) -> list[str]:
         lines.insert(j + 1, '{"message_id": 1, "sender"\n')
     elif kind == "bad_value":
         obj[rng.choice(["message_id", "sender", "reply_to"])] = rng.choice(
-            [1.0, "", "a\tb", "7", [1], {}, "x\ny"]
+            [1.0, "", "a\tb", "7", [1], {}, "x\ny", " pad", "pad\xa0"]
         )
         lines[i] = json.dumps(obj) + "\n"
     elif kind == "unterminated":

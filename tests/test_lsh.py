@@ -8,6 +8,7 @@ from sockdetect.errors import ConfigError
 from sockdetect.lsh import (
     BlockPlan,
     CandidatePair,
+    _block_keys,
     _plans,
     _search,
     brute_force_pairs,
@@ -16,7 +17,7 @@ from sockdetect.lsh import (
     plan_blocks,
     query,
 )
-from sockdetect.simhash import Fingerprint
+from sockdetect.simhash import Fingerprint, Fingerprints
 
 
 def _population(
@@ -121,6 +122,16 @@ class TestBuildIndex:
         fps = {"a": Fingerprint("a", 1, 128), "b": Fingerprint("b", 1, 64)}
         with pytest.raises(ValueError, match="width mismatch"):
             build_index(fps, 10)
+
+    @pytest.mark.parametrize("b", [32, 64, 128, 256])
+    def test_block_keys_are_the_bit_ranges(self, b):
+        fps = _population(seed=b, n=50, b=b)
+        words = Fingerprints.of(fps).words
+        # every 7th start, so many ranges straddle a word boundary
+        for start, width in [(s, w) for s in range(0, b, 7) for w in (1, 13, 62) if s + w <= b]:
+            keys = _block_keys(words, start, width).tolist()
+            want = [(fps[uid].bits >> start) & ((1 << width) - 1) for uid in sorted(fps)]
+            assert keys == want, (start, width)
 
     def test_radius_must_be_below_width(self):
         fps = {"a": Fingerprint("a", 1, 64)}
@@ -318,9 +329,9 @@ class TestOracleSweep:
             {(*sorted((row[p.a], row[p.b])), p.distance) for p in want if row[p.a] != row[p.b]}
         )
         k = len(index.reps)
-        bits, words = index.bits[index.reps], index.words[index.reps]
+        words = index.words[index.reps]
         for plan in _forced_plans(b, d):
-            I, J, dist, verified = _search(bits, words, plan, d)
+            I, J, dist, verified = _search(words, plan, d)
             assert sorted(zip(I.tolist(), J.tolist(), dist.tolist())) == want_rows, plan.m
             assert verified <= k * (k - 1) // 2
 

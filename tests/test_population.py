@@ -2,14 +2,14 @@
 
 ``build_feature_maps`` and ``fingerprint_population`` compute every user at
 once over flat arrays; ``normalize_weights`` -> ``filter_edges`` ->
-``extract_features`` (in tests/reference.py) and ``simhash`` compute one user
+``extract_features`` and ``simhash`` (in tests/reference.py) compute one user
 at a time and are kept as the reference.  Both must give the same ``features.tsv`` rows and
 the same fingerprint bits.
 """
 
 import pytest
 
-from reference import binarize, extract_features, filter_edges, normalize_weights
+from reference import binarize, extract_features, filter_edges, normalize_weights, simhash
 from sockdetect.errors import InputError
 from sockdetect.features import (
     DIRECTIONS,
@@ -19,7 +19,7 @@ from sockdetect.features import (
     write_features_tsv,
 )
 from sockdetect.ingest import InteractionGraph
-from sockdetect.simhash import HashConfig, fingerprint_population, hash_token, simhash
+from sockdetect.simhash import HashConfig, fingerprint_population, hash_token
 from sockdetect.synth import SynthConfig, generate
 
 

@@ -2,21 +2,29 @@ import random
 
 import pytest
 
+import reference
 from sockdetect.errors import InputError, UnfingerprintableError
 from sockdetect.features import FeatureMap, FeatureToken
 from sockdetect.simhash import (
     Fingerprint,
+    Fingerprints,
     HashConfig,
     encode_token,
     fingerprint_population,
     hamming,
     hash_token,
     read_fingerprints_tsv,
-    simhash,
     write_fingerprints_tsv,
 )
 
 CFG = HashConfig(b=128, seed=0)
+WIDTHS = (32, 64, 128, 256)
+
+
+def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
+    """The production fingerprint of one map: the population pass over it alone."""
+    return fingerprint_population({fmap.owner: fmap}, cfg)[0][fmap.owner]
+
 
 # frozen determinism anchors: any drift here breaks every stored artifact
 GOLDEN_MAP = FeatureMap(
@@ -63,7 +71,7 @@ class TestHashToken:
         assert hash_token(token, HashConfig(b=64, seed=0)) != base
 
     def test_fits_width(self):
-        for b in (32, 64, 128, 256):
+        for b in WIDTHS:
             value = hash_token(FeatureToken("in", "user9"), HashConfig(b=b, seed=5))
             assert 0 <= value < (1 << b)
 
@@ -83,6 +91,16 @@ class TestHashToken:
         fractions = [c / trials for c in counts]
         assert min(fractions) >= 0.45
         assert max(fractions) <= 0.55
+
+    @pytest.mark.parametrize("b", WIDTHS)
+    def test_equals_reference_token_hash(self, b):
+        rng = random.Random(b)
+        for seed in (0, 1, 99, 2**64 - 1):
+            cfg = HashConfig(b=b, seed=seed)
+            for _ in range(50):
+                neighbor = "".join(rng.choice("ab7é ") for _ in range(rng.randrange(12)))
+                token = FeatureToken(rng.choice(("out", "in")), neighbor)
+                assert hash_token(token, cfg) == reference.token_hash(token, cfg), (token, seed)
 
 
 class TestHashConfig:
@@ -128,8 +146,11 @@ class TestSimhash:
         assert fp.bits == hash_token(t1, CFG) & hash_token(t2, CFG)
 
     def test_empty_map_raises_naming_owner(self):
+        # the reference raises; the population pass names the owner as skipped
         with pytest.raises(UnfingerprintableError, match="ghost"):
-            simhash(FeatureMap("ghost", {}), CFG)
+            reference.simhash(FeatureMap("ghost", {}), CFG)
+        fps, skipped = fingerprint_population({"ghost": FeatureMap("ghost", {})}, CFG)
+        assert len(fps) == 0 and skipped == ["ghost"]
 
     def test_golden_fingerprints(self):
         assert simhash(GOLDEN_MAP, CFG).hex() == GOLDEN_HEX_B128_S0
@@ -180,19 +201,19 @@ class TestHamming:
         # pairs sharing 90% of weighted mass must land closer on average
         # than pairs with disjoint tokens
         rng = random.Random(17)
-        disjoint_total = 0
-        shared_total = 0
         trials = 1000
-        for _ in range(trials):
+        fmaps = {}
+        for t in range(trials):
             fresh = (str(rng.randrange(10**9)) for _ in iter(int, 1))
             shared = {FeatureToken("out", next(fresh)): 1.0 for _ in range(9)}
-            map_a = FeatureMap("a", shared | {FeatureToken("out", next(fresh)): 1.0})
-            map_b = FeatureMap("b", shared | {FeatureToken("out", next(fresh)): 1.0})
-            map_c = FeatureMap(
-                "c", {FeatureToken("out", next(fresh)): 1.0 for _ in range(10)}
+            fmaps[f"a{t}"] = FeatureMap(f"a{t}", shared | {FeatureToken("out", next(fresh)): 1.0})
+            fmaps[f"b{t}"] = FeatureMap(f"b{t}", shared | {FeatureToken("out", next(fresh)): 1.0})
+            fmaps[f"c{t}"] = FeatureMap(
+                f"c{t}", {FeatureToken("out", next(fresh)): 1.0 for _ in range(10)}
             )
-            shared_total += hamming(simhash(map_a, CFG), simhash(map_b, CFG))
-            disjoint_total += hamming(simhash(map_a, CFG), simhash(map_c, CFG))
+        fps, _ = fingerprint_population(fmaps, CFG)
+        shared_total = sum(hamming(fps[f"a{t}"], fps[f"b{t}"]) for t in range(trials))
+        disjoint_total = sum(hamming(fps[f"a{t}"], fps[f"c{t}"]) for t in range(trials))
         assert shared_total / trials < disjoint_total / trials
 
 
@@ -207,6 +228,7 @@ def test_fingerprint_tsv_round_trip(tmp_path):
     loaded, cfg = read_fingerprints_tsv(path)
     assert cfg == CFG
     assert loaded == fps
+    assert loaded.owners == fps.owners and loaded.words.tolist() == fps.words.tolist()
     header, first_row = path.read_text().splitlines()[:2]
     assert header == "# b=128 seed=0"
     assert len(first_row.split("\t")[1]) == 32  # 2*b/8 hex chars
@@ -218,3 +240,25 @@ def test_fingerprint_tsv_rejects_values_outside_width(tmp_path, row):
     path.write_text(f"# b=32 seed=0\nok\tffffffff\n{row}\n")
     with pytest.raises(InputError, match="line 3"):
         read_fingerprints_tsv(path)
+
+
+@pytest.mark.parametrize("b", WIDTHS)
+def test_packed_rows_equal_fingerprints(tmp_path, b):
+    # b=32 is half a word, b=256 four; the top and bottom bits sit at the
+    # matrix's extremes, so a swapped word or byte order shows
+    rng = random.Random(b)
+    values = [0, 1, 1 << (b - 1), (1 << b) - 1, *(rng.getrandbits(b) for _ in range(40))]
+    mapping = {f"u{i:02d}": Fingerprint(f"u{i:02d}", bits, b) for i, bits in enumerate(values)}
+    mapping["an id with  inner spaces"] = Fingerprint("an id with  inner spaces", values[-1], b)
+    fps = Fingerprints.of(mapping)
+    assert fps.owners == sorted(mapping) and fps.words.shape == (len(mapping), -(-b // 64))
+    assert fps.hex() == [mapping[uid].hex() for uid in fps.owners]
+    assert dict(fps) == mapping
+    assert Fingerprints.of(fps) is fps
+    cfg = HashConfig(b=b, seed=3)
+    path = tmp_path / "fingerprints.tsv"
+    write_fingerprints_tsv(fps, cfg, path)
+    loaded, loaded_cfg = read_fingerprints_tsv(path)
+    assert loaded_cfg == cfg and dict(loaded) == mapping
+    assert loaded.owners == fps.owners and loaded.words.tolist() == fps.words.tolist()
+

@@ -5,7 +5,7 @@ import pytest
 from sockdetect.errors import ConfigError
 from sockdetect.features import build_feature_maps
 from sockdetect.ingest import write_edges_tsv
-from sockdetect.simhash import HashConfig, hamming, simhash
+from sockdetect.simhash import HashConfig, fingerprint_population, hamming
 from sockdetect.synth import SynthConfig, generate
 
 
@@ -87,14 +87,14 @@ class TestPlantedTwins:
             SynthConfig(n=150, mean_out_degree=6, clones=5, perturbation=0.0, seed=21)
         )
         fmaps = build_feature_maps(graph, mode=mode, theta=0.5, direction=direction)
-        cfg = HashConfig(b=128, seed=0)
+        fps, _ = fingerprint_population(fmaps, HashConfig(b=128, seed=0))
         for members in truth.clusters:
             original, clone = sorted(members, key=int)
             # neighbors coincide outright: original and clone never touch,
             # so the two maps are equal token for token
             assert fmaps[original].entries == fmaps[clone].entries
             if fmaps[original].entries:
-                assert hamming(simhash(fmaps[original], cfg), simhash(fmaps[clone], cfg)) == 0
+                assert hamming(fps[original], fps[clone]) == 0
 
     def test_interlinked_originals_still_twin(self):
         # force planted originals into each other's neighborhoods: with few
@@ -110,8 +110,8 @@ class TestPlantedTwins:
         )
         assert touching > 0  # the interesting case actually occurs
         fmaps = build_feature_maps(graph, direction="both", theta=0.5)
-        cfg = HashConfig(b=128, seed=0)
+        fps, _ = fingerprint_population(fmaps, HashConfig(b=128, seed=0))
         for members in truth.clusters:
             original, clone = sorted(members, key=int)
             if fmaps[original].entries:
-                assert hamming(simhash(fmaps[original], cfg), simhash(fmaps[clone], cfg)) == 0
+                assert hamming(fps[original], fps[clone]) == 0
