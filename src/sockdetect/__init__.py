@@ -8,7 +8,7 @@ losslessly through pigeonhole blocking, then clustered and scored.
 __version__ = "0.1.0"
 
 from .detect import MatchCluster, MatchReport, MutualMatch, build_match_report, cluster, mutual_matches
-from .errors import ConfigError, InputError, UnfingerprintableError
+from .errors import ConfigError, InputError
 from .evaluate import EvalReport, GroundTruth, SweepGrid, pairwise_metrics, read_truth, sweep, write_truth
 from .features import FeatureMap, FeatureToken, build_feature_maps
 from .ingest import (
@@ -60,7 +60,6 @@ __all__ = [
     "RunConfig",
     "SweepGrid",
     "SynthConfig",
-    "UnfingerprintableError",
     "brute_force_pairs",
     "build_feature_maps",
     "build_index",

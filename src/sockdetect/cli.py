@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
@@ -39,33 +40,63 @@ from .pipeline import (
     run_detection,
     write_candidates_tsv,
 )
-from .simhash import HashConfig, write_fingerprints_tsv
+from .simhash import write_fingerprints_tsv
 from .synth import SynthConfig, generate
 
 
-def _add_run_config_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = RunConfig()
-    parser.add_argument("--bits", type=int, default=defaults.bits, help="fingerprint width")
-    parser.add_argument(
-        "--max-distance", type=int, default=defaults.max_distance, help="Hamming radius"
-    )
-    parser.add_argument("--threshold", type=float, default=defaults.theta, help="weight cutoff")
-    parser.add_argument("--mode", choices=MODES, default=defaults.mode)
-    parser.add_argument("--direction", choices=DIRECTIONS, default=defaults.direction)
-    parser.add_argument("--weighting", choices=WEIGHTINGS, default=defaults.weighting)
-    parser.add_argument("--seed", type=int, default=defaults.seed)
+# Config fields whose flag is not --<field-name>, and the help of a flag as
+# one value and as a comma-separated list (else none, and the field + "s").
+_FLAG_NAMES = {"theta": "--threshold", "n": "--nodes", "mean_out_degree": "--mean-degree"}
+_HELP = {
+    "bits": ("fingerprint width", "widths"),
+    "max_distance": ("Hamming radius", "radii"),
+    "theta": ("weight cutoff", "cutoffs"),
+}
+_CHOICES = {"mode": MODES, "direction": DIRECTIONS, "weighting": WEIGHTINGS}
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        bits=args.bits,
-        max_distance=args.max_distance,
-        theta=args.threshold,
-        mode=args.mode,
-        direction=args.direction,
-        weighting=args.weighting,
-        seed=args.seed,
-    )
+def _comma_list(convert):
+    """An argparse ``type`` for a non-empty comma-separated list of ``convert`` values."""
+
+    def parse(text: str) -> list:
+        try:
+            values = [convert(part) for part in text.split(",") if part]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {convert.__name__} values, got {text!r}"
+            )
+        return values
+
+    return parse
+
+
+def _add_config_flags(
+    parser: argparse.ArgumentParser, config: type, grid: SweepGrid | None = None
+) -> None:
+    """Add a flag for every field of the dataclass ``config``, stored under
+    the field's name and defaulting to its default.  A field that ``grid``
+    also has takes a comma-separated list instead, defaulting to the
+    grid's values."""
+    for f in fields(config):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        named = {"dest": f.name}
+        if f.name in _FLAG_NAMES:  # help names the value after the flag, not the field
+            named["metavar"] = flag[2:].upper().replace("-", "_")
+        single, plural = _HELP.get(f.name, (None, f.name + "s"))
+        if hasattr(grid, f.name):
+            values = ",".join(map(str, getattr(grid, f.name)))
+            parser.add_argument(flag, type=_comma_list(type(f.default)), default=values,
+                                help=f"comma-separated {plural}", **named)
+        else:
+            parser.add_argument(flag, type=type(f.default), default=f.default,
+                                choices=_CHOICES.get(f.name), help=single, **named)
+
+
+def _from_args(config: type, args: argparse.Namespace):
+    """``config`` built from the flags ``_add_config_flags`` added for it."""
+    return config(**{f.name: getattr(args, f.name) for f in fields(config)})
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -113,7 +144,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    cfg = _run_config(args)
+    cfg = _from_args(RunConfig, args)
     graph = read_edges_tsv(args.input)
     result = run_detection(graph, cfg)
 
@@ -126,9 +157,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     write_features_tsv(
         result.feature_maps, out / "features.tsv", header_lines=[cfg.header_line()]
     )
-    write_fingerprints_tsv(
-        result.fingerprints, HashConfig(b=cfg.bits, seed=cfg.seed), out / "fingerprints.tsv"
-    )
+    write_fingerprints_tsv(result.fingerprints, cfg.hash_config, out / "fingerprints.tsv")
     _write_json(out / "stats.json", result.stats)
 
     secs = result.stats["seconds"]
@@ -156,7 +185,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     predicted = read_candidates_tsv(args.input)
     truth = read_truth(args.truth)
     report = pairwise_metrics(predicted, truth)
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(asdict(report), indent=2, sort_keys=True))
     print(
         f"precision {report.precision:.4f}  recall {report.recall:.4f}"
         f"  f1 {report.f1:.4f}  (tp={report.tp} fp={report.fp} fn={report.fn})",
@@ -166,19 +195,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    cfg = SynthConfig(
-        n=args.nodes,
-        mean_out_degree=args.mean_degree,
-        clones=args.clones,
-        perturbation=args.perturbation,
-        weight_max=args.weight_max,
-        seed=args.seed,
-    )
+    cfg = _from_args(SynthConfig, args)
     graph, truth = generate(cfg)
     out = _out_dir(args)
     write_edges_tsv(graph, out / "edges.tsv")
     write_truth(truth, out / "truth.txt")
-    _write_json(out / "manifest.json", cfg.to_dict())
+    _write_json(out / "manifest.json", asdict(cfg))
     print(
         f"generated {graph.node_count} users, {graph.edge_count} edges,"
         f" {len(truth.clusters)} planted pairs -> {out}"
@@ -186,35 +208,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
-def _comma_list(convert):
-    """An argparse ``type`` for a non-empty comma-separated list of ``convert`` values."""
-
-    def parse(text: str) -> list:
-        try:
-            values = [convert(part) for part in text.split(",") if part]
-        except ValueError:
-            values = []
-        if not values:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated {convert.__name__} values, got {text!r}"
-            )
-        return values
-
-    return parse
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     graph = read_edges_tsv(args.input)
     truth = read_truth(args.truth)
-    grid = SweepGrid(
-        bits=args.bits,
-        max_distances=args.max_distance,
-        thetas=args.threshold,
-        directions=args.direction,
-        modes=args.mode,
-        weightings=args.weighting,
-    )
-    rows = sweep(graph, truth, grid, seed=args.seed)
+    rows = sweep(graph, truth, _from_args(SweepGrid, args), seed=args.seed)
     out = _out_dir(args)
     sweep_rows_to_csv(rows, out / "sweep.csv")
 
@@ -241,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("detect", help="fingerprint users and retrieve near pairs")
     p.add_argument("--input", required=True, help="edge-list TSV")
     p.add_argument("--output-dir", required=True)
-    _add_run_config_flags(p)
+    _add_config_flags(p, RunConfig)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("eval", help="score candidates against ground truth")
@@ -251,34 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with planted clones")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--nodes", type=int, default=1000)
-    p.add_argument("--mean-degree", type=float, default=8.0)
-    p.add_argument("--clones", type=int, default=0)
-    p.add_argument("--perturbation", type=float, default=0.0)
-    p.add_argument("--weight-max", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
+    _add_config_flags(p, SynthConfig)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("sweep", help="grid-search parameters against ground truth")
     p.add_argument("--input", required=True, help="edge-list TSV")
     p.add_argument("--truth", required=True)
     p.add_argument("--output-dir", required=True)
-    grid = SweepGrid()
-    for flag, values, convert, what in (
-        ("--bits", grid.bits, int, "widths"),
-        ("--max-distance", grid.max_distances, int, "radii"),
-        ("--threshold", grid.thetas, float, "cutoffs"),
-        ("--mode", grid.modes, str, "modes"),
-        ("--direction", grid.directions, str, "directions"),
-        ("--weighting", grid.weightings, str, "weightings"),
-    ):
-        p.add_argument(
-            flag,
-            type=_comma_list(convert),
-            default=",".join(map(str, values)),
-            help=f"comma-separated {what}",
-        )
-    p.add_argument("--seed", type=int, default=RunConfig.seed)
+    _add_config_flags(p, RunConfig, grid=SweepGrid())
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -8,10 +8,3 @@ class InputError(ValueError):
 class ConfigError(ValueError):
     """Invalid parameter combination (CLI exit code 2)."""
 
-
-class UnfingerprintableError(ValueError):
-    """A user has no surviving features and cannot be fingerprinted."""
-
-    def __init__(self, owner: str):
-        super().__init__(f"user {owner!r} has an empty feature map")
-        self.owner = owner

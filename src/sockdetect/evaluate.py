@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -65,16 +65,6 @@ class EvalReport:
         f1 = 0.0 if precision + recall == 0 else 2 * precision * recall / (precision + recall)
         return cls(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1)
 
-    def to_dict(self) -> dict:
-        return {
-            "tp": self.tp,
-            "fp": self.fp,
-            "fn": self.fn,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-        }
-
 
 def pairwise_metrics(
     predicted: Iterable[CandidatePair], truth: GroundTruth
@@ -125,18 +115,22 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
 
 @dataclass
 class SweepGrid:
-    """Value lists for every tunable; the product is swept in field order."""
+    """A value list for each swept ``RunConfig`` field, by the field's name;
+    the product is swept in this field order, which is also the column order
+    of ``sweep.csv``."""
 
     bits: list[int] = field(default_factory=lambda: [RunConfig.bits])
-    max_distances: list[int] = field(default_factory=lambda: [RunConfig.max_distance])
-    thetas: list[float] = field(default_factory=lambda: [RunConfig.theta])
-    directions: list[str] = field(default_factory=lambda: [RunConfig.direction])
-    modes: list[str] = field(default_factory=lambda: [RunConfig.mode])
-    weightings: list[str] = field(default_factory=lambda: [RunConfig.weighting])
+    max_distance: list[int] = field(default_factory=lambda: [RunConfig.max_distance])
+    theta: list[float] = field(default_factory=lambda: [RunConfig.theta])
+    direction: list[str] = field(default_factory=lambda: [RunConfig.direction])
+    mode: list[str] = field(default_factory=lambda: [RunConfig.mode])
+    weighting: list[str] = field(default_factory=lambda: [RunConfig.weighting])
 
 
 @dataclass
 class SweepRow:
+    # the grid point, in SweepGrid field order, then the seed: sweep.csv's
+    # first seven columns
     bits: int
     max_distance: int
     theta: float
@@ -167,11 +161,8 @@ def sweep_row_fields(r: SweepRow) -> list[str]:
         ]
     else:
         metrics = [""] * 6
-    return [
-        str(r.bits), str(r.max_distance), repr(r.theta), r.direction, r.mode,
-        r.weighting, str(r.seed), r.status, str(r.candidates), *metrics,
-        f"{r.seconds:.3f}", r.error,
-    ]
+    config = [str(getattr(r, f.name)) for f in fields(SweepRow)[:7]]
+    return [*config, r.status, str(r.candidates), *metrics, f"{r.seconds:.3f}", r.error]
 
 
 def sweep_rows_to_csv(rows: list[SweepRow], path: str | Path) -> None:
@@ -204,40 +195,17 @@ def sweep(
 
     rows: list[SweepRow] = []
     by_key: dict[tuple, list[tuple[SweepRow, RunConfig]]] = {}
-    for b, d, theta, direction, mode, weighting in itertools.product(
-        grid.bits,
-        grid.max_distances,
-        grid.thetas,
-        grid.directions,
-        grid.modes,
-        grid.weightings,
-    ):
-        row = SweepRow(
-            bits=b,
-            max_distance=d,
-            theta=theta,
-            direction=direction,
-            mode=mode,
-            weighting=weighting,
-            seed=seed,
-            status="ok",
-        )
+    for point in itertools.product(*astuple(grid)):
+        row = SweepRow(*point, seed=seed, status="ok")
         rows.append(row)
         try:
-            cfg = RunConfig(
-                bits=b,
-                max_distance=d,
-                theta=theta,
-                mode=mode,
-                direction=direction,
-                weighting=weighting,
-                seed=seed,
-            )
+            cfg = RunConfig(**{f.name: getattr(row, f.name) for f in fields(RunConfig)})
         except ValueError as exc:
             row.status = "failed"
             row.error = str(exc)
             continue
-        by_key.setdefault((b, theta, direction, mode, weighting), []).append((row, cfg))
+        key = tuple(v for f, v in zip(fields(cfg), astuple(cfg)) if f.name != "max_distance")
+        by_key.setdefault(key, []).append((row, cfg))
 
     for points in by_key.values():
         started = time.perf_counter()

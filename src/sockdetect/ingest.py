@@ -132,6 +132,11 @@ def _intern(ids: list[str], sources: list[str], targets: list[str], weights: lis
     return ids, src[order], dst[order], weight[order]
 
 
+def _padded(uid: str) -> bool:
+    # readers such as read_truth strip ids, so " a" and "a" would merge there
+    return uid != uid.strip()
+
+
 def _normalize_id(value: object, what: str, line: int | None = None) -> str:
     where = f" at line {line}" if line is not None else ""
     if isinstance(value, bool):
@@ -144,8 +149,7 @@ def _normalize_id(value: object, what: str, line: int | None = None) -> str:
         # ids are written as TSV fields, one record per line
         if "\t" in value or "\n" in value or "\r" in value:
             raise InputError(f"{what} must not contain a tab or line break{where}")
-        # readers such as read_truth strip ids, so " a" and "a" would merge there
-        if value != value.strip():
+        if _padded(value):
             raise InputError(f"{what} must not begin or end with whitespace{where}")
         return value
     raise InputError(f"{what} must be a string or integer{where}")
@@ -347,6 +351,11 @@ def iter_edges_tsv(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:
             raise InputError(f"edge line {lineno}: weight {weight} does not fit in 64 bits")
         if not src or not dst:
             raise InputError(f"edge line {lineno}: empty endpoint")
+        for uid in (src, dst):
+            if _padded(uid):
+                raise InputError(
+                    f"edge line {lineno}: id {uid!r} must not begin or end with whitespace"
+                )
         if src == dst:
             raise InputError(f"edge line {lineno}: self-loop edge on {src!r}")
         yield src, dst, weight
@@ -381,6 +390,7 @@ def _edges_from_columns(rows: list[str]) -> InteractionGraph:
     graph = InteractionGraph(arrays=_intern(ids, sources, targets, list(map(int, fields[2::3]))))
     src, dst = graph.src, graph.dst
     repeated = (np.diff(src) == 0) & (np.diff(dst) == 0)
-    if "" in ids[:1] or (graph.weight < 1).any() or (src == dst).any() or repeated.any():
+    padded = ids != list(map(str.strip, ids))  # _padded over every id at once
+    if "" in ids[:1] or padded or (graph.weight < 1).any() or (src == dst).any() or repeated.any():
         raise ValueError("an edge check failed")
     return graph

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -35,27 +35,21 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        HashConfig(b=self.bits, seed=self.seed)
+        self.hash_config  # checks bits and seed
         plan_blocks(self.bits, self.max_distance)
         check_feature_params(self.mode, self.theta, self.direction, self.weighting)
 
-    def header_line(self) -> str:
-        return (
-            f"# b={self.bits} d={self.max_distance} theta={self.theta} "
-            f"mode={self.mode} direction={self.direction} "
-            f"weighting={self.weighting} seed={self.seed}"
-        )
+    @property
+    def hash_config(self) -> HashConfig:
+        return HashConfig(b=self.bits, seed=self.seed)
 
     def to_dict(self) -> dict:
-        return {
-            "b": self.bits,
-            "d": self.max_distance,
-            "theta": self.theta,
-            "mode": self.mode,
-            "direction": self.direction,
-            "weighting": self.weighting,
-            "seed": self.seed,
-        }
+        """The fields in order, under the keys every artifact echoes."""
+        keys = ("b", "d", "theta", "mode", "direction", "weighting", "seed")
+        return dict(zip(keys, astuple(self)))
+
+    def header_line(self) -> str:
+        return "# " + " ".join(f"{key}={value}" for key, value in self.to_dict().items())
 
 
 @dataclass
@@ -83,7 +77,7 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
         graph, mode=cfg.mode, theta=cfg.theta, direction=cfg.direction, weighting=cfg.weighting
     )
     t1 = time.perf_counter()
-    fingerprints, skipped = fingerprint_population(fmaps, HashConfig(b=cfg.bits, seed=cfg.seed))
+    fingerprints, skipped = fingerprint_population(fmaps, cfg.hash_config)
     t2 = time.perf_counter()
     index = build_index(fingerprints, cfg.max_distance)
     t3 = time.perf_counter()

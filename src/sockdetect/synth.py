@@ -20,14 +20,14 @@ from .ingest import InteractionGraph
 
 @dataclass(frozen=True)
 class SynthConfig:
-    n: int
+    n: int = 1000
     mean_out_degree: float = 8.0
     clones: int = 0
     perturbation: float = 0.0
     weight_max: int = 5
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if not self.mean_out_degree > 0:
@@ -40,16 +40,6 @@ class SynthConfig:
             raise ConfigError("weight_max must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 unsigned bits")
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "mean_out_degree": self.mean_out_degree,
-            "clones": self.clones,
-            "perturbation": self.perturbation,
-            "weight_max": self.weight_max,
-            "seed": self.seed,
-        }
 
 
 def _poisson(rng: random.Random, lam: float) -> int:
@@ -70,7 +60,6 @@ def generate(cfg: SynthConfig) -> tuple[InteractionGraph, GroundTruth]:
     Fully reproducible from the seed: one sequential RNG stream drives every
     draw in a fixed order.
     """
-    cfg.validate()
     rng = random.Random(cfg.seed)
     n = cfg.n
     base = [str(i + 1) for i in range(n)]

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from sockdetect.detect import MatchCluster, MutualMatch
-from sockdetect.errors import InputError, UnfingerprintableError
+from sockdetect.errors import InputError
 from sockdetect.features import FeatureMap, FeatureToken, check_feature_params
 from sockdetect.ingest import InteractionGraph, MessageRecord
 from sockdetect.lsh import CandidatePair
@@ -41,6 +41,14 @@ from sockdetect.simhash import Fingerprint, HashConfig, encode_token
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+class UnfingerprintableError(ValueError):
+    """A user has no surviving features and cannot be fingerprinted."""
+
+    def __init__(self, owner: str):
+        super().__init__(f"user {owner!r} has an empty feature map")
+        self.owner = owner
 
 
 def _normalize_id(value: object, what: str, line: int | None = None) -> str:

@@ -174,15 +174,19 @@ class TestDetect:
         corpus, run = tmp_path / "corpus", tmp_path / "run"
         assert main(["ingest", "--input", str(log), "--output-dir", str(corpus)]) == 1
         assert "must not begin or end with whitespace at line 2" in capsys.readouterr().err
-        # an edge list may still hold them, and detect keeps them intact:
-        # " a" and "c" both reply only to "b", so they are twins at distance 0
+        # an edge list is held to the same rule, naming the edge line
         corpus.mkdir()
-        (corpus / "edges.tsv").write_text(" a\tb\t1\na \t a\t1\nc\tb\t1\n")
+        (corpus / "edges.tsv").write_text(" a\tb\t1\nc\tb\t1\n")
+        assert main(["detect", "--input", str(corpus / "edges.tsv"), "--output-dir", str(run)]) == 1
+        assert "edge line 1: id ' a' must not begin or end with whitespace" in capsys.readouterr().err
+        # inner spaces are kept intact: "in ner" and "c" both reply only to
+        # "b", so they are twins at distance 0
+        (corpus / "edges.tsv").write_text("in ner\tb\t1\nb\tin ner\t1\nc\tb\t1\n")
         assert main(["detect", "--input", str(corpus / "edges.tsv"), "--output-dir", str(run)]) == 0
         fps, cfg = read_fingerprints_tsv(run / "fingerprints.tsv")
-        assert sorted(fps) == [" a", "a ", "c"]
+        assert sorted(fps) == ["b", "c", "in ner"]
         candidates = read_candidates_tsv(run / "candidates.tsv")
-        assert CandidatePair(" a", "c", 0) in candidates
+        assert CandidatePair("c", "in ner", 0) in candidates
         assert brute_force_pairs(fps, 20) == candidates
 
     def test_planted_twins_retrieved_exact(self, synth_corpus, tmp_path):

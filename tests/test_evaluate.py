@@ -128,13 +128,13 @@ class TestSweep:
 
     def test_candidates_monotone_in_distance(self, corpus):
         graph, truth = corpus
-        rows = sweep(graph, truth, SweepGrid(max_distances=[10, 20]))
+        rows = sweep(graph, truth, SweepGrid(max_distance=[10, 20]))
         assert len(rows) == 2
         assert rows[0].candidates <= rows[1].candidates
 
     def test_grid_order_and_reproducibility(self, corpus):
         graph, truth = corpus
-        grid = SweepGrid(max_distances=[10, 20], thetas=[0.3, 0.5])
+        grid = SweepGrid(max_distance=[10, 20], theta=[0.3, 0.5])
         rows1 = sweep(graph, truth, grid)
         rows2 = sweep(graph, truth, grid)
         assert [(r.max_distance, r.theta) for r in rows1] == [
@@ -148,7 +148,7 @@ class TestSweep:
 
     def test_invalid_grid_point_marked_failed(self, corpus):
         graph, truth = corpus
-        rows = sweep(graph, truth, SweepGrid(max_distances=[128, 20]))
+        rows = sweep(graph, truth, SweepGrid(max_distance=[128, 20]))
         assert rows[0].status == "failed"
         assert "max distance" in rows[0].error
         assert rows[0].report is None
@@ -156,7 +156,7 @@ class TestSweep:
 
     def test_recall_non_decreasing_in_distance(self, corpus):
         graph, truth = corpus
-        rows = sweep(graph, truth, SweepGrid(max_distances=[5, 10, 15, 20]))
+        rows = sweep(graph, truth, SweepGrid(max_distance=[5, 10, 15, 20]))
         recalls = [r.report.recall for r in rows]
         assert recalls == sorted(recalls)
 
@@ -176,7 +176,7 @@ class TestSweep:
         graph, truth = corpus
         fingerprint_calls = self._count_calls(monkeypatch, "fingerprint_population")
         run_calls = self._count_calls(monkeypatch, "run_detection")
-        grid = SweepGrid(max_distances=[6, 8, 10], thetas=[0.3, 0.5])
+        grid = SweepGrid(max_distance=[6, 8, 10], theta=[0.3, 0.5])
         rows = sweep(graph, truth, grid)
         assert len(fingerprint_calls) == 2
         assert [cfg.max_distance for cfg in run_calls] == [10, 10]
@@ -194,7 +194,7 @@ class TestSweep:
         graph, truth = corpus
         fingerprint_calls = self._count_calls(monkeypatch, "fingerprint_population")
         run_calls = self._count_calls(monkeypatch, "run_detection")
-        rows = sweep(graph, truth, SweepGrid(bits=[32], max_distances=[6, 32, 8]))
+        rows = sweep(graph, truth, SweepGrid(bits=[32], max_distance=[6, 32, 8]))
         assert [r.status for r in rows] == ["ok", "failed", "ok"]
         assert "max distance 32 >= width 32" in rows[1].error
         assert rows[1].report is None
@@ -208,7 +208,7 @@ class TestSweep:
         # edge weights summing past 2**53 make the feature pass raise
         graph = InteractionGraph(nodes={"a", "b"}, edges={("a", "b"): 2**53})
         truth = GroundTruth([{"a", "b"}])
-        rows = sweep(graph, truth, SweepGrid(bits=[32], max_distances=[6, 32, 8]))
+        rows = sweep(graph, truth, SweepGrid(bits=[32], max_distance=[6, 32, 8]))
         assert [r.status for r in rows] == ["failed"] * 3
         assert "max distance 32" in rows[1].error
         assert rows[0].error == rows[2].error == (

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -298,6 +299,18 @@ class TestEdgeTsv:
         path = tmp_path / "bad.tsv"
         path.write_text(row + "\n")
         with pytest.raises(InputError):
+            read_edges_tsv(path)
+
+    @pytest.mark.parametrize("padded", [" a", "a ", "a\xa0", "\u2028a"])
+    def test_endpoint_with_surrounding_whitespace_names_its_line(self, tmp_path, padded):
+        # the sender rule of ingest, which read_truth relies on; inner
+        # spaces stay valid, and both the columnar and per-line pass check
+        path = tmp_path / "edges.tsv"
+        path.write_text("in ner\tb\t1\n")
+        assert read_edges_tsv(path).ids == ["b", "in ner"]
+        path.write_text(f"in ner\tb\t1\nc\t{padded}\t2\n")
+        message = f"edge line 2: id {padded!r} must not begin or end with whitespace"
+        with pytest.raises(InputError, match=re.escape(message)):
             read_edges_tsv(path)
 
     def test_empty_file_is_empty_graph(self, tmp_path):

@@ -3,7 +3,7 @@ import random
 import pytest
 
 import reference
-from sockdetect.errors import InputError, UnfingerprintableError
+from sockdetect.errors import InputError
 from sockdetect.features import FeatureMap, FeatureToken
 from sockdetect.simhash import (
     Fingerprint,
@@ -147,7 +147,7 @@ class TestSimhash:
 
     def test_empty_map_raises_naming_owner(self):
         # the reference raises; the population pass names the owner as skipped
-        with pytest.raises(UnfingerprintableError, match="ghost"):
+        with pytest.raises(reference.UnfingerprintableError, match="ghost"):
             reference.simhash(FeatureMap("ghost", {}), CFG)
         fps, skipped = fingerprint_population({"ghost": FeatureMap("ghost", {})}, CFG)
         assert len(fps) == 0 and skipped == ["ghost"]

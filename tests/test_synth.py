@@ -19,11 +19,14 @@ class TestConfigValidation:
             {"n": 10, "clones": -1},
             {"n": 10, "perturbation": 1.5},
             {"n": 10, "weight_max": 0},
+            {"n": 10, "seed": -1},
+            {"n": 10, "seed": 2**64},
         ],
     )
     def test_invalid(self, kwargs):
+        # checked when built, before generate sees it
         with pytest.raises(ConfigError):
-            generate(SynthConfig(**kwargs))
+            SynthConfig(**kwargs)
 
 
 class TestGenerate:
