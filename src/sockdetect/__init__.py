@@ -7,45 +7,31 @@ losslessly through pigeonhole blocking, then clustered and scored.
 
 __version__ = "0.1.0"
 
-from .detect import MatchCluster, MatchReport, MutualMatch, build_match_report, cluster, mutual_matches
+from .detect import MatchCluster, MatchReport, MutualMatch, build_match_report
 from .errors import ConfigError, InputError
 from .evaluate import EvalReport, GroundTruth, SweepGrid, pairwise_metrics, read_truth, sweep, write_truth
-from .features import FeatureMap, FeatureToken, build_feature_maps
+from .features import FeatureMaps, build_feature_maps
 from .ingest import (
     InteractionGraph,
     MessageLog,
-    MessageRecord,
     build_interaction_graph,
     convert_telegram_export,
     parse_messages,
     read_edges_tsv,
     write_edges_tsv,
 )
-from .lsh import (
-    BlockPlan,
-    CandidatePair,
-    CandidatePairs,
-    LshIndex,
-    brute_force_pairs,
-    build_index,
-    candidate_pairs,
-    plan_blocks,
-    query,
-)
+from .lsh import BlockPlan, CandidatePairs, LshIndex, brute_force_pairs, build_index, candidate_pairs, plan_blocks
 from .pipeline import DetectionResult, RunConfig, run_detection, write_candidates_tsv
-from .simhash import Fingerprint, Fingerprints, HashConfig, hamming, hash_token
+from .simhash import Fingerprints, HashConfig, fingerprint_population
 from .synth import SynthConfig, generate
 
 __all__ = [
     "BlockPlan",
-    "CandidatePair",
     "CandidatePairs",
     "ConfigError",
     "DetectionResult",
     "EvalReport",
-    "FeatureMap",
-    "FeatureToken",
-    "Fingerprint",
+    "FeatureMaps",
     "Fingerprints",
     "GroundTruth",
     "HashConfig",
@@ -55,7 +41,6 @@ __all__ = [
     "MatchCluster",
     "MatchReport",
     "MessageLog",
-    "MessageRecord",
     "MutualMatch",
     "RunConfig",
     "SweepGrid",
@@ -66,16 +51,12 @@ __all__ = [
     "build_interaction_graph",
     "build_match_report",
     "candidate_pairs",
-    "cluster",
     "convert_telegram_export",
+    "fingerprint_population",
     "generate",
-    "hamming",
-    "hash_token",
-    "mutual_matches",
     "pairwise_metrics",
     "parse_messages",
     "plan_blocks",
-    "query",
     "read_edges_tsv",
     "read_truth",
     "run_detection",

@@ -55,8 +55,9 @@ _HELP = {
 _CHOICES = {"mode": MODES, "direction": DIRECTIONS, "weighting": WEIGHTINGS}
 
 
-def _comma_list(convert):
-    """An argparse ``type`` for a non-empty comma-separated list of ``convert`` values."""
+def _comma_list(convert, choices=None):
+    """An argparse ``type`` for a non-empty comma-separated list of ``convert``
+    values, each one of ``choices`` when given."""
 
     def parse(text: str) -> list:
         try:
@@ -67,6 +68,11 @@ def _comma_list(convert):
             raise argparse.ArgumentTypeError(
                 f"expected comma-separated {convert.__name__} values, got {text!r}"
             )
+        for value in values:
+            if choices is not None and value not in choices:
+                raise argparse.ArgumentTypeError(
+                    f"invalid choice: {value!r} (choose from {', '.join(choices)})"
+                )
         return values
 
     return parse
@@ -87,7 +93,10 @@ def _add_config_flags(
         single, plural = _HELP.get(f.name, (None, f.name + "s"))
         if hasattr(grid, f.name):
             values = ",".join(map(str, getattr(grid, f.name)))
-            parser.add_argument(flag, type=_comma_list(type(f.default)), default=values,
+            # each element is checked against the choices, so usage and help
+            # list none
+            convert = _comma_list(type(f.default), _CHOICES.get(f.name))
+            parser.add_argument(flag, type=convert, default=values,
                                 help=f"comma-separated {plural}", **named)
         else:
             parser.add_argument(flag, type=type(f.default), default=f.default,

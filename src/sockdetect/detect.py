@@ -10,14 +10,14 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
 
-from .lsh import CandidatePair, CandidatePairs, bound, pack_rows, sort_rows, unpack_rows
+from .lsh import CandidatePairs, bound, pack_rows, sort_rows, unpack_rows
 
 _SEP = ",\n      "  # between two entries of a one-to-many list in report.json
 
@@ -77,37 +77,26 @@ class MatchReport:
     mutual: list[MutualMatch]
     one_to_many: OneToMany
 
-    def _head(self) -> dict:
-        return {
-            "clusters": [c.members for c in self.clusters],
-            "mutual": [
-                {"a": m.a, "b": m.b, "distance": m.distance, "exact": m.exact}
-                for m in self.mutual
-            ],
-        }
-
-    def to_dict(self) -> dict:
-        return {
-            **self._head(),
-            "one_to_many": {
-                uid: [{"id": other, "distance": dd} for other, dd in cands]
-                for uid, cands in self.one_to_many.items()
-            },
-        }
-
     def write_json(self, path: str | Path, config: dict) -> None:
-        """Write ``{"config": config, **self.to_dict()}`` as
-        ``json.dumps(..., indent=2, sort_keys=True)`` plus a newline would.
-        The one-to-many lists are streamed from their arrays: each id is
-        escaped once, and each run of equal distance in a list is one join
-        of its ids' entries."""
+        """Write ``{"clusters": [members, ...], "config": config, "mutual":
+        [{"a", "b", "distance", "exact"}, ...], "one_to_many": {id: [{"distance",
+        "id"}, ...]}}`` as ``json.dumps(..., indent=2, sort_keys=True)`` plus a
+        newline would.  The one-to-many lists are streamed from their arrays:
+        each id is escaped once, and each run of equal distance in a list is
+        one join of its ids' entries."""
+        before = {  # the keys that sort before "one_to_many"
+            "clusters": [c.members for c in self.clusters],
+            "config": config,
+            "mutual": [{"a": m.a, "b": m.b, "distance": m.distance, "exact": m.exact}
+                       for m in self.mutual],
+        }
         fanout = self.one_to_many
         ids = [encode_basestring_ascii(uid) for uid in fanout.users]
         head = [f'{{\n        "distance": {d},\n        "id": ' for d in range(fanout.bounds[1])]
         tail = [uid + "\n      }" for uid in ids]
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("{\n")
-            for key, value in sorted({**self._head(), "config": config}.items()):
+            for key, value in before.items():
                 text = json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
                 fh.write(f'  "{key}": {text},\n')
             fh.write('  "one_to_many": {')
@@ -154,14 +143,16 @@ def _clusters(pairs: CandidatePairs) -> list[MatchCluster]:
     return [MatchCluster(members[start[k]:stop[k]]) for k in order]
 
 
-def build_match_report(pairs: Iterable[CandidatePair]) -> MatchReport:
+def build_match_report(pairs: CandidatePairs) -> MatchReport:
     """Clusters, mutual nearest matches and one-to-many lists of ``pairs``.
 
-    Both directions of every pair are sorted once by (owner, distance,
-    other id); each owner's first entry is its nearest candidate, and a
-    pair whose users are each other's nearest is a mutual match.
+    Clusters are the connected components of the pair graph, by size
+    descending and then smallest member.  Both directions of every pair are
+    sorted once by (owner, distance, other id); each owner's first entry is
+    its nearest candidate, and a pair whose users are each other's nearest
+    is a mutual match, exact at distance 0.  Users with two or more
+    candidates keep their whole list.
     """
-    pairs = CandidatePairs.of(pairs)
     users, n, top = pairs.users, len(pairs.users), bound(pairs.distance)
     bounds = [n, top, n]
     key = np.concatenate([pack_rows([pairs.a, pairs.distance, pairs.b], bounds),
@@ -181,24 +172,3 @@ def build_match_report(pairs: Iterable[CandidatePair]) -> MatchReport:
                 for x, y, d in zip(u.tolist(), v.tolist(), dd.tolist())],
         one_to_many=OneToMany(users, np.flatnonzero(count >= 2), start, key, bounds),
     )
-
-
-def cluster(pairs: Iterable[CandidatePair]) -> list[MatchCluster]:
-    """Connected components over the pair graph, sorted by
-    (size descending, smallest member id).  Users in no pair are omitted."""
-    return _clusters(CandidatePairs.of(pairs))
-
-
-def mutual_matches(pairs: Iterable[CandidatePair]) -> list[MutualMatch]:
-    """Pairs of users that are each other's nearest candidate.
-
-    Nearest means minimal (distance, candidate id); the id tie-break keeps
-    reports deterministic.  A match is flagged exact at distance 0.
-    """
-    return build_match_report(pairs).mutual
-
-
-def one_to_many(pairs: Iterable[CandidatePair]) -> dict[str, list[tuple[str, int]]]:
-    """Users whose verified candidate list has two or more entries, with the
-    full list sorted by (distance, id)."""
-    return dict(build_match_report(pairs).one_to_many)

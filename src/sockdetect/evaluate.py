@@ -7,12 +7,12 @@ import itertools
 import time
 from dataclasses import astuple, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
-from .lsh import CandidatePair, CandidatePairs
+from .lsh import CandidatePairs
 from .pipeline import RunConfig
 
 if TYPE_CHECKING:
@@ -66,9 +66,7 @@ class EvalReport:
         return cls(tp=tp, fp=fp, fn=fn, precision=precision, recall=recall, f1=f1)
 
 
-def pairwise_metrics(
-    predicted: Iterable[CandidatePair], truth: GroundTruth
-) -> EvalReport:
+def pairwise_metrics(pairs: CandidatePairs, truth: GroundTruth) -> EvalReport:
     """Score predicted pairs over unordered labeled pairs.
 
     Predictions touching unlabeled users are discarded before counting:
@@ -76,7 +74,6 @@ def pairwise_metrics(
     mapped to the pairs' rows once; each unordered pair counts once,
     whatever its distances.
     """
-    pairs = CandidatePairs.of(predicted)
     n = len(pairs.users)
     label = {uid: k for k, members in enumerate(truth.clusters) for uid in members}
     cluster = np.array([label.get(uid, -1) for uid in pairs.users], dtype=np.int64)

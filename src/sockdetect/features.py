@@ -83,28 +83,6 @@ class FeatureMaps(Mapping[str, FeatureMap]):
         self.owner, self.token, self.weight = owner, token, weight
         self.indptr = np.searchsorted(owner, np.arange(len(owners) + 1))
 
-    @classmethod
-    def of(cls, fmaps: Mapping[str, FeatureMap]) -> FeatureMaps:
-        """``fmaps`` itself if it is a FeatureMaps, else its maps as one."""
-        if isinstance(fmaps, cls):
-            return fmaps
-        owners = sorted(fmaps)
-        names = sorted({t.neighbor for fmap in fmaps.values() for t in fmap.entries})
-        index = {v: i for i, v in enumerate(names)}
-        owner, token, weight = [], [], []
-        for i, uid in enumerate(owners):
-            entries = fmaps[uid].entries
-            for t in sorted(entries):
-                if t.direction not in TOKEN_DIRECTIONS:
-                    raise ValueError(f"unknown token direction {t.direction!r}")
-                owner.append(i)
-                token.append(TOKEN_DIRECTIONS.index(t.direction) * len(names) + index[t.neighbor])
-                weight.append(entries[t])
-        return cls(
-            owners, names, np.array(owner, dtype=np.int64), np.array(token, dtype=np.int64),
-            np.array(weight, dtype=np.float64),
-        )
-
     def tokens(self, token_ids: np.ndarray) -> Iterator[FeatureToken]:
         """The FeatureToken of each token id."""
         directions, neighbors = np.divmod(token_ids, max(len(self.names), 1))
@@ -172,15 +150,10 @@ def build_feature_maps(
     return FeatureMaps(ids, ids, owner[keep], token[keep], weight[keep])
 
 
-def write_features_tsv(
-    fmaps: Mapping[str, FeatureMap],
-    path: str | Path,
-    header_lines: Iterable[str] = (),
-) -> None:
+def write_features_tsv(table: FeatureMaps, path: str | Path, header_lines: Iterable[str] = ()) -> None:
     """Write ``owner<TAB>direction<TAB>neighbor<TAB>weight`` rows,
     sorted by (owner, direction, neighbor), in one join; each owner, token
     and distinct weight is formatted once."""
-    table = FeatureMaps.of(fmaps)
     owner = [uid + "\t" for uid in table.owners]
     token = [f"{d}\t{v}\t" for d in TOKEN_DIRECTIONS for v in table.names]
     values, weight = np.unique(table.weight, return_inverse=True)

@@ -50,16 +50,6 @@ class MessageLog:
     sender: list[str]
     reply_to: list[int | None]
 
-    @classmethod
-    def of(cls, records: Iterable[MessageRecord]) -> MessageLog:
-        """``records`` itself if it is a MessageLog, else its records as one."""
-        if isinstance(records, cls):
-            return records
-        records = list(records)
-        return cls(
-            [r.message_id for r in records], [r.sender for r in records], [r.reply_to for r in records]
-        )
-
     def __len__(self) -> int:
         return len(self.message_id)
 
@@ -108,13 +98,6 @@ class InteractionGraph:
     @property
     def edge_count(self) -> int:
         return len(self.src)
-
-    def validate(self) -> None:
-        for (src, dst), w in self.edges.items():
-            if w < 1:
-                raise ValueError(f"edge ({src}, {dst}) has weight {w} < 1")
-            if src == dst:
-                raise ValueError(f"self-loop edge on {src}")
 
 
 def _intern(ids: list[str], sources: list[str], targets: list[str], weights: list[int]) -> tuple:
@@ -206,7 +189,7 @@ def _parse_columns(lines: list[str]) -> MessageLog:
 
 def _parse_per_line(lines: Iterable[str]) -> MessageLog:
     """The parser one line at a time, home of every error text."""
-    records: list[MessageRecord] = []
+    log = MessageLog([], [], [])
     seen: dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
@@ -232,8 +215,10 @@ def _parse_per_line(lines: Iterable[str]) -> MessageLog:
                 f" (first seen at line {seen[message_id]})"
             )
         seen[message_id] = lineno
-        records.append(MessageRecord(message_id, sender, reply_to))
-    return MessageLog.of(records)
+        log.message_id.append(message_id)
+        log.sender.append(sender)
+        log.reply_to.append(reply_to)
+    return log
 
 
 def parse_messages_path(path: str | Path) -> MessageLog:
@@ -260,7 +245,7 @@ def convert_telegram_export(
     if not isinstance(messages, list):
         raise InputError("export has no message array")
 
-    records: list[MessageRecord] = []
+    log = MessageLog([], [], [])
     seen: dict[int, int] = {}
     for pos, entry in enumerate(messages):
         sender_raw = entry.get("from_id", entry.get("sender")) if isinstance(entry, dict) else None
@@ -284,22 +269,21 @@ def convert_telegram_export(
                 f" (entries {seen[message_id]} and {pos})"
             )
         seen[message_id] = pos
-        records.append(MessageRecord(message_id, sender, reply_to))
-    if not records:
+        log.message_id.append(message_id)
+        log.sender.append(sender)
+        log.reply_to.append(reply_to)
+    if not log:
         raise InputError("empty export")
-    return MessageLog.of(records)
+    return log
 
 
-def build_interaction_graph(
-    messages: Iterable[MessageRecord], dropped: Counter[str] | None = None
-) -> InteractionGraph:
+def build_interaction_graph(log: MessageLog, dropped: Counter[str] | None = None) -> InteractionGraph:
     """Aggregate reply edges: (u, v) gains 1 per message by u replying to v.
 
     Replies whose target message is absent from the corpus contribute
     nothing, as do self-replies; when ``dropped`` is given they are counted
     there under "dangling" and "self".  Every sender becomes a node.
     """
-    log = MessageLog.of(messages)
     ids = sorted(set(log.sender))
     code = dict(zip(ids, range(len(ids))))
     sender = list(map(code.__getitem__, log.sender))

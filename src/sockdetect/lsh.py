@@ -18,14 +18,14 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Mapping, Set
+from collections.abc import Iterable, Iterator, Set
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import ConfigError
-from .simhash import Fingerprint, Fingerprints
+from .simhash import Fingerprints
 
 # One verification costs about this many key lookups: fitted by timing every
 # plan on ten (corpus, radius) cases, synth 2k, 5k, 20k and a hub-shaped chat
@@ -127,10 +127,6 @@ class CandidatePair:
         if not self.a < self.b:
             raise ValueError(f"pair endpoints must be ordered, got {self.a!r}, {self.b!r}")
 
-    @classmethod
-    def ordered(cls, u: str, v: str, distance: int) -> "CandidatePair":
-        return cls(u, v, distance) if u < v else cls(v, u, distance)
-
 
 class CandidatePairs(Set):
     """Candidate pairs as row-index arrays over the sorted ``users``: pair k
@@ -152,17 +148,6 @@ class CandidatePairs(Set):
         n = len(users)
         distance, a, b = sort_rows([distance, a, b], [bound(distance), n, n])
         return cls(users, a, b, distance)
-
-    @classmethod
-    def of(cls, pairs: Iterable[CandidatePair]) -> CandidatePairs:
-        """``pairs`` itself if it is a CandidatePairs, else its distinct pairs as one."""
-        if isinstance(pairs, cls):
-            return pairs
-        pairs = set(pairs)
-        users = sorted({uid for p in pairs for uid in (p.a, p.b)})
-        row = {uid: i for i, uid in enumerate(users)}
-        rows = np.array([(row[p.a], row[p.b], p.distance) for p in pairs], dtype=np.int64)
-        return cls.canonical(users, *rows.reshape(-1, 3).T)
 
     def within(self, d: int) -> CandidatePairs:
         """The pairs at distance <= d: a prefix, since distance sorts first."""
@@ -258,9 +243,8 @@ def _plans(b: int, d: int) -> list[BlockPlan]:
     return [scan, *(_split(b, d, m) for m in range(fewest, max(fewest, d + 1) + 1))]
 
 
-def build_index(fps: Mapping[str, Fingerprint], d: int) -> LshIndex:
+def build_index(fps: Fingerprints, d: int) -> LshIndex:
     """Collapse equal fingerprints and plan for the distinct ones."""
-    fps = Fingerprints.of(fps)
     _, reps, classes = np.unique(fps.words, axis=0, return_index=True, return_inverse=True)
     n = len(reps)
     plan = min(_plans(fps.width, d), key=lambda p: p.cost(n)) if fps else BlockPlan(0, [], d)
@@ -389,34 +373,16 @@ def candidate_pairs(index: LshIndex, stats: dict | None = None) -> CandidatePair
     return CandidatePairs.canonical(index.users, *_expand(index.classes, I, J, dist))
 
 
-def query(index: LshIndex, fp: Fingerprint) -> list[tuple[str, int]]:
-    """All indexed users within the radius of ``fp``, sorted by (distance, id),
-    by an exact popcount scan of every row; the owner of ``fp`` is excluded."""
-    if not index.users:
-        return []
-    if fp.width != index.width:
-        raise ValueError(f"width mismatch: query {fp.width} vs index {index.width}")
-    probe = Fingerprints.of({fp.owner: fp}).words
-    dist = np.bitwise_count(index.words ^ probe).sum(axis=1, dtype=np.int64)
-    hits = np.flatnonzero(dist <= index.max_distance).tolist()
-    results = sorted((int(dist[i]), index.users[i]) for i in hits)
-    return [(uid, dd) for dd, uid in results if uid != fp.owner]
-
-
-def brute_force_pairs(fps: Mapping[str, Fingerprint], d: int) -> set[CandidatePair]:
+def brute_force_pairs(fps: Fingerprints, d: int) -> CandidatePairs:
     """All-pairs exact Hamming filter; the O(n^2) oracle the index replaces."""
-    if len(fps) < 2:
-        return set()
-    fps = Fingerprints.of(fps)
-    users, words = fps.owners, fps.words
+    words = fps.words
     n, nwords = words.shape
-    pairs: set[CandidatePair] = set()
-    rows_per_chunk = max(1, (1 << 22) // (n * nwords))
+    found = [(np.zeros(0, dtype=np.int64),) * 3]
+    rows_per_chunk = max(1, (1 << 22) // max(n * nwords, 1))
     for i0 in range(0, n, rows_per_chunk):
-        i1 = min(i0 + rows_per_chunk, n)
-        xor = words[i0:i1, None, :] ^ words[None, :, :]
-        dist = np.bitwise_count(xor).sum(axis=2, dtype=np.int64)
-        upper = np.arange(n)[None, :] > np.arange(i0, i1)[:, None]
-        for r, c in zip(*np.nonzero((dist <= d) & upper)):
-            pairs.add(CandidatePair(users[i0 + r], users[c], int(dist[r, c])))
-    return pairs
+        dist = np.bitwise_count(words[i0 : i0 + rows_per_chunk, None, :] ^ words[None, :, :])
+        dist = dist.sum(axis=2, dtype=np.int64)
+        I, J = np.nonzero((dist <= d) & (np.arange(n) > np.arange(i0, i0 + len(dist))[:, None]))
+        found.append((I + i0, J, dist[I, J]))
+    a, b, distance = map(np.concatenate, zip(*found))
+    return CandidatePairs.canonical(fps.owners, a, b, distance)

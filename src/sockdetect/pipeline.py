@@ -11,13 +11,14 @@ import itertools
 import time
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import Iterable
+
+import numpy as np
 
 from .detect import MatchReport, build_match_report
 from .errors import InputError
 from .features import FeatureMaps, build_feature_maps, check_feature_params
-from .ingest import InteractionGraph
-from .lsh import CandidatePair, CandidatePairs, bound, build_index, candidate_pairs, plan_blocks
+from .ingest import InteractionGraph, _padded
+from .lsh import CandidatePairs, bound, build_index, candidate_pairs, plan_blocks
 from .simhash import Fingerprints, HashConfig, fingerprint_population
 
 
@@ -139,12 +140,9 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
     )
 
 
-def write_candidates_tsv(
-    candidates: Iterable[CandidatePair], cfg: RunConfig, path: str | Path
-) -> None:
+def write_candidates_tsv(pairs: CandidatePairs, cfg: RunConfig, path: str | Path) -> None:
     """Write ``a<TAB>b<TAB>distance`` rows sorted by (distance, a, b) after a
     header line echoing the run configuration, one join per chunk of rows."""
-    pairs = CandidatePairs.of(candidates)
     left = [uid + "\t" for uid in pairs.users]
     right = [f"{d}\n" for d in range(bound(pairs.distance))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -157,8 +155,9 @@ def write_candidates_tsv(
                 map(right.__getitem__, pairs.distance[rows].tolist())))))
 
 
-def read_candidates_tsv(path: str | Path) -> set[CandidatePair]:
-    pairs: set[CandidatePair] = set()
+def read_candidates_tsv(path: str | Path) -> CandidatePairs:
+    """The distinct pairs of a candidates TSV, each row's ids put in order."""
+    rows: set[tuple[str, str, int]] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
@@ -176,8 +175,19 @@ def read_candidates_tsv(path: str | Path) -> set[CandidatePair]:
                 raise InputError(f"candidates line {lineno}: bad distance {distance_s!r}")
             if distance < 0:
                 raise InputError(f"candidates line {lineno}: negative distance")
-            try:
-                pairs.add(CandidatePair.ordered(a, b, distance))
-            except ValueError as exc:
-                raise InputError(f"candidates line {lineno}: {exc}")
-    return pairs
+            for uid in (a, b):
+                if not uid:
+                    raise InputError(f"candidates line {lineno}: empty id")
+                if _padded(uid):
+                    raise InputError(
+                        f"candidates line {lineno}: id {uid!r} must not begin or end with whitespace"
+                    )
+            if a == b:
+                raise InputError(
+                    f"candidates line {lineno}: pair endpoints must be ordered, got {a!r}, {b!r}"
+                )
+            rows.add((a, b, distance) if a < b else (b, a, distance))
+    users = sorted({uid for row in rows for uid in row[:2]})
+    index = dict(zip(users, range(len(users))))
+    table = np.array([(index[a], index[b], d) for a, b, d in rows], dtype=np.int64).reshape(-1, 3)
+    return CandidatePairs.canonical(users, *table.T)

@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .features import TOKEN_DIRECTIONS, FeatureMap, FeatureMaps, FeatureToken
+from .features import TOKEN_DIRECTIONS, FeatureMaps
 
 SUPPORTED_WIDTHS = (32, 64, 128, 256)
 
@@ -82,20 +82,6 @@ class Fingerprints(Mapping[str, Fingerprint]):
     def __init__(self, owners: list[str], words: np.ndarray, width: int):
         self.owners, self.words, self.width = owners, words, width
 
-    @classmethod
-    def of(cls, fps: Mapping[str, Fingerprint]) -> Fingerprints:
-        """``fps`` itself if it is a Fingerprints, else its fingerprints packed."""
-        if isinstance(fps, cls):
-            return fps
-        owners = sorted(fps)
-        widths = {fps[uid].width for uid in owners}
-        if len(widths) > 1:
-            raise ValueError(f"fingerprint width mismatch: {sorted(widths)}")
-        width = widths.pop() if widths else 0
-        nbytes = 8 * -(-width // 64)
-        raw = b"".join(fps[uid].bits.to_bytes(nbytes, "little") for uid in owners)
-        return cls(owners, np.frombuffer(raw, dtype="<u8").reshape(len(owners), nbytes // 8), width)
-
     def hex(self) -> list[str]:
         """Each row's ``Fingerprint.hex()``, in ``owners`` order."""
         if not self.owners:
@@ -117,20 +103,6 @@ class Fingerprints(Mapping[str, Fingerprint]):
 
     def __len__(self) -> int:
         return len(self.owners)
-
-
-def encode_token(token: FeatureToken) -> bytes:
-    tag = _TAGS.get(token.direction)
-    if tag is None:
-        raise ValueError(f"unknown token direction {token.direction!r}")
-    payload = token.neighbor.encode("utf-8")
-    return tag + len(payload).to_bytes(4, "big") + payload
-
-
-def hash_token(token: FeatureToken, cfg: HashConfig) -> int:
-    """Deterministic b-bit hash of a feature token."""
-    words = _token_words([encode_token(token) + cfg.seed.to_bytes(8, "big")], (cfg.b + 63) // 64)
-    return int.from_bytes(words.astype(">u8").tobytes(), "big") & ((1 << cfg.b) - 1)
 
 
 def _longer_than(lengths: np.ndarray) -> list[int]:
@@ -179,16 +151,13 @@ def _vote_matrix(table: FeatureMaps, token_ids: np.ndarray, cfg: HashConfig) -> 
     return bits.astype(np.int8) * 2 - 1
 
 
-def fingerprint_population(
-    fmaps: Mapping[str, FeatureMap], cfg: HashConfig
-) -> tuple[Fingerprints, list[str]]:
+def fingerprint_population(table: FeatureMaps, cfg: HashConfig) -> tuple[Fingerprints, list[str]]:
     """Fingerprint every non-empty map; returns (fingerprints, skipped owners).
 
     Users are taken in chunks, longest token list first, so the users still
     holding a p-th token are a prefix of the chunk and step p adds their
     p-th vote rows in one operation.
     """
-    table = FeatureMaps.of(fmaps)
     indptr = table.indptr
     sizes = np.diff(indptr)
     skipped = [table.owners[i] for i in np.flatnonzero(sizes == 0).tolist()]
@@ -210,18 +179,8 @@ def fingerprint_population(
     return Fingerprints(owners, packed[fingerprinted].view("<u8"), cfg.b), skipped
 
 
-def hamming(a: Fingerprint, b: Fingerprint) -> int:
-    """Number of differing bit positions between two equal-width fingerprints."""
-    if a.width != b.width:
-        raise ValueError(f"width mismatch: {a.width} vs {b.width}")
-    return (a.bits ^ b.bits).bit_count()
-
-
-def write_fingerprints_tsv(
-    fingerprints: Mapping[str, Fingerprint], cfg: HashConfig, path: str | Path
-) -> None:
+def write_fingerprints_tsv(fps: Fingerprints, cfg: HashConfig, path: str | Path) -> None:
     """Write ``user<TAB>hex`` rows sorted by user after a header recording b and seed."""
-    fps = Fingerprints.of(fingerprints)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# b={cfg.b} seed={cfg.seed}\n")
         fh.write("".join(map("{}\t{}\n".format, fps.owners, fps.hex())))
@@ -237,9 +196,9 @@ def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, HashConfig]:
             cfg = HashConfig(b=int(fields["b"]), seed=int(fields["seed"]))
         except (KeyError, ValueError) as exc:
             raise InputError(f"bad fingerprint header {header!r}") from exc
-        fingerprints: dict[str, Fingerprint] = {}
+        rows: dict[str, int] = {}  # a repeated user keeps its last row
         for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")  # ids may begin or end with spaces
+            line = raw.rstrip("\n")
             if not line.strip():
                 continue
             try:
@@ -249,5 +208,8 @@ def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, HashConfig]:
                 raise InputError(f"bad fingerprint row at line {lineno}") from exc
             if not 0 <= bits < 1 << cfg.b:
                 raise InputError(f"fingerprint at line {lineno} does not fit in {cfg.b} bits")
-            fingerprints[owner] = Fingerprint(owner=owner, bits=bits, width=cfg.b)
-    return Fingerprints.of(fingerprints), cfg
+            rows[owner] = bits
+    owners = sorted(rows)
+    nbytes = 8 * -(-cfg.b // 64)
+    raw = b"".join(rows[uid].to_bytes(nbytes, "little") for uid in owners)
+    return Fingerprints(owners, np.frombuffer(raw, dtype="<u8").reshape(len(owners), nbytes // 8), cfg.b), cfg

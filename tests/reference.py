@@ -11,8 +11,9 @@ adjacency dicts; ``features.build_feature_maps`` must equal it entry for
 entry.
 
 ``simhash`` fingerprints one feature map at a time, hashing each token by
-FNV-1a over Python integers (``token_hash``); ``simhash.fingerprint_population``
-must give the same bits, and ``simhash.hash_token`` the same token hashes.
+FNV-1a over Python integers (``token_hash``) of its byte encoding
+(``encode_token``); ``simhash.fingerprint_population`` must give the same
+bits.
 
 ``cluster``, ``mutual_matches`` and ``one_to_many`` build the match report
 one ``CandidatePair`` at a time, over union-find and per-user candidate
@@ -20,6 +21,10 @@ lists; ``detect.build_match_report`` must give the same report.
 ``report_json`` and ``candidates_tsv`` are the bytes ``report.json`` and
 ``candidates.tsv`` hold for a set of pairs, written as
 ``json.dumps(..., indent=2, sort_keys=True)`` and one row per sorted pair.
+
+``message_log``, ``feature_maps``, ``fingerprints`` and ``candidate_pairs``
+build the array container a stage takes from records, dicts of maps or
+fingerprints, and pairs, the forms the fixtures here are written in.
 """
 
 from __future__ import annotations
@@ -27,16 +32,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from sockdetect.detect import MatchCluster, MutualMatch
 from sockdetect.errors import InputError
-from sockdetect.features import FeatureMap, FeatureToken, check_feature_params
-from sockdetect.ingest import InteractionGraph, MessageRecord
-from sockdetect.lsh import CandidatePair
-from sockdetect.simhash import Fingerprint, HashConfig, encode_token
+from sockdetect.features import TOKEN_DIRECTIONS, FeatureMap, FeatureMaps, FeatureToken, check_feature_params
+from sockdetect.ingest import InteractionGraph, MessageLog, MessageRecord
+from sockdetect.lsh import CandidatePair, CandidatePairs
+from sockdetect.simhash import Fingerprint, Fingerprints, HashConfig
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -104,6 +109,13 @@ def parse_messages(lines: Iterable[str]) -> list[MessageRecord]:
         seen[message_id] = lineno
         records.append(MessageRecord(message_id, sender, reply_to))
     return records
+
+
+def message_log(records: Iterable[MessageRecord]) -> MessageLog:
+    records = list(records)
+    return MessageLog(
+        [r.message_id for r in records], [r.sender for r in records], [r.reply_to for r in records]
+    )
 
 
 @dataclass
@@ -211,6 +223,54 @@ def extract_features(
 def binarize(fmap: FeatureMap) -> FeatureMap:
     """Replace every weight with 1.0 (presence-only features)."""
     return FeatureMap(owner=fmap.owner, entries={t: 1.0 for t in fmap.entries})
+
+
+def feature_maps(fmaps: Mapping[str, FeatureMap]) -> FeatureMaps:
+    """The maps as the flat rows ``FeatureMaps`` holds, in canonical order."""
+    owners = sorted(fmaps)
+    names = sorted({t.neighbor for fmap in fmaps.values() for t in fmap.entries})
+    index = {v: i for i, v in enumerate(names)}
+    owner, token, weight = [], [], []
+    for i, uid in enumerate(owners):
+        entries = fmaps[uid].entries
+        for t in sorted(entries):
+            if t.direction not in TOKEN_DIRECTIONS:
+                raise ValueError(f"unknown token direction {t.direction!r}")
+            owner.append(i)
+            token.append(TOKEN_DIRECTIONS.index(t.direction) * len(names) + index[t.neighbor])
+            weight.append(entries[t])
+    return FeatureMaps(
+        owners, names, np.array(owner, dtype=np.int64), np.array(token, dtype=np.int64),
+        np.array(weight, dtype=np.float64),
+    )
+
+
+def fingerprints(fps: Mapping[str, Fingerprint]) -> Fingerprints:
+    """The fingerprints as one packed ``Fingerprints`` matrix over sorted owners."""
+    owners = sorted(fps)
+    widths = {fps[uid].width for uid in owners}
+    if len(widths) > 1:
+        raise ValueError(f"fingerprint width mismatch: {sorted(widths)}")
+    width = widths.pop() if widths else 0
+    nbytes = 8 * -(-width // 64)
+    raw = b"".join(fps[uid].bits.to_bytes(nbytes, "little") for uid in owners)
+    return Fingerprints(owners, np.frombuffer(raw, dtype="<u8").reshape(len(owners), nbytes // 8), width)
+
+
+def candidate_pairs(pairs: Iterable[CandidatePair]) -> CandidatePairs:
+    """The distinct pairs as a canonical ``CandidatePairs`` over their users."""
+    pairs = set(pairs)
+    users = sorted({uid for p in pairs for uid in (p.a, p.b)})
+    row = {uid: i for i, uid in enumerate(users)}
+    rows = np.array([(row[p.a], row[p.b], p.distance) for p in pairs], dtype=np.int64)
+    return CandidatePairs.canonical(users, *rows.reshape(-1, 3).T)
+
+
+def encode_token(token: FeatureToken) -> bytes:
+    """One direction byte (0x00 out, 0x01 in), the 4-byte big-endian length
+    of the neighbor's UTF-8 bytes, then those bytes."""
+    payload = token.neighbor.encode("utf-8")
+    return {"out": b"\x00", "in": b"\x01"}[token.direction] + len(payload).to_bytes(4, "big") + payload
 
 
 def _fnv1a64(data: bytes) -> int:

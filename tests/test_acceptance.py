@@ -8,13 +8,14 @@ minute; everything else is fast.
 import random
 import time
 
+import reference
 from sockdetect.cli import main
 from sockdetect.evaluate import GroundTruth, pairwise_metrics
 from sockdetect.features import FeatureMap, FeatureToken, build_feature_maps
 from sockdetect.ingest import build_interaction_graph, parse_messages_path, write_edges_tsv
-from sockdetect.lsh import CandidatePair, brute_force_pairs, build_index, candidate_pairs
+from sockdetect.lsh import VERIFY_COST, CandidatePair, CandidatePairs, brute_force_pairs, build_index, candidate_pairs
 from sockdetect.pipeline import RunConfig, run_detection
-from sockdetect.simhash import Fingerprint, HashConfig, fingerprint_population, hash_token
+from sockdetect.simhash import Fingerprint, Fingerprints, HashConfig, fingerprint_population
 from sockdetect.synth import SynthConfig, generate
 
 DEFAULT_HEADER = "# b=128 d=20 theta=0.5 mode=max direction=out weighting=weighted seed=0"
@@ -37,16 +38,24 @@ def _random_population(seed: int) -> dict[str, Fingerprint]:
     return fps
 
 
+def _same_pairs(got: CandidatePairs, want: CandidatePairs) -> bool:
+    """The same users and, in the same order, the same rows and distances."""
+    return got.users == want.users and all(
+        x.tolist() == y.tolist()
+        for x, y in zip((got.a, got.b, got.distance), (want.a, want.b, want.distance))
+    )
+
+
 def test_criterion_1_losslessness():
     started = time.perf_counter()
     populations = 0
     pairs_seen = 0
     for seed in range(100):
-        fps = _random_population(seed)
-        index = build_index(fps, 20)
-        assert candidate_pairs(index) == brute_force_pairs(fps, 20)
+        fps = reference.fingerprints(_random_population(seed))
+        want = brute_force_pairs(fps, 20)
+        assert _same_pairs(candidate_pairs(build_index(fps, 20)), want)
         populations += 1
-        pairs_seen += len(brute_force_pairs(fps, 20))
+        pairs_seen += len(want)
     elapsed = time.perf_counter() - started
     assert populations == 100
     assert elapsed < 60.0
@@ -72,7 +81,7 @@ def test_criterion_2_planted_twin_recall():
         CandidatePair(*sorted(members), distances[tuple(sorted(members))])
         for members in truth.clusters
     }
-    report = pairwise_metrics(planted_only | result.candidates, truth)
+    report = pairwise_metrics(reference.candidate_pairs(planted_only | set(result.candidates)), truth)
     assert report.recall == 1.0
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0
@@ -92,7 +101,7 @@ def test_criterion_3_default_operating_point(tmp_path):
     print(f"PASS criterion 3: zero-flag header is {header!r}")
 
 
-def _scaling_fingerprints(n: int, seed: int) -> dict[str, Fingerprint]:
+def _scaling_fingerprints(n: int, seed: int) -> Fingerprints:
     graph, _ = generate(
         SynthConfig(
             n=n, mean_out_degree=8.0, clones=n // 100, perturbation=0.2, seed=seed
@@ -117,20 +126,26 @@ def test_criterion_4_near_linear_scaling():
     brute_force_pairs(warmup, 20)
 
     times: dict[int, dict[str, list[float]]] = {}
+    # the cost rule's units of work, which unlike wall time no load can skew
+    work: dict[int, int] = {}
     for n, seed in ((10_000, 1), (20_000, 2)):
         fps = _scaling_fingerprints(n, seed)
         times[n] = {"lsh": [], "bf": []}
-        reference: set | None = None
+        last: CandidatePairs | None = None
         for _ in range(2):
             t_lsh, got = _timed(lsh_retrieval, fps)
             t_bf, want = _timed(brute_force_pairs, fps, 20)
-            assert got == want  # lossless at scale as well
-            reference = want
+            assert _same_pairs(got, want)  # lossless at scale as well
+            last = want
             times[n]["lsh"].append(t_lsh)
             times[n]["bf"].append(t_bf)
+        index, stats = build_index(fps, 20), {}
+        candidate_pairs(index, stats=stats)
+        work[n] = stats["distinct_fingerprints"] * index.plan.probes() + VERIFY_COST * stats["pairs_verified"]
         print(
             f"  n={n}: candidate generation {times[n]['lsh']}, "
-            f"brute force {times[n]['bf']}, pairs={len(reference)}"
+            f"brute force {times[n]['bf']}, pairs={len(last)}, plan m={index.plan.m}"
+            f" r={index.plan.radius}, work units {work[n]}"
         )
 
     def mean(xs):
@@ -140,12 +155,15 @@ def test_criterion_4_near_linear_scaling():
         return (max(xs) - min(xs)) / mean(xs)
 
     lsh_ratio = mean(times[20_000]["lsh"]) / mean(times[10_000]["lsh"])
+    work_ratio = work[20_000] / work[10_000]
     bf_ratio = mean(times[20_000]["bf"]) / mean(times[10_000]["bf"])
     bf_variance = max(spread(times[n]["bf"]) for n in times)
     print(
         f"  candidate-generation ratio {lsh_ratio:.2f} (< 3.0 required), "
-        f"brute-force ratio {bf_ratio:.2f} (> 3.2, variance {bf_variance:.1%})"
+        f"brute-force ratio {bf_ratio:.2f} (> 3.2, variance {bf_variance:.1%}), "
+        f"work-unit ratio {work_ratio:.2f} (< 3.0 required)"
     )
+    assert work_ratio < 3.0
     assert lsh_ratio < 3.0
     if bf_variance <= 0.10:
         assert bf_ratio > 3.2
@@ -159,7 +177,7 @@ def test_criterion_5_simhash_invariants():
     cfg = HashConfig()
 
     def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
-        return fingerprint_population({fmap.owner: fmap}, cfg)[0][fmap.owner]
+        return fingerprint_population(reference.feature_maps({fmap.owner: fmap}), cfg)[0][fmap.owner]
 
     rng = random.Random(123)
     for _ in range(1000):
@@ -175,7 +193,7 @@ def test_criterion_5_simhash_invariants():
     for _ in range(200):
         token = FeatureToken(rng.choice(("out", "in")), str(rng.randrange(10**8)))
         fp = simhash(FeatureMap("u", {token: rng.uniform(0.01, 1.0)}), cfg)
-        assert fp.bits == hash_token(token, cfg)
+        assert fp.bits == reference.token_hash(token, cfg)
 
     golden = FeatureMap(
         "golden",
@@ -194,7 +212,7 @@ def test_criterion_5_simhash_invariants():
 
 def test_criterion_6_metric_worked_example():
     truth = GroundTruth([{"a", "b"}, {"c"}])
-    predicted = {CandidatePair("a", "b", 1), CandidatePair("a", "c", 2)}
+    predicted = reference.candidate_pairs([CandidatePair("a", "b", 1), CandidatePair("a", "c", 2)])
     report = pairwise_metrics(predicted, truth)
     assert abs(report.precision - 0.5) < 1e-12
     assert abs(report.recall - 1.0) < 1e-12

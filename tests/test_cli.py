@@ -10,7 +10,7 @@ from sockdetect.features import FeatureToken
 from sockdetect.ingest import InteractionGraph, build_interaction_graph, parse_messages, write_edges_tsv
 from sockdetect.lsh import CandidatePair, brute_force_pairs
 from sockdetect.pipeline import RunConfig, read_candidates_tsv, run_detection
-from sockdetect.simhash import HashConfig, hash_token, read_fingerprints_tsv
+from sockdetect.simhash import HashConfig, read_fingerprints_tsv
 from sockdetect.synth import SynthConfig, generate
 
 DEFAULT_HEADER = "# b=128 d=20 theta=0.5 mode=max direction=out weighting=weighted seed=0"
@@ -187,7 +187,7 @@ class TestDetect:
         assert sorted(fps) == ["b", "c", "in ner"]
         candidates = read_candidates_tsv(run / "candidates.tsv")
         assert CandidatePair("c", "in ner", 0) in candidates
-        assert brute_force_pairs(fps, 20) == candidates
+        assert list(brute_force_pairs(fps, 20)) == list(candidates)
 
     def test_planted_twins_retrieved_exact(self, synth_corpus, tmp_path):
         run = tmp_path / "run"
@@ -298,7 +298,7 @@ class TestDetect:
         cfg = HashConfig(b=128, seed=0)
         neighbors = []
         for i in itertools.count():
-            if hash_token(FeatureToken("out", f"n{i}"), cfg) & 0x7F == 0:
+            if reference.token_hash(FeatureToken("out", f"n{i}"), cfg) & 0x7F == 0:
                 neighbors.append(f"n{i}")
                 if len(neighbors) == 250:
                     break
@@ -362,6 +362,30 @@ class TestEval:
         truth.write_text("a,b\nb,c\n")
         assert main(["eval", "--input", str(candidates), "--truth", str(truth)]) == 1
         assert "overlapping" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a\tb", "expected 3 tab-separated fields"),
+            ("a\tb\tfar", "bad distance 'far'"),
+            ("a\tb\t-1", "negative distance"),
+            ("a\ta\t1", "pair endpoints must be ordered, got 'a', 'a'"),
+            ("\tb\t1", "empty id"),
+            ("a\t\t1", "empty id"),
+            (" a\tb\t1", "id ' a' must not begin or end with whitespace"),
+            ("a\tb \t1", "id 'b ' must not begin or end with whitespace"),
+        ],
+        ids=["fields", "distance", "negative", "self-pair", "empty-a", "empty-b", "padded-a", "padded-b"],
+    )
+    def test_malformed_row_exits_1(self, tmp_path, capsys, row, message):
+        # read_truth strips ids, so a padded or empty id could never match
+        # a labeled pair; such a row is refused rather than scored
+        candidates = tmp_path / "candidates.tsv"
+        candidates.write_text(f"# header\n{row}\n")
+        truth = tmp_path / "truth.txt"
+        truth.write_text("a,b\n")
+        assert main(["eval", "--input", str(candidates), "--truth", str(truth)]) == 1
+        assert capsys.readouterr().err == f"input error: candidates line 2: {message}\n"
 
     def test_empty_candidates_vacuous_precision(self, tmp_path, capsys):
         candidates = tmp_path / "candidates.tsv"
@@ -463,6 +487,28 @@ class TestSweep:
         err = capsys.readouterr().err
         assert f"argument {flag}: expected comma-separated" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "flag, value, bad",
+        [("--mode", "max,bogus", "bogus"), ("--direction", "sideways", "sideways"),
+         ("--weighting", "binary,Weighted", "Weighted")],
+    )
+    def test_unknown_choice_is_usage_error(self, synth_corpus, tmp_path, capsys, flag, value, bad):
+        # as for detect: a value outside the field's choices exits 2 before
+        # any grid point runs
+        out = tmp_path / "sweep"
+        argv = [
+            "sweep",
+            "--input", str(synth_corpus / "edges.tsv"),
+            "--truth", str(synth_corpus / "truth.txt"),
+            "--output-dir", str(out),
+            flag, value,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: invalid choice: {bad!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_failed_grid_point_row(self, synth_corpus, tmp_path):
         out = tmp_path / "sweep"

@@ -1,47 +1,52 @@
+import json
 import random
+from typing import Iterable
 
 import pytest
 
 import reference
-from sockdetect.detect import (
-    build_match_report,
-    cluster,
-    mutual_matches,
-    one_to_many,
-)
+from sockdetect.detect import MatchReport, build_match_report
 from sockdetect.lsh import CandidatePair, brute_force_pairs, build_index, candidate_pairs
 from sockdetect.simhash import Fingerprint
 
 
+def _pair(u: str, v: str, d: int) -> CandidatePair:
+    return CandidatePair(min(u, v), max(u, v), d)
+
+
 def _pairs(*triples: tuple[str, str, int]) -> list[CandidatePair]:
-    return [CandidatePair.ordered(a, b, d) for a, b, d in triples]
+    return [_pair(a, b, d) for a, b, d in triples]
+
+
+def _report(pairs: Iterable[CandidatePair]) -> MatchReport:
+    return build_match_report(reference.candidate_pairs(pairs))
 
 
 class TestCluster:
     def test_transitive_union(self):
-        clusters = cluster(_pairs(("a", "b", 1), ("b", "c", 2)))
+        clusters = _report(_pairs(("a", "b", 1), ("b", "c", 2))).clusters
         assert len(clusters) == 1
         assert clusters[0].members == ["a", "b", "c"]
 
     def test_disjoint_components(self):
-        clusters = cluster(_pairs(("a", "b", 1), ("c", "d", 2)))
+        clusters = _report(_pairs(("a", "b", 1), ("c", "d", 2))).clusters
         assert [c.members for c in clusters] == [["a", "b"], ["c", "d"]]
 
     def test_empty(self):
-        assert cluster([]) == []
+        assert _report([]).clusters == []
 
     def test_sorted_by_size_then_smallest_member(self):
-        clusters = cluster(_pairs(("x", "y", 1), ("p", "q", 1), ("q", "r", 1)))
+        clusters = _report(_pairs(("x", "y", 1), ("p", "q", 1), ("q", "r", 1))).clusters
         assert [c.members for c in clusters] == [["p", "q", "r"], ["x", "y"]]
 
     def test_partition_invariants(self):
         rng = random.Random(23)
         users = [f"u{i}" for i in range(40)]
         pairs = {
-            CandidatePair.ordered(*rng.sample(users, 2), rng.randint(0, 20))
+            _pair(*rng.sample(users, 2), rng.randint(0, 20))
             for _ in range(60)
         }
-        clusters = cluster(pairs)
+        clusters = _report(pairs).clusters
         seen: set[str] = set()
         paired_users = {u for p in pairs for u in (p.a, p.b)}
         for c in clusters:
@@ -53,17 +58,17 @@ class TestCluster:
 
     def test_order_of_input_pairs_irrelevant(self):
         pairs = _pairs(("a", "b", 1), ("c", "d", 3), ("b", "e", 2), ("f", "g", 0))
-        expected = [c.members for c in cluster(pairs)]
+        expected = [c.members for c in _report(pairs).clusters]
         for seed in range(5):
             shuffled = pairs[:]
             random.Random(seed).shuffle(shuffled)
-            got = [c.members for c in cluster(shuffled)]
+            got = [c.members for c in _report(shuffled).clusters]
             assert got == expected
 
 
 class TestMutualMatches:
     def test_lone_pair_is_mutual_not_exact(self):
-        matches = mutual_matches(_pairs(("a", "b", 5)))
+        matches = _report(_pairs(("a", "b", 5))).mutual
         assert len(matches) == 1
         match = matches[0]
         assert (match.a, match.b, match.distance, match.exact) == ("a", "b", 5, False)
@@ -72,27 +77,27 @@ class TestMutualMatches:
         # a's nearest is b (id tie-break), so (a, b) is mutual and c only
         # shows up in a's one-to-many list
         pairs = _pairs(("a", "b", 5), ("a", "c", 5))
-        matches = mutual_matches(pairs)
-        assert [(m.a, m.b) for m in matches] == [("a", "b")]
-        fanout = one_to_many(pairs)
+        report = _report(pairs)
+        assert [(m.a, m.b) for m in report.mutual] == [("a", "b")]
+        fanout = dict(report.one_to_many)
         assert fanout == {"a": [("b", 5), ("c", 5)]}
 
     def test_distance_zero_flagged_exact(self):
-        matches = mutual_matches(_pairs(("a", "b", 0)))
+        matches = _report(_pairs(("a", "b", 0))).mutual
         assert matches[0].exact is True
 
     def test_closer_partner_wins(self):
-        matches = mutual_matches(_pairs(("a", "b", 5), ("a", "c", 2), ("b", "c", 9)))
+        matches = _report(_pairs(("a", "b", 5), ("a", "c", 2), ("b", "c", 9))).mutual
         assert [(m.a, m.b, m.distance) for m in matches] == [("a", "c", 2)]
 
     def test_symmetric_and_duplicate_free(self):
         rng = random.Random(29)
         users = [f"u{i}" for i in range(30)]
         pairs = {
-            CandidatePair.ordered(*rng.sample(users, 2), rng.randint(0, 20))
+            _pair(*rng.sample(users, 2), rng.randint(0, 20))
             for _ in range(80)
         }
-        matches = mutual_matches(pairs)
+        matches = _report(pairs).mutual
         seen = set()
         for m in matches:
             assert m.a < m.b
@@ -103,17 +108,18 @@ class TestMutualMatches:
 
 class TestOneToMany:
     def test_single_candidate_users_excluded(self):
-        assert one_to_many(_pairs(("a", "b", 3))) == {}
+        assert dict(_report(_pairs(("a", "b", 3))).one_to_many) == {}
 
     def test_lists_sorted_by_distance_then_id(self):
         pairs = _pairs(("m", "z", 4), ("a", "m", 4), ("m", "q", 1))
-        assert one_to_many(pairs)["m"] == [("q", 1), ("a", 4), ("z", 4)]
+        assert _report(pairs).one_to_many["m"] == [("q", 1), ("a", 4), ("z", 4)]
 
 
 class TestMatchReport:
-    def test_report_round_trip_dict(self):
-        report = build_match_report(_pairs(("a", "b", 0), ("a", "c", 7)))
-        payload = report.to_dict()
+    def test_report_round_trip_dict(self, tmp_path):
+        report = _report(_pairs(("a", "b", 0), ("a", "c", 7)))
+        report.write_json(tmp_path / "report.json", config={})
+        payload = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
         assert payload["clusters"] == [["a", "b", "c"]]
         assert payload["mutual"] == [
             {"a": "a", "b": "b", "distance": 0, "exact": True}
@@ -126,11 +132,11 @@ class TestMatchReport:
         rng = random.Random(31)
         users = [f"u{i}" for i in range(25)]
         pairs = {
-            CandidatePair.ordered(*rng.sample(users, 2), rng.randint(0, 9))
+            _pair(*rng.sample(users, 2), rng.randint(0, 9))
             for _ in range(50)
         }
         keys = {(p.a, p.b) for p in pairs}
-        report = build_match_report(pairs)
+        report = _report(pairs)
         for m in report.mutual:
             assert (m.a, m.b) in keys
         for uid, cands in report.one_to_many.items():
@@ -169,11 +175,10 @@ def _random_pair_set(rng: random.Random) -> set[CandidatePair]:
 
 
 def _assert_report_matches_reference(pairs: set[CandidatePair], tmp_path) -> None:
-    report = build_match_report(pairs)
+    report = _report(pairs)
     assert report.clusters == reference.cluster(pairs)
     assert report.mutual == reference.mutual_matches(pairs)
     assert dict(report.one_to_many) == reference.one_to_many(pairs)
-    assert report.to_dict() == reference.report_dict(pairs)
     config = {"b": 128, "d": 20, "theta": 0.5, "seed": 0}
     report.write_json(tmp_path / "report.json", config)
     assert (tmp_path / "report.json").read_text(encoding="utf-8") == reference.report_json(pairs, config)
@@ -208,7 +213,11 @@ class TestAgainstReference:
                 fps[uid] = Fingerprint(uid, bits ^ (rng.getrandbits(64) if c == 7 else 0), 64)
             near = bits ^ (1 << rng.randrange(64))
             fps[f"c{c}near"] = Fingerprint(f"c{c}near", near, 64)
-        candidates = candidate_pairs(build_index(fps, 6))
-        assert candidates == brute_force_pairs(fps, 6)
+        packed = reference.fingerprints(fps)
+        candidates = candidate_pairs(build_index(packed, 6))
+        want = brute_force_pairs(packed, 6)
+        assert candidates.users == want.users
+        for got, expected in zip((candidates.a, candidates.b, candidates.distance), (want.a, want.b, want.distance)):
+            assert got.tolist() == expected.tolist()
         _assert_report_matches_reference(set(candidates), tmp_path)
-        assert build_match_report(candidates) == build_match_report(set(candidates))
+        assert build_match_report(candidates) == _report(set(candidates))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import reference
 from sockdetect.errors import InputError
 from sockdetect.evaluate import (
     EvalReport,
@@ -14,13 +15,13 @@ from sockdetect.evaluate import (
 )
 from sockdetect import pipeline
 from sockdetect.ingest import InteractionGraph
-from sockdetect.lsh import CandidatePair
+from sockdetect.lsh import CandidatePair, CandidatePairs
 from sockdetect.pipeline import RunConfig, run_detection
 from sockdetect.synth import SynthConfig, generate
 
 
-def _pairs(*pairs: tuple[str, str]) -> set[CandidatePair]:
-    return {CandidatePair.ordered(a, b, 1) for a, b in pairs}
+def _pairs(*pairs: tuple[str, str]) -> CandidatePairs:
+    return reference.candidate_pairs(CandidatePair(min(a, b), max(a, b), 1) for a, b in pairs)
 
 
 class TestPairwiseMetrics:
@@ -33,7 +34,7 @@ class TestPairwiseMetrics:
         assert abs(report.f1 - 2 / 3) < 1e-12
 
     def test_empty_prediction_is_vacuously_precise(self):
-        report = pairwise_metrics(set(), GroundTruth([{"a", "b"}]))
+        report = pairwise_metrics(_pairs(), GroundTruth([{"a", "b"}]))
         assert report.precision == 1.0
         assert report.recall == 0.0
         assert report.f1 == 0.0
@@ -53,8 +54,10 @@ class TestPairwiseMetrics:
     def test_a_pair_listed_at_two_distances_counts_once(self):
         # a hand-edited candidates.tsv can list one pair twice
         truth = GroundTruth([{"a", "b"}, {"c", "d"}])
-        predicted = {CandidatePair("a", "b", 1), CandidatePair("a", "b", 4),
-                     CandidatePair("a", "c", 2), CandidatePair("a", "c", 3)}
+        predicted = reference.candidate_pairs([
+            CandidatePair("a", "b", 1), CandidatePair("a", "b", 4),
+            CandidatePair("a", "c", 2), CandidatePair("a", "c", 3),
+        ])
         report = pairwise_metrics(predicted, truth)
         assert (report.tp, report.fp, report.fn) == (1, 1, 1)
 
@@ -72,9 +75,7 @@ class TestPairwiseMetrics:
         truth = GroundTruth(clusters)
         n_positive = len(truth.positive_pairs())
         for trial in range(10):
-            predicted = {
-                CandidatePair.ordered(*rng.sample(users, 2), 0) for _ in range(15)
-            }
+            predicted = _pairs(*(rng.sample(users, 2) for _ in range(15)))
             report = pairwise_metrics(predicted, truth)
             assert report.tp + report.fn == n_positive
 

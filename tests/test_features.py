@@ -1,6 +1,6 @@
 import pytest
 
-from reference import binarize, extract_features, filter_edges, normalize_weights
+from reference import binarize, extract_features, feature_maps, filter_edges, normalize_weights
 from sockdetect.errors import ConfigError
 from sockdetect.features import (
     FeatureMap,
@@ -149,7 +149,7 @@ def test_features_tsv_sorted(tmp_path):
         ),
     }
     path = tmp_path / "features.tsv"
-    write_features_tsv(fmaps, path, header_lines=["# test"])
+    write_features_tsv(feature_maps(fmaps), path, header_lines=["# test"])
     assert path.read_text().splitlines() == [
         "# test",
         "u1\tin\ta\t1.0",

@@ -11,7 +11,6 @@ from sockdetect.errors import InputError
 from sockdetect.features import build_feature_maps
 from sockdetect.ingest import (
     InteractionGraph,
-    MessageLog,
     MessageRecord,
     _parse_columns,
     build_interaction_graph,
@@ -210,23 +209,23 @@ class TestBuildGraph:
             MessageRecord(3, "u1", reply_to=1),
             MessageRecord(4, "u1", reply_to=2),
         ]
-        graph = build_interaction_graph(messages)
+        graph = build_interaction_graph(reference.message_log(messages))
         assert graph.edges == {("u1", "u2"): 2}
         assert graph.nodes == {"u1", "u2"}
 
     def test_unresolved_reply_ignored(self):
         messages = [MessageRecord(1, "u1", reply_to=999)]
-        graph = build_interaction_graph(messages)
+        graph = build_interaction_graph(reference.message_log(messages))
         assert graph.edges == {}
         assert graph.nodes == {"u1"}
 
     def test_self_reply_ignored(self):
         messages = [MessageRecord(1, "u1"), MessageRecord(2, "u1", reply_to=1)]
-        assert build_interaction_graph(messages).edges == {}
+        assert build_interaction_graph(reference.message_log(messages)).edges == {}
 
     def test_weight_sum_equals_resolved_cross_sender_replies(self):
         records = _random_messages(seed=3, count=400, users=30)
-        graph = build_interaction_graph(records)
+        graph = build_interaction_graph(reference.message_log(records))
         author = {r.message_id: r.sender for r in records}
         resolved = sum(
             1
@@ -237,16 +236,16 @@ class TestBuildGraph:
 
     def test_permutation_invariance(self):
         records = _random_messages(seed=11, count=300, users=25)
-        graph1 = build_interaction_graph(records)
+        graph1 = build_interaction_graph(reference.message_log(records))
         shuffled = records[:]
         random.Random(5).shuffle(shuffled)
-        graph2 = build_interaction_graph(shuffled)
+        graph2 = build_interaction_graph(reference.message_log(shuffled))
         assert graph1.nodes == graph2.nodes
         assert graph1.edges == graph2.edges
 
     def test_invariants_on_random_input(self):
-        graph = build_interaction_graph(_random_messages(seed=7, count=500, users=40))
-        graph.validate()
+        graph = build_interaction_graph(reference.message_log(_random_messages(seed=7, count=500, users=40)))
+        assert (graph.weight >= 1).all() and (graph.src != graph.dst).all()
         assert all(w >= 1 for w in graph.edges.values())
         assert all(src != dst for src, dst in graph.edges)
 
@@ -274,7 +273,7 @@ class TestFixtureCorpus:
 
 class TestEdgeTsv:
     def test_round_trip(self, tmp_path):
-        graph = build_interaction_graph(_random_messages(seed=19, count=200, users=15))
+        graph = build_interaction_graph(reference.message_log(_random_messages(seed=19, count=200, users=15)))
         path = tmp_path / "edges.tsv"
         write_edges_tsv(graph, path)
         loaded = read_edges_tsv(path)
@@ -412,7 +411,7 @@ class TestColumnarParser:
             assert _outcome(parse_messages, lines) == expected, (seed, lines)
             if kind == "none":
                 # a valid log never needs the per-line pass
-                assert _parse_columns(lines) == MessageLog.of(expected)
+                assert _parse_columns(lines) == reference.message_log(expected)
 
     @pytest.mark.parametrize(
         "kind", ["none", "crlf", "blank", "spanning", "error_then_undecodable", "unterminated"]
@@ -433,8 +432,7 @@ class TestColumnarParser:
 
     def test_message_log_of_records_round_trips(self):
         records = _random_messages(seed=4, count=50, users=6)
-        log = MessageLog.of(records)
-        assert MessageLog.of(log) is log
+        log = reference.message_log(records)
         assert len(log) == 50 and list(log) == records
 
 

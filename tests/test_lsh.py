@@ -4,10 +4,13 @@ import random
 
 import pytest
 
+import reference
+from sockdetect.detect import build_match_report
 from sockdetect.errors import ConfigError
 from sockdetect.lsh import (
     BlockPlan,
     CandidatePair,
+    CandidatePairs,
     _block_keys,
     _plans,
     _search,
@@ -15,9 +18,9 @@ from sockdetect.lsh import (
     build_index,
     candidate_pairs,
     plan_blocks,
-    query,
 )
-from sockdetect.simhash import Fingerprint, Fingerprints
+from sockdetect.pipeline import read_candidates_tsv
+from sockdetect.simhash import Fingerprint
 
 
 def _population(
@@ -46,6 +49,21 @@ def _population(
         uid = f"v{j:04d}"
         fps[uid] = Fingerprint(uid, bits, b)
     return fps
+
+
+def _index(fps: dict[str, Fingerprint], d: int):
+    return build_index(reference.fingerprints(fps), d)
+
+
+def _brute(fps: dict[str, Fingerprint], d: int) -> CandidatePairs:
+    return brute_force_pairs(reference.fingerprints(fps), d)
+
+
+def _rows(pairs: CandidatePairs) -> tuple:
+    """The users and, pair by pair in order, both rows and the distance:
+    equal for two results only if they hold the same pairs in the same
+    order, each once."""
+    return pairs.users, pairs.a.tolist(), pairs.b.tolist(), pairs.distance.tolist()
 
 
 def _forced_plans(b: int, d: int) -> list[BlockPlan]:
@@ -99,8 +117,8 @@ class TestPlanBlocks:
 
 class TestBuildIndex:
     def test_empty_population(self):
-        index = build_index({}, 20)
-        assert candidate_pairs(index) == set()
+        index = _index({}, 20)
+        assert len(candidate_pairs(index)) == 0
         assert index.bucket_memberships() == 0
 
     def test_identical_fingerprints_cobucket_everywhere(self):
@@ -108,25 +126,25 @@ class TestBuildIndex:
             "a": Fingerprint("a", 0xDEADBEEF, 128),
             "b": Fingerprint("b", 0xDEADBEEF, 128),
         }
-        index = build_index(fps, 20)
+        index = _index(fps, 20)
         assert len(index.reps) == 1
         assert index.classes.tolist() == [0, 0]
 
     def test_membership_count_is_n_times_m(self):
         fps = _population(seed=1, n=500)
-        index = build_index(fps, 20)
+        index = _index(fps, 20)
         assert index.plan.m > 0
         assert index.bucket_memberships() == 500 * index.plan.m
 
     def test_width_mismatch_rejected(self):
         fps = {"a": Fingerprint("a", 1, 128), "b": Fingerprint("b", 1, 64)}
         with pytest.raises(ValueError, match="width mismatch"):
-            build_index(fps, 10)
+            _index(fps, 10)
 
     @pytest.mark.parametrize("b", [32, 64, 128, 256])
     def test_block_keys_are_the_bit_ranges(self, b):
         fps = _population(seed=b, n=50, b=b)
-        words = Fingerprints.of(fps).words
+        words = reference.fingerprints(fps).words
         # every 7th start, so many ranges straddle a word boundary
         for start, width in [(s, w) for s in range(0, b, 7) for w in (1, 13, 62) if s + w <= b]:
             keys = _block_keys(words, start, width).tolist()
@@ -136,7 +154,7 @@ class TestBuildIndex:
     def test_radius_must_be_below_width(self):
         fps = {"a": Fingerprint("a", 1, 64)}
         with pytest.raises(ConfigError):
-            build_index(fps, 64)
+            _index(fps, 64)
 
 
 class TestCandidatePairs:
@@ -145,7 +163,7 @@ class TestCandidatePairs:
             "a": Fingerprint("a", 0x1234, 128),
             "b": Fingerprint("b", 0x1234, 128),
         }
-        assert candidate_pairs(build_index(fps, 20)) == {CandidatePair("a", "b", 0)}
+        assert list(candidate_pairs(_index(fps, 20))) == [CandidatePair("a", "b", 0)]
 
     def test_one_flip_per_block_is_excluded(self):
         # flipping one bit inside each of the 21 blocks leaves no block in
@@ -161,37 +179,37 @@ class TestCandidatePairs:
             "a": Fingerprint("a", base, 128),
             "b": Fingerprint("b", flipped, 128),
         }
-        index = build_index(fps, 20)
-        assert candidate_pairs(index) == set()
+        index = _index(fps, 20)
+        assert len(candidate_pairs(index)) == 0
         # no block agrees, so the exact-match plan verifies nothing
         stats: dict = {}
-        assert _forced(index, plan, stats) == set()
+        assert len(_forced(index, plan, stats)) == 0
         assert stats["pairs_verified"] == 0
 
     def test_matches_brute_force_on_random_population(self):
         fps = _population(seed=5, n=500, planted=60)
-        index = build_index(fps, 20)
-        assert candidate_pairs(index) == brute_force_pairs(fps, 20)
+        index = _index(fps, 20)
+        assert _rows(candidate_pairs(index)) == _rows(_brute(fps, 20))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_lossless_on_planted_populations(self, seed):
         fps = _population(seed=seed, n=120, planted=40, max_flips=28)
-        got = candidate_pairs(build_index(fps, 20))
-        want = brute_force_pairs(fps, 20)
-        assert got == want
-        assert any(p.distance > 0 for p in want) or seed > 2  # fixture sanity
+        got = candidate_pairs(_index(fps, 20))
+        want = _brute(fps, 20)
+        assert _rows(got) == _rows(want)
+        assert (want.distance > 0).any() or seed > 2  # fixture sanity
 
     @pytest.mark.parametrize("b,d", [(32, 3), (64, 10), (128, 20), (256, 40)])
     def test_lossless_across_widths(self, b, d):
         fps = _population(seed=b + d, n=150, b=b, planted=50, max_flips=d + 8)
-        assert candidate_pairs(build_index(fps, d)) == brute_force_pairs(fps, d)
+        assert _rows(candidate_pairs(_index(fps, d))) == _rows(_brute(fps, d))
 
     def test_lossless_under_every_forced_plan(self):
         fps = _population(seed=77, n=150, planted=50, max_flips=25)
-        want = brute_force_pairs(fps, 20)
-        index = build_index(fps, 20)
+        want = _brute(fps, 20)
+        index = _index(fps, 20)
         for plan in _forced_plans(128, 20):
-            assert _forced(index, plan) == want, plan.m
+            assert _rows(_forced(index, plan)) == _rows(want), plan.m
 
     def test_duplicate_heavy_population(self):
         # an 80-member class of identical fingerprints is searched as one row
@@ -202,9 +220,9 @@ class TestCandidatePairs:
             fps[f"r{i:03d}"] = Fingerprint(f"r{i:03d}", rng.getrandbits(128), 128)
         near = shared ^ (1 << 40) ^ (1 << 90)
         fps["near"] = Fingerprint("near", near, 128)
-        got = candidate_pairs(build_index(fps, 20))
-        want = brute_force_pairs(fps, 20)
-        assert got == want
+        got = candidate_pairs(_index(fps, 20))
+        want = _brute(fps, 20)
+        assert _rows(got) == _rows(want)
         assert len(want) == 80 * 79 // 2 + 80  # clique plus the near twin
 
     def test_pairs_as_a_set(self):
@@ -212,8 +230,8 @@ class TestCandidatePairs:
         # canonical iteration, lookups, the set operators and radius prefixes
         fps = _population(seed=5, n=150, planted=60, max_flips=24)
         fps.update({f"w{i}": Fingerprint(f"w{i}", fps["u0000"].bits, 128) for i in range(4)})
-        got = candidate_pairs(build_index(fps, 20))
-        want = brute_force_pairs(fps, 20)
+        got = candidate_pairs(_index(fps, 20))
+        want = set(_brute(fps, 20))
         assert list(got) == sorted(want, key=lambda p: (p.distance, p.a, p.b))
         assert len(got) == len(want) and all(p in got for p in want)
         p = next(iter(want))
@@ -234,9 +252,9 @@ class TestCandidatePairs:
         fps = {f"f{i:04d}": Fingerprint(f"f{i:04d}", shared, 128) for i in range(1000)}
         for i in range(200):
             fps[f"r{i:03d}"] = Fingerprint(f"r{i:03d}", rng.getrandbits(128), 128)
-        index = build_index(fps, 20)
+        index = _index(fps, 20)
         stats: dict = {}
-        assert candidate_pairs(index, stats=stats) == brute_force_pairs(fps, 20)
+        assert _rows(candidate_pairs(index, stats=stats)) == _rows(_brute(fps, 20))
         assert index.plan.m > 0
         assert index.bucket_memberships() == 201 * index.plan.m
         # the class is searched as one row, so at most the 201 distinct rows'
@@ -247,7 +265,7 @@ class TestCandidatePairs:
     def test_class_within_a_leaf_is_not_verified(self):
         fps = {f"f{i:02d}": Fingerprint(f"f{i:02d}", 0xC0FFEE, 128) for i in range(90)}
         stats: dict = {}
-        got = candidate_pairs(build_index(fps, 20), stats=stats)
+        got = candidate_pairs(_index(fps, 20), stats=stats)
         assert len(got) == 90 * 89 // 2
         assert {p.distance for p in got} == {0}
         assert stats["pairs_verified"] == 0
@@ -263,32 +281,32 @@ class TestCandidatePairs:
         fps.update(
             {f"w{i:03d}": Fingerprint(f"w{i:03d}", shared, 32) for i in range(class_size)}
         )
-        index = build_index(fps, 12)
+        index = _index(fps, 12)
         assert index.plan.m == 0  # probing cannot beat the scan at this size
-        want = brute_force_pairs(fps, 12)
+        want = _brute(fps, 12)
         for plan in _forced_plans(32, 12):
             stats: dict = {}
-            assert _forced(index, plan, stats) == want, plan.m
+            assert _rows(_forced(index, plan, stats)) == _rows(want), plan.m
             distinct = stats["distinct_fingerprints"]
             assert distinct == len({fp.bits for fp in fps.values()})
             assert stats["pairs_verified"] <= distinct * (distinct - 1) // 2
 
     def test_distance_zero_radius(self):
         fps = _population(seed=13, n=200, planted=50, max_flips=4)
-        assert candidate_pairs(build_index(fps, 0)) == brute_force_pairs(fps, 0)
+        assert _rows(candidate_pairs(_index(fps, 0))) == _rows(_brute(fps, 0))
 
     def test_monotonic_in_radius(self):
         fps = _population(seed=21, n=250, planted=80, max_flips=26)
         previous: set[CandidatePair] = set()
         for d in (5, 10, 15, 20):
-            current = candidate_pairs(build_index(fps, d))
+            current = candidate_pairs(_index(fps, d))
             assert previous <= current
             previous = current
 
     def test_stats_reported(self):
         fps = _population(seed=2, n=300, planted=20)
         stats: dict = {}
-        candidate_pairs(build_index(fps, 20), stats=stats)
+        candidate_pairs(_index(fps, 20), stats=stats)
         assert stats["pairs_verified"] > 0
         assert stats["distinct_fingerprints"] == len({fp.bits for fp in fps.values()})
 
@@ -320,9 +338,9 @@ class TestOracleSweep:
     @pytest.mark.parametrize("b,d", SWEEP)
     def test_every_plan_matches_brute_force(self, b, d, duplicates):
         fps = _sweep_population(b, d, duplicates)
-        want = brute_force_pairs(fps, d)
-        index = build_index(fps, d)
-        assert candidate_pairs(index) == want
+        want = _brute(fps, d)
+        index = _index(fps, d)
+        assert _rows(candidate_pairs(index)) == _rows(want)
         # every forced plan must find the same pairs of distinct rows, each once
         row = dict(zip(index.users, index.classes.tolist()))
         want_rows = sorted(
@@ -347,9 +365,9 @@ class TestCostRule:
 
     def test_scan_for_a_handful_of_rows(self):
         fps = _population(seed=3, n=4)
-        index = build_index(fps, 20)
+        index = _index(fps, 20)
         assert (index.plan.m, index.bucket_memberships()) == (0, 0)
-        assert candidate_pairs(index) == brute_force_pairs(fps, 20)
+        assert _rows(candidate_pairs(index)) == _rows(_brute(fps, 20))
 
     @pytest.mark.parametrize("n,m,radius", [(2_000, 11, 1), (5_000, 8, 2), (20_000, 7, 2)])
     def test_default_operating_point(self, n, m, radius):
@@ -376,23 +394,24 @@ class TestCostRule:
 
 
 class TestQuery:
+    """One user's candidates as the report lists them, by (distance, id)."""
+
     def test_duplicate_heads_the_result(self):
         fps = _population(seed=31, n=100)
-        twin = Fingerprint("twin", fps["u0000"].bits, 128)
-        fps["twin"] = twin
-        index = build_index(fps, 20)
-        results = query(index, fps["u0000"])
+        fps["twin"] = Fingerprint("twin", fps["u0000"].bits, 128)
+        fps["near"] = Fingerprint("near", fps["u0000"].bits ^ 0b111, 128)
+        report = build_match_report(candidate_pairs(_index(fps, 20)))
+        results = report.one_to_many["u0000"]
         assert results and results[0] == ("twin", 0)
         assert all(uid != "u0000" for uid, _ in results)
 
     def test_empty_index(self):
-        assert query(build_index({}, 20), Fingerprint("q", 5, 128)) == []
+        assert len(build_match_report(candidate_pairs(_index({}, 20))).one_to_many) == 0
 
     def test_equals_brute_force_scan(self):
         fps = _population(seed=37, n=200, planted=60, max_flips=24)
-        index = build_index(fps, 20)
-        for uid in list(fps)[::7]:
-            fp = fps[uid]
+        report = build_match_report(candidate_pairs(_index(fps, 20)))
+        for uid, fp in fps.items():
             expected = sorted(
                 (
                     ((fp.bits ^ other.bits).bit_count(), other_uid)
@@ -401,12 +420,9 @@ class TestQuery:
                     and (fp.bits ^ other.bits).bit_count() <= 20
                 )
             )
-            assert query(index, fp) == [(u, d) for d, u in expected]
-
-    def test_width_mismatch(self):
-        index = build_index({"a": Fingerprint("a", 1, 128)}, 20)
-        with pytest.raises(ValueError, match="width mismatch"):
-            query(index, Fingerprint("q", 1, 64))
+            # only users with two or more candidates have a list
+            want = [(u, d) for d, u in expected] if len(expected) >= 2 else None
+            assert report.one_to_many.get(uid) == want
 
     def test_sorted_by_distance_then_id(self):
         base = random.Random(41).getrandbits(128)
@@ -415,21 +431,21 @@ class TestQuery:
             "a": Fingerprint("a", base ^ 0b101, 128),
             "c": Fingerprint("c", base ^ 0b1, 128),
             "d": Fingerprint("d", base ^ 0b110, 128),
+            "probe": Fingerprint("probe", base, 128),
         }
-        index = build_index(fps, 20)
-        probe = Fingerprint("probe", base, 128)
-        assert query(index, probe) == [("c", 1), ("a", 2), ("b", 2), ("d", 2)]
+        report = build_match_report(candidate_pairs(_index(fps, 20)))
+        assert report.one_to_many["probe"] == [("c", 1), ("a", 2), ("b", 2), ("d", 2)]
 
 
 class TestBruteForce:
     def test_pair_of_duplicates(self):
         fps = {"x1": Fingerprint("x1", 99, 128), "x2": Fingerprint("x2", 99, 128)}
-        assert brute_force_pairs(fps, 20) == {CandidatePair("x1", "x2", 0)}
+        assert list(_brute(fps, 20)) == [CandidatePair("x1", "x2", 0)]
 
     def test_mutually_distant_fingerprints(self):
         rng = random.Random(43)
         fps = {f"u{i}": Fingerprint(f"u{i}", rng.getrandbits(128), 128) for i in range(3)}
-        assert brute_force_pairs(fps, 20) == set()
+        assert len(_brute(fps, 20)) == 0
 
     def test_matches_pairwise_int_hamming(self):
         fps = _population(seed=47, n=60, planted=25, max_flips=24)
@@ -440,11 +456,11 @@ class TestBruteForce:
                 dist = (fps[a].bits ^ fps[b].bits).bit_count()
                 if dist <= 20:
                     expected.add(CandidatePair(a, b, dist))
-        assert brute_force_pairs(fps, 20) == expected
+        assert list(_brute(fps, 20)) == sorted(expected, key=lambda p: (p.distance, p.a, p.b))
 
     def test_single_or_empty(self):
-        assert brute_force_pairs({}, 5) == set()
-        assert brute_force_pairs({"a": Fingerprint("a", 7, 64)}, 5) == set()
+        assert len(_brute({}, 5)) == 0
+        assert len(_brute({"a": Fingerprint("a", 7, 64)}, 5)) == 0
 
 
 class TestCandidatePairType:
@@ -454,5 +470,8 @@ class TestCandidatePairType:
         with pytest.raises(ValueError, match="ordered"):
             CandidatePair("a", "a", 0)
 
-    def test_ordered_constructor_swaps(self):
-        assert CandidatePair.ordered("b", "a", 3) == CandidatePair("a", "b", 3)
+    def test_ordered_constructor_swaps(self, tmp_path):
+        # a candidates row names its ends in either order
+        path = tmp_path / "candidates.tsv"
+        path.write_text("b\ta\t3\n")
+        assert list(read_candidates_tsv(path)) == [CandidatePair("a", "b", 3)]

@@ -9,7 +9,7 @@ the same fingerprint bits.
 
 import pytest
 
-from reference import binarize, extract_features, filter_edges, normalize_weights, simhash
+from reference import binarize, extract_features, filter_edges, normalize_weights, simhash, token_hash
 from sockdetect.errors import InputError
 from sockdetect.features import (
     DIRECTIONS,
@@ -19,7 +19,7 @@ from sockdetect.features import (
     write_features_tsv,
 )
 from sockdetect.ingest import InteractionGraph
-from sockdetect.simhash import HashConfig, fingerprint_population, hash_token
+from sockdetect.simhash import HashConfig, fingerprint_population
 from sockdetect.synth import SynthConfig, generate
 
 
@@ -82,7 +82,7 @@ def test_exact_tie_gives_bit_zero():
     # hashes differ sums to exactly 0.0 and must come out 0
     graph = InteractionGraph(nodes={"u", "x", "y"}, edges={("u", "x"): 3, ("u", "y"): 1})
     cfg = HashConfig(b=128, seed=0)
-    hx, hy = (hash_token(FeatureToken("out", v), cfg) for v in "xy")
+    hx, hy = (token_hash(FeatureToken("out", v), cfg) for v in "xy")
     assert hx != hy
     fmaps = build_feature_maps(graph, theta=0.0, weighting="binary")
     fingerprints, _ = fingerprint_population(fmaps, cfg)

@@ -5,14 +5,11 @@ import pytest
 import reference
 from sockdetect.errors import InputError
 from sockdetect.features import FeatureMap, FeatureToken
+from sockdetect.lsh import brute_force_pairs
 from sockdetect.simhash import (
     Fingerprint,
-    Fingerprints,
     HashConfig,
-    encode_token,
     fingerprint_population,
-    hamming,
-    hash_token,
     read_fingerprints_tsv,
     write_fingerprints_tsv,
 )
@@ -23,7 +20,22 @@ WIDTHS = (32, 64, 128, 256)
 
 def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
     """The production fingerprint of one map: the population pass over it alone."""
-    return fingerprint_population({fmap.owner: fmap}, cfg)[0][fmap.owner]
+    return fingerprint_population(reference.feature_maps({fmap.owner: fmap}), cfg)[0][fmap.owner]
+
+
+def token_hashes(tokens: list[FeatureToken], cfg: HashConfig) -> list[int]:
+    """The fingerprint of one user per token, holding that token alone: a
+    single vote of positive weight sets exactly the bits of the token's hash."""
+    fmaps = {f"t{i:05d}": FeatureMap(f"t{i:05d}", {t: 1.0}) for i, t in enumerate(tokens)}
+    fps, _ = fingerprint_population(reference.feature_maps(fmaps), cfg)
+    return [fps[uid].bits for uid in sorted(fmaps)]
+
+
+def distance(x: Fingerprint, y: Fingerprint) -> int:
+    """The distance the all-pairs scan reports for x and y, at a radius that
+    admits every pair."""
+    pairs = brute_force_pairs(reference.fingerprints({"x": x, "y": y}), x.width)
+    return int(pairs.distance[0])
 
 
 # frozen determinism anchors: any drift here breaks every stored artifact
@@ -38,41 +50,41 @@ GOLDEN_MAP = FeatureMap(
 GOLDEN_HEX_B128_S0 = "0ca667fd4ae0159a0ca668fd4ae0174d"
 GOLDEN_HEX_B128_S99 = "0de941fd4bf261d10de940fd4bf2601e"
 GOLDEN_HEX_B64_S0 = "0ca667fd4ae0159a"
-GOLDEN_TOKEN_HEX = "bcbecde3b45fb949bcbecce3b45fb796"  # hash_token((out, "42"))
+GOLDEN_TOKEN_HEX = "bcbecde3b45fb949bcbecce3b45fb796"  # the hash of the token (out, "42")
 
 
 class TestHashToken:
     def test_spec_encoding_of_out_42(self):
-        assert encode_token(FeatureToken("out", "42")) == bytes.fromhex("00000000023432")
+        assert reference.encode_token(FeatureToken("out", "42")) == bytes.fromhex("00000000023432")
 
     def test_direction_bytes_differ(self):
-        out = encode_token(FeatureToken("out", "x"))
-        in_ = encode_token(FeatureToken("in", "x"))
+        out = reference.encode_token(FeatureToken("out", "x"))
+        in_ = reference.encode_token(FeatureToken("in", "x"))
         assert out[0] == 0x00 and in_[0] == 0x01
         assert out[1:] == in_[1:]
 
     def test_length_prefix_is_big_endian_utf8_bytes(self):
         token = FeatureToken("in", "héllo")
         payload = "héllo".encode("utf-8")
-        encoded = encode_token(token)
+        encoded = reference.encode_token(token)
         assert encoded == b"\x01" + len(payload).to_bytes(4, "big") + payload
 
     def test_deterministic(self):
         token = FeatureToken("out", "abc")
-        assert hash_token(token, CFG) == hash_token(token, CFG)
+        assert token_hashes([token], CFG) == token_hashes([token], CFG)
 
     def test_frozen_value(self):
-        assert format(hash_token(FeatureToken("out", "42"), CFG), "032x") == GOLDEN_TOKEN_HEX
+        assert format(*token_hashes([FeatureToken("out", "42")], CFG), "032x") == GOLDEN_TOKEN_HEX
 
     def test_seed_and_width_change_value(self):
         token = FeatureToken("out", "abc")
-        base = hash_token(token, CFG)
-        assert hash_token(token, HashConfig(b=128, seed=1)) != base
-        assert hash_token(token, HashConfig(b=64, seed=0)) != base
+        base = token_hashes([token], CFG)
+        assert token_hashes([token], HashConfig(b=128, seed=1)) != base
+        assert token_hashes([token], HashConfig(b=64, seed=0)) != base
 
     def test_fits_width(self):
         for b in WIDTHS:
-            value = hash_token(FeatureToken("in", "user9"), HashConfig(b=b, seed=5))
+            (value,) = token_hashes([FeatureToken("in", "user9")], HashConfig(b=b, seed=5))
             assert 0 <= value < (1 << b)
 
     def test_bit_balance_over_random_tokens(self):
@@ -81,11 +93,10 @@ class TestHashToken:
         rng = random.Random(42)
         counts = [0] * 128
         trials = 10_000
-        for _ in range(trials):
-            token = FeatureToken(
-                rng.choice(("out", "in")), str(rng.randrange(10**9))
-            )
-            value = hash_token(token, CFG)
+        tokens = [
+            FeatureToken(rng.choice(("out", "in")), str(rng.randrange(10**9))) for _ in range(trials)
+        ]
+        for value in token_hashes(tokens, CFG):
             for i in range(128):
                 counts[i] += (value >> i) & 1
         fractions = [c / trials for c in counts]
@@ -97,10 +108,12 @@ class TestHashToken:
         rng = random.Random(b)
         for seed in (0, 1, 99, 2**64 - 1):
             cfg = HashConfig(b=b, seed=seed)
+            tokens = []
             for _ in range(50):
                 neighbor = "".join(rng.choice("ab7é ") for _ in range(rng.randrange(12)))
-                token = FeatureToken(rng.choice(("out", "in")), neighbor)
-                assert hash_token(token, cfg) == reference.token_hash(token, cfg), (token, seed)
+                tokens.append(FeatureToken(rng.choice(("out", "in")), neighbor))
+            for token, value in zip(tokens, token_hashes(tokens, cfg)):
+                assert value == reference.token_hash(token, cfg), (token, seed)
 
 
 class TestHashConfig:
@@ -117,7 +130,7 @@ class TestSimhash:
     def test_single_token_equals_token_hash(self):
         token = FeatureToken("out", "n1")
         fp = simhash(FeatureMap("u", {token: 0.7}), CFG)
-        assert fp.bits == hash_token(token, CFG)
+        assert fp.bits == reference.token_hash(token, CFG)
         assert fp.owner == "u" and fp.width == 128
 
     def test_positive_scaling_invariance(self):
@@ -136,20 +149,20 @@ class TestSimhash:
         entries = {FeatureToken("out", "a"): 0.9, FeatureToken("in", "b"): 0.4}
         fp1 = simhash(FeatureMap("u1", entries), CFG)
         fp2 = simhash(FeatureMap("u2", dict(entries)), CFG)
-        assert hamming(fp1, fp2) == 0
+        assert fp1.bits == fp2.bits
 
     def test_tie_votes_resolve_to_zero_bit(self):
         # two equal weights: where the token hashes disagree the vote sum is
         # exactly 0, so the fingerprint keeps only the bits both hashes share
         t1, t2 = FeatureToken("out", "x"), FeatureToken("in", "y")
         fp = simhash(FeatureMap("u", {t1: 1.0, t2: 1.0}), CFG)
-        assert fp.bits == hash_token(t1, CFG) & hash_token(t2, CFG)
+        assert fp.bits == reference.token_hash(t1, CFG) & reference.token_hash(t2, CFG)
 
     def test_empty_map_raises_naming_owner(self):
         # the reference raises; the population pass names the owner as skipped
         with pytest.raises(reference.UnfingerprintableError, match="ghost"):
             reference.simhash(FeatureMap("ghost", {}), CFG)
-        fps, skipped = fingerprint_population({"ghost": FeatureMap("ghost", {})}, CFG)
+        fps, skipped = fingerprint_population(reference.feature_maps({"ghost": FeatureMap("ghost", {})}), CFG)
         assert len(fps) == 0 and skipped == ["ghost"]
 
     def test_golden_fingerprints(self):
@@ -163,29 +176,27 @@ class TestSimhash:
             "b": FeatureMap("b", {}),
             "c": FeatureMap("c", {FeatureToken("in", "x"): 0.5}),
         }
-        fps, skipped = fingerprint_population(fmaps, CFG)
+        fps, skipped = fingerprint_population(reference.feature_maps(fmaps), CFG)
         assert set(fps) == {"a", "c"}
         assert skipped == ["b"]
 
 
 class TestHamming:
+    """The Hamming distance as retrieval reports it."""
+
     def test_identity(self):
         fp = simhash(GOLDEN_MAP, CFG)
-        assert hamming(fp, fp) == 0
+        assert distance(fp, fp) == 0
 
     def test_complement_at_full_width(self):
         zeros = Fingerprint("z", 0, 128)
         ones = Fingerprint("o", (1 << 128) - 1, 128)
-        assert hamming(zeros, ones) == 128
+        assert distance(zeros, ones) == 128
 
     def test_hand_xor_popcount_small_width(self):
         a = Fingerprint("a", 0b1010, 4)
         b = Fingerprint("b", 0b0110, 4)
-        assert hamming(a, b) == 2
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="width mismatch"):
-            hamming(Fingerprint("a", 0, 64), Fingerprint("b", 0, 128))
+        assert distance(a, b) == 2
 
     def test_metric_properties_over_random_triples(self):
         rng = random.Random(9)
@@ -193,9 +204,9 @@ class TestHamming:
             x, y, z = (
                 Fingerprint(name, rng.getrandbits(128), 128) for name in "xyz"
             )
-            assert hamming(x, y) == hamming(y, x)
-            assert (hamming(x, y) == 0) == (x.bits == y.bits)
-            assert hamming(x, z) <= hamming(x, y) + hamming(y, z)
+            assert distance(x, y) == distance(y, x)
+            assert (distance(x, y) == 0) == (x.bits == y.bits)
+            assert distance(x, z) <= distance(x, y) + distance(y, z)
 
     def test_similarity_monotonicity(self):
         # pairs sharing 90% of weighted mass must land closer on average
@@ -211,9 +222,10 @@ class TestHamming:
             fmaps[f"c{t}"] = FeatureMap(
                 f"c{t}", {FeatureToken("out", next(fresh)): 1.0 for _ in range(10)}
             )
-        fps, _ = fingerprint_population(fmaps, CFG)
-        shared_total = sum(hamming(fps[f"a{t}"], fps[f"b{t}"]) for t in range(trials))
-        disjoint_total = sum(hamming(fps[f"a{t}"], fps[f"c{t}"]) for t in range(trials))
+        fps, _ = fingerprint_population(reference.feature_maps(fmaps), CFG)
+        bits = {uid: fp.bits for uid, fp in fps.items()}
+        shared_total = sum((bits[f"a{t}"] ^ bits[f"b{t}"]).bit_count() for t in range(trials))
+        disjoint_total = sum((bits[f"a{t}"] ^ bits[f"c{t}"]).bit_count() for t in range(trials))
         assert shared_total / trials < disjoint_total / trials
 
 
@@ -222,7 +234,7 @@ def test_fingerprint_tsv_round_trip(tmp_path):
         f"u{i}": FeatureMap(f"u{i}", {FeatureToken("out", str(i * 7)): 1.0})
         for i in range(20)
     }
-    fps, _ = fingerprint_population(fmaps, CFG)
+    fps, _ = fingerprint_population(reference.feature_maps(fmaps), CFG)
     path = tmp_path / "fingerprints.tsv"
     write_fingerprints_tsv(fps, CFG, path)
     loaded, cfg = read_fingerprints_tsv(path)
@@ -250,11 +262,10 @@ def test_packed_rows_equal_fingerprints(tmp_path, b):
     values = [0, 1, 1 << (b - 1), (1 << b) - 1, *(rng.getrandbits(b) for _ in range(40))]
     mapping = {f"u{i:02d}": Fingerprint(f"u{i:02d}", bits, b) for i, bits in enumerate(values)}
     mapping["an id with  inner spaces"] = Fingerprint("an id with  inner spaces", values[-1], b)
-    fps = Fingerprints.of(mapping)
+    fps = reference.fingerprints(mapping)
     assert fps.owners == sorted(mapping) and fps.words.shape == (len(mapping), -(-b // 64))
     assert fps.hex() == [mapping[uid].hex() for uid in fps.owners]
     assert dict(fps) == mapping
-    assert Fingerprints.of(fps) is fps
     cfg = HashConfig(b=b, seed=3)
     path = tmp_path / "fingerprints.tsv"
     write_fingerprints_tsv(fps, cfg, path)
