@@ -22,7 +22,7 @@ from .ingest import (
 )
 from .lsh import BlockPlan, CandidatePairs, LshIndex, brute_force_pairs, build_index, candidate_pairs, plan_blocks
 from .pipeline import DetectionResult, RunConfig, run_detection, write_candidates_tsv
-from .simhash import Fingerprints, HashConfig, fingerprint_population
+from .simhash import Fingerprints, fingerprint_population
 from .synth import SynthConfig, generate
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "FeatureMaps",
     "Fingerprints",
     "GroundTruth",
-    "HashConfig",
     "InputError",
     "InteractionGraph",
     "LshIndex",

@@ -166,7 +166,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     write_features_tsv(
         result.feature_maps, out / "features.tsv", header_lines=[cfg.header_line()]
     )
-    write_fingerprints_tsv(result.fingerprints, cfg.hash_config, out / "fingerprints.tsv")
+    write_fingerprints_tsv(result.fingerprints, cfg.seed, out / "fingerprints.tsv")
     _write_json(out / "stats.json", result.stats)
 
     secs = result.stats["seconds"]

@@ -38,15 +38,6 @@ class GroundTruth:
                 )
             seen |= members
 
-    def positive_pairs(self) -> set[tuple[str, str]]:
-        pairs: set[tuple[str, str]] = set()
-        for members in self.clusters:
-            ordered = sorted(members)
-            for i, u in enumerate(ordered):
-                for v in ordered[i + 1 :]:
-                    pairs.add((u, v))
-        return pairs
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -173,7 +164,7 @@ def sweep(
     graph: "InteractionGraph",
     truth: GroundTruth,
     grid: SweepGrid,
-    seed: int = 0,
+    seed: int = RunConfig.seed,
 ) -> list[SweepRow]:
     """Score every grid point against ``truth``; failures become rows.
 

@@ -18,12 +18,15 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InputError
 from .ingest import InteractionGraph
+
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
 
 MODES = ("max", "sum")
 DIRECTIONS = ("out", "in", "both")
@@ -48,11 +51,8 @@ class FeatureMap:
         return not self.entries
 
 
-def check_feature_params(
-    mode: str = "max", theta: float = 0.0, direction: str = "out", weighting: str = "weighted"
-) -> None:
-    """Raise ConfigError for a parameter outside its domain; every default
-    is valid, so a caller checks only what it passes."""
+def check_feature_params(mode: str, theta: float, direction: str, weighting: str) -> None:
+    """Raise ConfigError for a parameter outside its domain."""
     if mode not in MODES:
         raise ConfigError(f"unknown normalization mode {mode!r}; expected one of {MODES}")
     if not 0.0 <= theta <= 1.0:
@@ -103,22 +103,15 @@ class FeatureMaps(Mapping[str, FeatureMap]):
         return len(self.owners)
 
 
-def build_feature_maps(
-    graph: InteractionGraph,
-    mode: str = "max",
-    theta: float = 0.5,
-    direction: str = "out",
-    weighting: str = "weighted",
-) -> FeatureMaps:
+def build_feature_maps(graph: InteractionGraph, cfg: RunConfig) -> FeatureMaps:
     """Normalize, threshold and direction-tag every node's edges at once.
 
     Each user's out- and in-slices are normalized independently: mode="max"
     divides by the slice maximum, mode="sum" by the slice total.  Entries
-    below ``theta`` are dropped; direction "out" keeps reply targets, "in"
-    repliers, "both" the tagged union.  Every node gets a map, possibly
+    below ``cfg.theta`` are dropped; direction "out" keeps reply targets,
+    "in" repliers, "both" the tagged union.  Every node gets a map, possibly
     empty; every weight is 1.0 when weighting is "binary".
     """
-    check_feature_params(mode, theta, direction, weighting)
     ids, src, dst, raw = graph.ids, graph.src, graph.dst, graph.weight
     # the total is at most max * count, so only a graph near the limit pays
     # for the exact sum over Python ints
@@ -131,7 +124,7 @@ def build_feature_maps(
     # and the token (in, u) of v, each coded as direction * n + neighbor
     ends = {"in": (dst, src), "out": (src, dst)}
     sides = [(code, *ends[name]) for code, name in enumerate(TOKEN_DIRECTIONS)
-             if direction in (name, "both")]
+             if cfg.direction in (name, "both")]
     owner = np.concatenate([o for _, o, _ in sides])
     token = np.concatenate([code * n + v for code, _, v in sides])
     order = np.argsort(owner * 2 * n + token)
@@ -139,13 +132,13 @@ def build_feature_maps(
     raw = np.tile(raw, len(sides))[order]
     # each (owner, direction) run is one slice to normalize
     starts = np.flatnonzero(np.diff(owner * 2 + token // max(n, 1), prepend=-1))
-    reduce = np.maximum if mode == "max" else np.add
+    reduce = np.maximum if cfg.mode == "max" else np.add
     denom = np.repeat(reduce.reduceat(raw, starts), np.diff(np.append(starts, len(raw))))
     # both operands are integers below 2**53, so each quotient is the
     # correctly rounded one Python's int / int gives
     weight = raw.astype(np.float64) / denom.astype(np.float64)
-    keep = weight >= theta
-    if weighting == "binary":
+    keep = weight >= cfg.theta
+    if cfg.weighting == "binary":
         weight = np.ones_like(weight)
     return FeatureMaps(ids, ids, owner[keep], token[keep], weight[keep])
 

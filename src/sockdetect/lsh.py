@@ -166,7 +166,7 @@ class CandidatePairs(Set):
     def _keys(self) -> np.ndarray:
         """(a, b, distance) of every pair as one sorted key, for lookups."""
         n = len(self.users)
-        return np.sort((self.a * n + self.b) * self._top + self.distance)
+        return np.sort(pack_rows([self.a, self.b, self.distance], [n, n, self._top]))
 
     def __contains__(self, pair: object) -> bool:
         if not isinstance(pair, CandidatePair) or not 0 <= pair.distance < self._top:
@@ -195,15 +195,14 @@ class CandidatePairs(Set):
 
 @dataclass
 class LshIndex:
-    """The sorted ``users`` and their ``width``-bit fingerprints, row i of
-    ``words`` holding ``users[i]`` as in ``Fingerprints``.  ``reps`` holds
+    """The sorted ``users`` and their fingerprints, row i of ``words``
+    holding ``users[i]`` as in ``Fingerprints``.  ``reps`` holds
     the first row of each distinct fingerprint, ``classes`` each row's
     position in ``reps``; ``plan`` is chosen for the ``reps``."""
 
     plan: BlockPlan
     users: list[str]
     words: np.ndarray  # uint64 [n, ceil(width/64)]
-    width: int
     reps: np.ndarray
     classes: np.ndarray
     max_distance: int
@@ -248,7 +247,7 @@ def build_index(fps: Fingerprints, d: int) -> LshIndex:
     _, reps, classes = np.unique(fps.words, axis=0, return_index=True, return_inverse=True)
     n = len(reps)
     plan = min(_plans(fps.width, d), key=lambda p: p.cost(n)) if fps else BlockPlan(0, [], d)
-    return LshIndex(plan=plan, users=fps.owners, words=fps.words, width=fps.width, reps=reps,
+    return LshIndex(plan=plan, users=fps.owners, words=fps.words, reps=reps,
                     classes=classes.ravel(), max_distance=d)
 
 

@@ -19,7 +19,7 @@ from .errors import InputError
 from .features import FeatureMaps, build_feature_maps, check_feature_params
 from .ingest import InteractionGraph, _padded
 from .lsh import CandidatePairs, bound, build_index, candidate_pairs, plan_blocks
-from .simhash import Fingerprints, HashConfig, fingerprint_population
+from .simhash import SUPPORTED_WIDTHS, Fingerprints, check_hash_params, fingerprint_population
 
 
 _WRITE_CHUNK = 1 << 18  # candidate rows joined per write
@@ -27,6 +27,9 @@ _WRITE_CHUNK = 1 << 18  # candidate rows joined per write
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The parameters of one run, checked when built; the stages read theirs
+    from it, so these are the only defaults."""
+
     bits: int = 128
     max_distance: int = 20
     theta: float = 0.5
@@ -36,13 +39,9 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        self.hash_config  # checks bits and seed
+        check_hash_params(self.bits, self.seed)
         plan_blocks(self.bits, self.max_distance)
         check_feature_params(self.mode, self.theta, self.direction, self.weighting)
-
-    @property
-    def hash_config(self) -> HashConfig:
-        return HashConfig(b=self.bits, seed=self.seed)
 
     def to_dict(self) -> dict:
         """The fields in order, under the keys every artifact echoes."""
@@ -74,11 +73,9 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
     dict with a ``kind`` and a printable ``message``.
     """
     t0 = time.perf_counter()
-    fmaps = build_feature_maps(
-        graph, mode=cfg.mode, theta=cfg.theta, direction=cfg.direction, weighting=cfg.weighting
-    )
+    fmaps = build_feature_maps(graph, cfg)
     t1 = time.perf_counter()
-    fingerprints, skipped = fingerprint_population(fmaps, cfg.hash_config)
+    fingerprints, skipped = fingerprint_population(fmaps, cfg)
     t2 = time.perf_counter()
     index = build_index(fingerprints, cfg.max_distance)
     t3 = time.perf_counter()
@@ -175,6 +172,11 @@ def read_candidates_tsv(path: str | Path) -> CandidatePairs:
                 raise InputError(f"candidates line {lineno}: bad distance {distance_s!r}")
             if distance < 0:
                 raise InputError(f"candidates line {lineno}: negative distance")
+            if distance > max(SUPPORTED_WIDTHS):
+                raise InputError(
+                    f"candidates line {lineno}: distance {distance} exceeds"
+                    f" {max(SUPPORTED_WIDTHS)}, the widest fingerprint"
+                )
             for uid in (a, b):
                 if not uid:
                     raise InputError(f"candidates line {lineno}: empty id")

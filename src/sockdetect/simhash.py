@@ -1,9 +1,10 @@
 """Weighted SimHash fingerprints over neighbor features.
 
-Every fingerprint computation here is a pure function of (features, config)
-and must stay bit-exact across runs and platforms: candidate files are
-compared byte-for-byte and the block index keys off exact bit ranges.  The
-conventions that pin this down:
+Every fingerprint computation here is a pure function of the features and
+two fields of the run's ``RunConfig``, the width b (``bits``) and the
+``seed``, and must stay bit-exact across runs and platforms: candidate files
+are compared byte-for-byte and the block index keys off exact bit ranges.
+The conventions that pin this down:
 
 * token byte encoding: one direction byte (0x00=out, 0x01=in), then the
   4-byte big-endian length of the neighbor id, then its UTF-8 bytes;
@@ -21,7 +22,8 @@ token position at a time, so each user still sums its votes sequentially
 in float64, in token order.  The per-user reference it must equal bit for
 bit is in the test suite.  Its result is a ``Fingerprints``: the sorted
 owners and one packed ``uint64`` matrix, the form retrieval and
-``fingerprints.tsv`` read.
+``fingerprints.tsv`` read.  That file records b, which the matrix carries as
+``Fingerprints.width``, and the seed in its header.
 """
 
 from __future__ import annotations
@@ -30,11 +32,16 @@ from bisect import bisect_left
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, InputError
 from .features import TOKEN_DIRECTIONS, FeatureMaps
+from .ingest import _padded
+
+if TYPE_CHECKING:
+    from .pipeline import RunConfig
 
 SUPPORTED_WIDTHS = (32, 64, 128, 256)
 
@@ -46,18 +53,12 @@ _TAGS = {"out": b"\x00", "in": b"\x01"}
 _CHUNK_USERS = 8192
 
 
-@dataclass(frozen=True)
-class HashConfig:
-    """Fingerprint width and hash seed, fixed for an entire run."""
-
-    b: int = 128
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.b not in SUPPORTED_WIDTHS:
-            raise ConfigError(f"width must be one of {SUPPORTED_WIDTHS}, got {self.b}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
+def check_hash_params(bits: int, seed: int) -> None:
+    """Raise ConfigError for a fingerprint width or hash seed outside its domain."""
+    if bits not in SUPPORTED_WIDTHS:
+        raise ConfigError(f"width must be one of {SUPPORTED_WIDTHS}, got {bits}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must fit in 64 unsigned bits")
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def _token_words(messages: list[bytes], nwords: int) -> np.ndarray:
     return words
 
 
-def _vote_matrix(table: FeatureMaps, token_ids: np.ndarray, cfg: HashConfig) -> np.ndarray:
+def _vote_matrix(table: FeatureMaps, token_ids: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """``[T, b]`` int8 vote rows of the given tokens: +1 where the token's
     hash bit is 1, else -1."""
     seed = cfg.seed.to_bytes(8, "big")
@@ -142,16 +143,16 @@ def _vote_matrix(table: FeatureMaps, token_ids: np.ndarray, cfg: HashConfig) -> 
             raw = table.names[v].encode("utf-8")
             payload[v] = len(raw).to_bytes(4, "big") + raw + seed
         messages.append(_TAGS[TOKEN_DIRECTIONS[d]] + payload[v])
-    nwords = (cfg.b + 63) // 64
+    nwords = (cfg.bits + 63) // 64
     words = _token_words(messages, nwords)
     # value = word 0 ... word nwords-1, most significant first; bit i of the
     # value is bit i % 64 of word nwords-1 - i // 64
     little = np.ascontiguousarray(words[:, ::-1]).astype("<u8").view(np.uint8)
-    bits = np.unpackbits(little, axis=1, bitorder="little")[:, : cfg.b]
+    bits = np.unpackbits(little, axis=1, bitorder="little")[:, : cfg.bits]
     return bits.astype(np.int8) * 2 - 1
 
 
-def fingerprint_population(table: FeatureMaps, cfg: HashConfig) -> tuple[Fingerprints, list[str]]:
+def fingerprint_population(table: FeatureMaps, cfg: RunConfig) -> tuple[Fingerprints, list[str]]:
     """Fingerprint every non-empty map; returns (fingerprints, skipped owners).
 
     Users are taken in chunks, longest token list first, so the users still
@@ -165,35 +166,38 @@ def fingerprint_population(table: FeatureMaps, cfg: HashConfig) -> tuple[Fingerp
     votes = _vote_matrix(table, tokens, cfg)
     users = np.argsort(-sizes, kind="stable")[: len(sizes) - len(skipped)]
     # whole little-endian words: b=32 fills half of one
-    packed = np.zeros((len(sizes), 8 * -(-cfg.b // 64)), dtype=np.uint8)
+    packed = np.zeros((len(sizes), 8 * -(-cfg.bits // 64)), dtype=np.uint8)
     for lo in range(0, len(users), _CHUNK_USERS):
         chunk = users[lo : lo + _CHUNK_USERS]
         starts, lengths = indptr[chunk], sizes[chunk]
-        acc = np.zeros((len(chunk), cfg.b))
+        acc = np.zeros((len(chunk), cfg.bits))
         for p, k in enumerate(_longer_than(lengths)):
             rows = starts[:k] + p
             acc[:k] += votes[token_index[rows]] * table.weight[rows, None]
-        packed[chunk, : cfg.b // 8] = np.packbits(acc > 0, axis=1, bitorder="little")
+        packed[chunk, : cfg.bits // 8] = np.packbits(acc > 0, axis=1, bitorder="little")
     fingerprinted = np.flatnonzero(sizes)
     owners = [table.owners[i] for i in fingerprinted.tolist()]
-    return Fingerprints(owners, packed[fingerprinted].view("<u8"), cfg.b), skipped
+    return Fingerprints(owners, packed[fingerprinted].view("<u8"), cfg.bits), skipped
 
 
-def write_fingerprints_tsv(fps: Fingerprints, cfg: HashConfig, path: str | Path) -> None:
-    """Write ``user<TAB>hex`` rows sorted by user after a header recording b and seed."""
+def write_fingerprints_tsv(fps: Fingerprints, seed: int, path: str | Path) -> None:
+    """Write ``user<TAB>hex`` rows sorted by user after a header recording
+    the width and the hash seed."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# b={cfg.b} seed={cfg.seed}\n")
+        fh.write(f"# b={fps.width} seed={seed}\n")
         fh.write("".join(map("{}\t{}\n".format, fps.owners, fps.hex())))
 
 
-def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, HashConfig]:
+def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, int]:
+    """The fingerprints of a fingerprints TSV and the seed its header records."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().strip()
         fields = dict(
             part.split("=", 1) for part in header.lstrip("# ").split() if "=" in part
         )
         try:
-            cfg = HashConfig(b=int(fields["b"]), seed=int(fields["seed"]))
+            b, seed = int(fields["b"]), int(fields["seed"])
+            check_hash_params(b, seed)  # a ConfigError is a ValueError
         except (KeyError, ValueError) as exc:
             raise InputError(f"bad fingerprint header {header!r}") from exc
         rows: dict[str, int] = {}  # a repeated user keeps its last row
@@ -206,10 +210,16 @@ def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, HashConfig]:
                 bits = int(hexbits, 16)
             except ValueError as exc:
                 raise InputError(f"bad fingerprint row at line {lineno}") from exc
-            if not 0 <= bits < 1 << cfg.b:
-                raise InputError(f"fingerprint at line {lineno} does not fit in {cfg.b} bits")
+            if not owner:
+                raise InputError(f"fingerprint line {lineno}: empty id")
+            if _padded(owner):
+                raise InputError(
+                    f"fingerprint line {lineno}: id {owner!r} must not begin or end with whitespace"
+                )
+            if not 0 <= bits < 1 << b:
+                raise InputError(f"fingerprint at line {lineno} does not fit in {b} bits")
             rows[owner] = bits
     owners = sorted(rows)
-    nbytes = 8 * -(-cfg.b // 64)
+    nbytes = 8 * -(-b // 64)
     raw = b"".join(rows[uid].to_bytes(nbytes, "little") for uid in owners)
-    return Fingerprints(owners, np.frombuffer(raw, dtype="<u8").reshape(len(owners), nbytes // 8), cfg.b), cfg
+    return Fingerprints(owners, np.frombuffer(raw, dtype="<u8").reshape(len(owners), nbytes // 8), b), seed

@@ -38,10 +38,11 @@ import numpy as np
 
 from sockdetect.detect import MatchCluster, MutualMatch
 from sockdetect.errors import InputError
-from sockdetect.features import TOKEN_DIRECTIONS, FeatureMap, FeatureMaps, FeatureToken, check_feature_params
+from sockdetect.features import TOKEN_DIRECTIONS, FeatureMap, FeatureMaps, FeatureToken
 from sockdetect.ingest import InteractionGraph, MessageLog, MessageRecord
 from sockdetect.lsh import CandidatePair, CandidatePairs
-from sockdetect.simhash import Fingerprint, Fingerprints, HashConfig
+from sockdetect.pipeline import RunConfig
+from sockdetect.simhash import Fingerprint, Fingerprints
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -161,7 +162,7 @@ def normalize_weights(graph: InteractionGraph, mode: str = "max") -> Directional
     mode="max" divides by the slice maximum (so each non-empty slice attains
     1.0); mode="sum" divides by the slice total (so each sums to 1.0).
     """
-    check_feature_params(mode=mode)
+    RunConfig(mode=mode)  # rejects an unknown mode
     out = {
         u: _normalize_slice(slice_, mode)
         for u, slice_ in sorted(out_adjacency(graph).items())
@@ -179,7 +180,7 @@ def filter_edges(weights: DirectionalWeights, theta: float) -> DirectionalWeight
     Weights strictly below the threshold are dropped; users may end up with
     empty slices (they become unfingerprintable downstream).
     """
-    check_feature_params(theta=theta)
+    RunConfig(theta=theta)  # rejects a threshold outside [0, 1]
 
     def _filter(side: dict[str, dict[str, float]]) -> dict[str, dict[str, float]]:
         out: dict[str, dict[str, float]] = {}
@@ -206,7 +207,7 @@ def extract_features(
     union of the two (tokens carry the direction, so there is no collision).
     Every node appears in the result, possibly with an empty map.
     """
-    check_feature_params(direction=direction)
+    RunConfig(direction=direction)  # rejects an unknown direction
     maps: dict[str, FeatureMap] = {}
     for user in sorted(graph.nodes):
         entries: dict[FeatureToken, float] = {}
@@ -291,10 +292,10 @@ def _token_hash(direction: str, neighbor: str, b: int, seed: int) -> int:
     return value & ((1 << b) - 1)
 
 
-def token_hash(token: FeatureToken, cfg: HashConfig) -> int:
+def token_hash(token: FeatureToken, cfg: RunConfig) -> int:
     """The b-bit token hash: word j = FNV-1a-64 over (encoding ++ seed ++ j),
     word 0 most significant, low b bits kept."""
-    return _token_hash(token.direction, token.neighbor, cfg.b, cfg.seed)
+    return _token_hash(token.direction, token.neighbor, cfg.bits, cfg.seed)
 
 
 @lru_cache(maxsize=1 << 18)
@@ -308,7 +309,7 @@ def _token_votes(direction: str, neighbor: str, b: int, seed: int) -> np.ndarray
     return row
 
 
-def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
+def simhash(fmap: FeatureMap, cfg: RunConfig) -> Fingerprint:
     """Classic weighted SimHash: each token votes +/- its weight per bit.
 
     Raises UnfingerprintableError for an empty feature map; the caller
@@ -318,13 +319,13 @@ def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
         raise UnfingerprintableError(fmap.owner)
     tokens = sorted(fmap.entries)
     rows = np.stack(
-        [_token_votes(t.direction, t.neighbor, cfg.b, cfg.seed) for t in tokens]
+        [_token_votes(t.direction, t.neighbor, cfg.bits, cfg.seed) for t in tokens]
     )
     weights = np.array([fmap.entries[t] for t in tokens], dtype=np.float64)
     votes = np.add.reduce(rows * weights[:, None], axis=0)
     bits = np.packbits(votes > 0, bitorder="little").tobytes()
     return Fingerprint(
-        owner=fmap.owner, bits=int.from_bytes(bits, "little"), width=cfg.b
+        owner=fmap.owner, bits=int.from_bytes(bits, "little"), width=cfg.bits
     )
 
 

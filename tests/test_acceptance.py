@@ -15,7 +15,7 @@ from sockdetect.features import FeatureMap, FeatureToken, build_feature_maps
 from sockdetect.ingest import build_interaction_graph, parse_messages_path, write_edges_tsv
 from sockdetect.lsh import VERIFY_COST, CandidatePair, CandidatePairs, brute_force_pairs, build_index, candidate_pairs
 from sockdetect.pipeline import RunConfig, run_detection
-from sockdetect.simhash import Fingerprint, Fingerprints, HashConfig, fingerprint_population
+from sockdetect.simhash import Fingerprint, Fingerprints, fingerprint_population
 from sockdetect.synth import SynthConfig, generate
 
 DEFAULT_HEADER = "# b=128 d=20 theta=0.5 mode=max direction=out weighting=weighted seed=0"
@@ -107,7 +107,8 @@ def _scaling_fingerprints(n: int, seed: int) -> Fingerprints:
             n=n, mean_out_degree=8.0, clones=n // 100, perturbation=0.2, seed=seed
         )
     )
-    fps, _ = fingerprint_population(build_feature_maps(graph), HashConfig())
+    cfg = RunConfig()
+    fps, _ = fingerprint_population(build_feature_maps(graph, cfg), cfg)
     return fps
 
 
@@ -174,9 +175,9 @@ def test_criterion_4_near_linear_scaling():
 
 
 def test_criterion_5_simhash_invariants():
-    cfg = HashConfig()
+    cfg = RunConfig()
 
-    def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
+    def simhash(fmap: FeatureMap, cfg: RunConfig) -> Fingerprint:
         return fingerprint_population(reference.feature_maps({fmap.owner: fmap}), cfg)[0][fmap.owner]
 
     rng = random.Random(123)
@@ -227,7 +228,8 @@ def test_criterion_7_monotonicity_in_radius():
     graph, truth = generate(
         SynthConfig(n=1500, mean_out_degree=8.0, clones=30, perturbation=0.35, seed=4)
     )
-    fps, _ = fingerprint_population(build_feature_maps(graph), HashConfig())
+    cfg = RunConfig()
+    fps, _ = fingerprint_population(build_feature_maps(graph, cfg), cfg)
     previous: set[CandidatePair] = set()
     recalls: list[float] = []
     sizes: list[int] = []

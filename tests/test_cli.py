@@ -10,7 +10,7 @@ from sockdetect.features import FeatureToken
 from sockdetect.ingest import InteractionGraph, build_interaction_graph, parse_messages, write_edges_tsv
 from sockdetect.lsh import CandidatePair, brute_force_pairs
 from sockdetect.pipeline import RunConfig, read_candidates_tsv, run_detection
-from sockdetect.simhash import HashConfig, read_fingerprints_tsv
+from sockdetect.simhash import read_fingerprints_tsv
 from sockdetect.synth import SynthConfig, generate
 
 DEFAULT_HEADER = "# b=128 d=20 theta=0.5 mode=max direction=out weighting=weighted seed=0"
@@ -183,7 +183,7 @@ class TestDetect:
         # "b", so they are twins at distance 0
         (corpus / "edges.tsv").write_text("in ner\tb\t1\nb\tin ner\t1\nc\tb\t1\n")
         assert main(["detect", "--input", str(corpus / "edges.tsv"), "--output-dir", str(run)]) == 0
-        fps, cfg = read_fingerprints_tsv(run / "fingerprints.tsv")
+        fps, _ = read_fingerprints_tsv(run / "fingerprints.tsv")
         assert sorted(fps) == ["b", "c", "in ner"]
         candidates = read_candidates_tsv(run / "candidates.tsv")
         assert CandidatePair("c", "in ner", 0) in candidates
@@ -295,7 +295,7 @@ class TestDetect:
         # a user whose only token is one reply has that token's hash as its
         # fingerprint; 250 tokens agreeing on bits 0-6, most of the first
         # block at b=128 d=20, co-bucket far more pairs than uniform bits would
-        cfg = HashConfig(b=128, seed=0)
+        cfg = RunConfig()
         neighbors = []
         for i in itertools.count():
             if reference.token_hash(FeatureToken("out", f"n{i}"), cfg) & 0x7F == 0:
@@ -374,8 +374,12 @@ class TestEval:
             ("a\t\t1", "empty id"),
             (" a\tb\t1", "id ' a' must not begin or end with whitespace"),
             ("a\tb \t1", "id 'b ' must not begin or end with whitespace"),
+            ("a\tb\t257", "distance 257 exceeds 256, the widest fingerprint"),
+            ("a\tb\t4611686018427387904", "distance 4611686018427387904 exceeds 256, the widest fingerprint"),
+            ("a\tb\t99999999999999999999", "distance 99999999999999999999 exceeds 256, the widest fingerprint"),
         ],
-        ids=["fields", "distance", "negative", "self-pair", "empty-a", "empty-b", "padded-a", "padded-b"],
+        ids=["fields", "distance", "negative", "self-pair", "empty-a", "empty-b", "padded-a", "padded-b",
+             "distance-257", "distance-2**62", "distance-past-int64"],
     )
     def test_malformed_row_exits_1(self, tmp_path, capsys, row, message):
         # read_truth strips ids, so a padded or empty id could never match
@@ -386,6 +390,13 @@ class TestEval:
         truth.write_text("a,b\n")
         assert main(["eval", "--input", str(candidates), "--truth", str(truth)]) == 1
         assert capsys.readouterr().err == f"input error: candidates line 2: {message}\n"
+
+    def test_distance_of_widest_fingerprint_accepted(self, tmp_path):
+        candidates = tmp_path / "candidates.tsv"
+        candidates.write_text("# header\na\tb\t256\n")
+        pairs = read_candidates_tsv(candidates)
+        assert list(pairs) == [CandidatePair("a", "b", 256)]
+        assert CandidatePair("a", "b", 256) in pairs
 
     def test_empty_candidates_vacuous_precision(self, tmp_path, capsys):
         candidates = tmp_path / "candidates.tsv"

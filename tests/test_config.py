@@ -1,5 +1,6 @@
-"""Each config dataclass is the one home of its fields: the CLI flags, the
-stage-function defaults and the artifact echo all agree with it."""
+"""Each config dataclass is the one home of its fields: the CLI flags and
+the artifact echo agree with it, and the stages take a RunConfig instead of
+restating its defaults."""
 
 import inspect
 from dataclasses import fields
@@ -7,10 +8,10 @@ from dataclasses import fields
 import pytest
 
 from sockdetect.cli import _from_args, build_parser
-from sockdetect.evaluate import SweepGrid
-from sockdetect.features import build_feature_maps
+from sockdetect.evaluate import SweepGrid, sweep
+from sockdetect.features import build_feature_maps, check_feature_params
 from sockdetect.pipeline import RunConfig
-from sockdetect.simhash import HashConfig
+from sockdetect.simhash import check_hash_params, fingerprint_population
 from sockdetect.synth import SynthConfig
 
 OFF_DEFAULT = RunConfig(
@@ -74,12 +75,12 @@ def test_flag_names_and_choices(command, usage, monkeypatch, capsys):
     assert first == f"usage: sockdetect {command} [-h] {usage}"
 
 
-def test_stage_defaults_agree_with_run_config():
-    # features and simhash sit below pipeline, so they repeat the defaults
-    assert HashConfig() == RunConfig().hash_config
-    params = inspect.signature(build_feature_maps).parameters
-    for name in ("mode", "theta", "direction", "weighting"):
-        assert params[name].default == getattr(RunConfig, name), name
+def test_run_defaults_live_only_in_run_config():
+    for stage in (build_feature_maps, fingerprint_population, check_feature_params, check_hash_params):
+        params = inspect.signature(stage).parameters.values()
+        assert [p.name for p in params if p.default is not p.empty] == [], stage.__name__
+    # sweep reads its seed default from the dataclass instead of restating it
+    assert "seed: int = RunConfig.seed," in inspect.getsource(sweep)
 
 
 def test_header_line_and_to_dict_pinned():
@@ -90,5 +91,4 @@ def test_header_line_and_to_dict_pinned():
         ("b", 64), ("d", 9), ("theta", 0.3), ("mode", "sum"),
         ("direction", "both"), ("weighting", "binary"), ("seed", 5),
     ]
-    assert OFF_DEFAULT.hash_config == HashConfig(b=64, seed=5)
 

@@ -9,6 +9,7 @@ from sockdetect.features import (
     write_features_tsv,
 )
 from sockdetect.ingest import InteractionGraph
+from sockdetect.pipeline import RunConfig
 from sockdetect.synth import SynthConfig, generate
 
 
@@ -94,7 +95,7 @@ class TestFilter:
 
 class TestExtract:
     def test_out_direction_tags_targets(self):
-        fmaps = build_feature_maps(FAN_OUT, mode="max", theta=0.5, direction="out")
+        fmaps = build_feature_maps(FAN_OUT, RunConfig(mode="max", theta=0.5, direction="out"))
         assert fmaps["A"].entries == {
             FeatureToken("out", "B"): 1.0,
             FeatureToken("out", "C"): 0.5,
@@ -102,7 +103,7 @@ class TestExtract:
 
     def test_both_is_tagged_union(self):
         graph = _graph({("A", "B"): 1, ("C", "A"): 2})
-        fmaps = build_feature_maps(graph, mode="max", theta=0.5, direction="both")
+        fmaps = build_feature_maps(graph, RunConfig(mode="max", theta=0.5, direction="both"))
         assert fmaps["A"].entries == {
             FeatureToken("out", "B"): 1.0,
             FeatureToken("in", "C"): 1.0,
@@ -110,14 +111,14 @@ class TestExtract:
 
     def test_isolated_user_has_empty_map(self):
         graph = InteractionGraph(nodes={"A", "B", "lonely"}, edges={("A", "B"): 1})
-        fmaps = build_feature_maps(graph)
+        fmaps = build_feature_maps(graph, RunConfig())
         assert fmaps["lonely"].is_empty()
         assert not fmaps["A"].is_empty()
 
     def test_both_restricted_to_out_equals_out(self):
         graph, _ = generate(SynthConfig(n=80, mean_out_degree=4, seed=2))
-        both = build_feature_maps(graph, direction="both")
-        out_only = build_feature_maps(graph, direction="out")
+        both = build_feature_maps(graph, RunConfig(direction="both"))
+        out_only = build_feature_maps(graph, RunConfig(direction="out"))
         for user, fmap in out_only.items():
             restricted = {
                 t: w for t, w in both[user].entries.items() if t.direction == "out"
@@ -126,7 +127,7 @@ class TestExtract:
 
     def test_every_node_present(self):
         graph, _ = generate(SynthConfig(n=50, mean_out_degree=3, seed=4))
-        fmaps = build_feature_maps(graph)
+        fmaps = build_feature_maps(graph, RunConfig())
         assert set(fmaps) == graph.nodes
 
     def test_unknown_direction(self):

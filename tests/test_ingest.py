@@ -9,6 +9,7 @@ import pytest
 import reference
 from sockdetect.errors import InputError
 from sockdetect.features import build_feature_maps
+from sockdetect.pipeline import RunConfig
 from sockdetect.ingest import (
     InteractionGraph,
     MessageRecord,
@@ -484,7 +485,7 @@ class TestOddValues:
         graph = InteractionGraph(nodes={"u", "x", "y"}, edges={("u", "x"): 2**62, ("u", "y"): 2**62})
         assert graph.weight.dtype == np.int64
         with pytest.raises(InputError, match=f"edge weights sum to {2**63}, beyond"):
-            build_feature_maps(graph)
+            build_feature_maps(graph, RunConfig())
 
 
 def _random_messages(seed: int, count: int, users: int) -> list[MessageRecord]:

@@ -26,7 +26,6 @@ def test_public_surface_is_pinned():
     "FeatureMaps",
     "Fingerprints",
     "GroundTruth",
-    "HashConfig",
     "InputError",
     "InteractionGraph",
     "LshIndex",

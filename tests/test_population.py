@@ -7,6 +7,8 @@ at a time and are kept as the reference.  Both must give the same ``features.tsv
 the same fingerprint bits.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from reference import binarize, extract_features, filter_edges, normalize_weights, simhash, token_hash
@@ -19,7 +21,8 @@ from sockdetect.features import (
     write_features_tsv,
 )
 from sockdetect.ingest import InteractionGraph
-from sockdetect.simhash import HashConfig, fingerprint_population
+from sockdetect.pipeline import RunConfig
+from sockdetect.simhash import fingerprint_population
 from sockdetect.synth import SynthConfig, generate
 
 
@@ -61,7 +64,8 @@ def _reference_rows(fmaps) -> list[str]:
 @pytest.mark.parametrize("mode", MODES)
 def test_population_equals_per_user_reference(graph, tmp_path, mode, direction, weighting):
     for theta in (0.0, 0.3, 0.5):
-        population = build_feature_maps(graph, mode, theta, direction, weighting)
+        cfg = RunConfig(theta=theta, mode=mode, direction=direction, weighting=weighting, seed=5)
+        population = build_feature_maps(graph, cfg)
         reference = _reference_maps(graph, mode, theta, direction, weighting)
         path = tmp_path / "features.tsv"
         write_features_tsv(population, path)
@@ -70,7 +74,7 @@ def test_population_equals_per_user_reference(graph, tmp_path, mode, direction, 
         if direction != "out" and theta == 0.0:
             assert sum(row.startswith("hub\tin\t") for row in rows) == 150
         for b in (32, 128, 256):
-            cfg = HashConfig(b=b, seed=5)
+            cfg = replace(cfg, bits=b)
             fingerprints, skipped = fingerprint_population(population, cfg)
             expected = {u: simhash(m, cfg) for u, m in reference.items() if not m.is_empty()}
             assert fingerprints == expected
@@ -81,10 +85,10 @@ def test_exact_tie_gives_bit_zero():
     # binary weighting makes both votes 1.0, so every bit where the two token
     # hashes differ sums to exactly 0.0 and must come out 0
     graph = InteractionGraph(nodes={"u", "x", "y"}, edges={("u", "x"): 3, ("u", "y"): 1})
-    cfg = HashConfig(b=128, seed=0)
+    cfg = RunConfig(theta=0.0, weighting="binary")
     hx, hy = (token_hash(FeatureToken("out", v), cfg) for v in "xy")
     assert hx != hy
-    fmaps = build_feature_maps(graph, theta=0.0, weighting="binary")
+    fmaps = build_feature_maps(graph, cfg)
     fingerprints, _ = fingerprint_population(fmaps, cfg)
     assert fingerprints["u"].bits == hx & hy
 
@@ -94,7 +98,7 @@ def test_graph_outside_exact_float_range_rejected():
     # the counts themselves stop being exact
     graph = InteractionGraph(nodes={"u", "x", "y"}, edges={("u", "x"): 2**53, ("u", "y"): 1})
     with pytest.raises(InputError, match="exact float64"):
-        build_feature_maps(graph)
+        build_feature_maps(graph, RunConfig())
 
 
 def test_edge_endpoint_outside_nodes_rejected():

@@ -3,27 +3,27 @@ import random
 import pytest
 
 import reference
-from sockdetect.errors import InputError
+from sockdetect.errors import ConfigError, InputError
 from sockdetect.features import FeatureMap, FeatureToken
 from sockdetect.lsh import brute_force_pairs
+from sockdetect.pipeline import RunConfig
 from sockdetect.simhash import (
     Fingerprint,
-    HashConfig,
     fingerprint_population,
     read_fingerprints_tsv,
     write_fingerprints_tsv,
 )
 
-CFG = HashConfig(b=128, seed=0)
+CFG = RunConfig(bits=128, seed=0)
 WIDTHS = (32, 64, 128, 256)
 
 
-def simhash(fmap: FeatureMap, cfg: HashConfig) -> Fingerprint:
+def simhash(fmap: FeatureMap, cfg: RunConfig) -> Fingerprint:
     """The production fingerprint of one map: the population pass over it alone."""
     return fingerprint_population(reference.feature_maps({fmap.owner: fmap}), cfg)[0][fmap.owner]
 
 
-def token_hashes(tokens: list[FeatureToken], cfg: HashConfig) -> list[int]:
+def token_hashes(tokens: list[FeatureToken], cfg: RunConfig) -> list[int]:
     """The fingerprint of one user per token, holding that token alone: a
     single vote of positive weight sets exactly the bits of the token's hash."""
     fmaps = {f"t{i:05d}": FeatureMap(f"t{i:05d}", {t: 1.0}) for i, t in enumerate(tokens)}
@@ -79,12 +79,12 @@ class TestHashToken:
     def test_seed_and_width_change_value(self):
         token = FeatureToken("out", "abc")
         base = token_hashes([token], CFG)
-        assert token_hashes([token], HashConfig(b=128, seed=1)) != base
-        assert token_hashes([token], HashConfig(b=64, seed=0)) != base
+        assert token_hashes([token], RunConfig(bits=128, seed=1)) != base
+        assert token_hashes([token], RunConfig(bits=64, seed=0)) != base
 
     def test_fits_width(self):
         for b in WIDTHS:
-            (value,) = token_hashes([FeatureToken("in", "user9")], HashConfig(b=b, seed=5))
+            (value,) = token_hashes([FeatureToken("in", "user9")], RunConfig(bits=b, seed=5))
             assert 0 <= value < (1 << b)
 
     def test_bit_balance_over_random_tokens(self):
@@ -107,7 +107,7 @@ class TestHashToken:
     def test_equals_reference_token_hash(self, b):
         rng = random.Random(b)
         for seed in (0, 1, 99, 2**64 - 1):
-            cfg = HashConfig(b=b, seed=seed)
+            cfg = RunConfig(bits=b, seed=seed)
             tokens = []
             for _ in range(50):
                 neighbor = "".join(rng.choice("ab7é ") for _ in range(rng.randrange(12)))
@@ -116,14 +116,21 @@ class TestHashToken:
                 assert value == reference.token_hash(token, cfg), (token, seed)
 
 
-class TestHashConfig:
-    def test_rejects_unsupported_width(self):
-        with pytest.raises(ValueError, match="width"):
-            HashConfig(b=100, seed=0)
+class TestHashParams:
+    def test_run_config_rejects_unsupported_width(self):
+        with pytest.raises(ConfigError, match=r"width must be one of \(32, 64, 128, 256\), got 100"):
+            RunConfig(bits=100)
 
-    def test_rejects_oversized_seed(self):
-        with pytest.raises(ValueError, match="seed"):
-            HashConfig(b=128, seed=2**64)
+    def test_run_config_rejects_oversized_seed(self):
+        with pytest.raises(ConfigError, match="seed must fit in 64 unsigned bits"):
+            RunConfig(seed=2**64)
+
+    @pytest.mark.parametrize("header", ["# b=100 seed=0", f"# b=128 seed={2**64}", "# b=128 seed=-1"])
+    def test_fingerprint_header_rejects_what_run_config_does(self, tmp_path, header):
+        path = tmp_path / "fingerprints.tsv"
+        path.write_text(f"{header}\n")
+        with pytest.raises(InputError, match=f"bad fingerprint header '{header}'"):
+            read_fingerprints_tsv(path)
 
 
 class TestSimhash:
@@ -167,8 +174,8 @@ class TestSimhash:
 
     def test_golden_fingerprints(self):
         assert simhash(GOLDEN_MAP, CFG).hex() == GOLDEN_HEX_B128_S0
-        assert simhash(GOLDEN_MAP, HashConfig(b=128, seed=99)).hex() == GOLDEN_HEX_B128_S99
-        assert simhash(GOLDEN_MAP, HashConfig(b=64, seed=0)).hex() == GOLDEN_HEX_B64_S0
+        assert simhash(GOLDEN_MAP, RunConfig(bits=128, seed=99)).hex() == GOLDEN_HEX_B128_S99
+        assert simhash(GOLDEN_MAP, RunConfig(bits=64, seed=0)).hex() == GOLDEN_HEX_B64_S0
 
     def test_population_skips_empty_maps(self):
         fmaps = {
@@ -236,9 +243,9 @@ def test_fingerprint_tsv_round_trip(tmp_path):
     }
     fps, _ = fingerprint_population(reference.feature_maps(fmaps), CFG)
     path = tmp_path / "fingerprints.tsv"
-    write_fingerprints_tsv(fps, CFG, path)
-    loaded, cfg = read_fingerprints_tsv(path)
-    assert cfg == CFG
+    write_fingerprints_tsv(fps, CFG.seed, path)
+    loaded, seed = read_fingerprints_tsv(path)
+    assert seed == 0 and loaded.width == 128
     assert loaded == fps
     assert loaded.owners == fps.owners and loaded.words.tolist() == fps.words.tolist()
     header, first_row = path.read_text().splitlines()[:2]
@@ -254,6 +261,18 @@ def test_fingerprint_tsv_rejects_values_outside_width(tmp_path, row):
         read_fingerprints_tsv(path)
 
 
+@pytest.mark.parametrize("row, error", [
+    ("\tffffffff", "fingerprint line 3: empty id"),
+    (" a\tffffffff", "fingerprint line 3: id ' a' must not begin or end with whitespace"),
+    ("a \tffffffff", "fingerprint line 3: id 'a ' must not begin or end with whitespace"),
+])
+def test_fingerprint_tsv_rejects_ids_other_readers_reject(tmp_path, row, error):
+    path = tmp_path / "fingerprints.tsv"
+    path.write_text(f"# b=32 seed=0\nb\tffffffff\n{row}\n")
+    with pytest.raises(InputError, match=f"^{error}$"):
+        read_fingerprints_tsv(path)
+
+
 @pytest.mark.parametrize("b", WIDTHS)
 def test_packed_rows_equal_fingerprints(tmp_path, b):
     # b=32 is half a word, b=256 four; the top and bottom bits sit at the
@@ -266,10 +285,10 @@ def test_packed_rows_equal_fingerprints(tmp_path, b):
     assert fps.owners == sorted(mapping) and fps.words.shape == (len(mapping), -(-b // 64))
     assert fps.hex() == [mapping[uid].hex() for uid in fps.owners]
     assert dict(fps) == mapping
-    cfg = HashConfig(b=b, seed=3)
     path = tmp_path / "fingerprints.tsv"
-    write_fingerprints_tsv(fps, cfg, path)
-    loaded, loaded_cfg = read_fingerprints_tsv(path)
-    assert loaded_cfg == cfg and dict(loaded) == mapping
+    write_fingerprints_tsv(fps, 3, path)
+    assert path.read_text().splitlines()[0] == f"# b={b} seed=3"
+    loaded, seed = read_fingerprints_tsv(path)
+    assert seed == 3 and loaded.width == b and dict(loaded) == mapping
     assert loaded.owners == fps.owners and loaded.words.tolist() == fps.words.tolist()
 

@@ -5,7 +5,8 @@ import pytest
 from sockdetect.errors import ConfigError
 from sockdetect.features import build_feature_maps
 from sockdetect.ingest import write_edges_tsv
-from sockdetect.simhash import HashConfig, fingerprint_population
+from sockdetect.pipeline import RunConfig
+from sockdetect.simhash import fingerprint_population
 from sockdetect.synth import SynthConfig, generate
 
 
@@ -89,8 +90,9 @@ class TestPlantedTwins:
         graph, truth = generate(
             SynthConfig(n=150, mean_out_degree=6, clones=5, perturbation=0.0, seed=21)
         )
-        fmaps = build_feature_maps(graph, mode=mode, theta=0.5, direction=direction)
-        fps, _ = fingerprint_population(fmaps, HashConfig(b=128, seed=0))
+        cfg = RunConfig(mode=mode, theta=0.5, direction=direction)
+        fmaps = build_feature_maps(graph, cfg)
+        fps, _ = fingerprint_population(fmaps, cfg)
         for members in truth.clusters:
             original, clone = sorted(members, key=int)
             # neighbors coincide outright: original and clone never touch,
@@ -112,8 +114,9 @@ class TestPlantedTwins:
             if src in originals and dst in originals and src != dst
         )
         assert touching > 0  # the interesting case actually occurs
-        fmaps = build_feature_maps(graph, direction="both", theta=0.5)
-        fps, _ = fingerprint_population(fmaps, HashConfig(b=128, seed=0))
+        cfg = RunConfig(direction="both", theta=0.5)
+        fmaps = build_feature_maps(graph, cfg)
+        fps, _ = fingerprint_population(fmaps, cfg)
         for members in truth.clusters:
             original, clone = sorted(members, key=int)
             if fmaps[original].entries:
