@@ -163,9 +163,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     out = _out_dir(args)
     write_candidates_tsv(result.candidates, cfg, out / "candidates.tsv")
     result.report.write_json(out / "report.json", config=cfg.to_dict())
-    write_features_tsv(
-        result.feature_maps, out / "features.tsv", header_lines=[cfg.header_line()]
-    )
+    write_features_tsv(result.feature_maps, cfg, out / "features.tsv")
     write_fingerprints_tsv(result.fingerprints, cfg.seed, out / "fingerprints.tsv")
     _write_json(out / "stats.json", result.stats)
 

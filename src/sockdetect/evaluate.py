@@ -96,6 +96,14 @@ def read_truth(path: str | Path) -> GroundTruth:
 
 
 def write_truth(truth: GroundTruth, path: str | Path) -> None:
+    """One cluster per line, ids sorted; raises before writing on an id
+    that ``read_truth`` would read back differently."""
+    for uid in sorted(set().union(*truth.clusters)):
+        if not uid or uid != uid.strip() or {",", "\n", "\r"} & set(uid):
+            raise InputError(
+                f"truth id {uid!r} must be non-empty, hold no comma or line break,"
+                " and not begin or end with whitespace"
+            )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for members in sorted(truth.clusters, key=lambda m: sorted(m)):
             fh.write(",".join(sorted(members)) + "\n")

@@ -13,17 +13,16 @@ reference it must equal entry for entry is in the test suite.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .ingest import InteractionGraph
+from .ingest import InteractionGraph, write_rows
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
@@ -143,17 +142,13 @@ def build_feature_maps(graph: InteractionGraph, cfg: RunConfig) -> FeatureMaps:
     return FeatureMaps(ids, ids, owner[keep], token[keep], weight[keep])
 
 
-def write_features_tsv(table: FeatureMaps, path: str | Path, header_lines: Iterable[str] = ()) -> None:
-    """Write ``owner<TAB>direction<TAB>neighbor<TAB>weight`` rows,
-    sorted by (owner, direction, neighbor), in one join; each owner, token
-    and distinct weight is formatted once."""
-    owner = [uid + "\t" for uid in table.owners]
-    token = [f"{d}\t{v}\t" for d in TOKEN_DIRECTIONS for v in table.names]
+def write_features_tsv(table: FeatureMaps, cfg: RunConfig, path: str | Path) -> None:
+    """Write ``owner<TAB>direction<TAB>neighbor<TAB>weight`` rows, sorted by
+    (owner, direction, neighbor), after a header line echoing the run
+    configuration; each owner, token and distinct weight is formatted once."""
     values, weight = np.unique(table.weight, return_inverse=True)
-    weight_text = [f"{w!r}\n" for w in values.tolist()]
-    rows = zip(map(owner.__getitem__, table.owner.tolist()), map(token.__getitem__, table.token.tolist()),
-               map(weight_text.__getitem__, weight.tolist()))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        fh.write("".join(itertools.chain.from_iterable(rows)))
+    write_rows(path, [cfg.header_line()], [
+        ([uid + "\t" for uid in table.owners], table.owner),
+        ([f"{d}\t{v}\t" for d in TOKEN_DIRECTIONS for v in table.names], table.token),
+        ([f"{w!r}\n" for w in values.tolist()], weight),
+    ])

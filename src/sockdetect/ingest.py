@@ -18,9 +18,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import InputError
 # json.loads skips exactly these characters around a value
 _JSON_SPACE = " \t\n\r"
 _scan_json = json.JSONDecoder().scan_once
+_WRITE_CHUNK = 1 << 18  # TSV rows joined per write
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,38 @@ def _intern(ids: list[str], sources: list[str], targets: list[str], weights: lis
 def _padded(uid: str) -> bool:
     # readers such as read_truth strip ids, so " a" and "a" would merge there
     return uid != uid.strip()
+
+
+def write_rows(path: str | Path, header: Iterable[str], columns: Sequence[tuple[list[str], np.ndarray]]) -> None:
+    """Write the header lines, then row k as ``texts[codes[k]]`` of each
+    ``(texts, codes)`` column, one join per chunk of rows; each text
+    carries its own tab or line break."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(line + "\n" for line in header)
+        for s in range(0, len(columns[0][1]), _WRITE_CHUNK):
+            fh.write("".join(chain.from_iterable(zip(*(
+                map(texts.__getitem__, codes[s : s + _WRITE_CHUNK].tolist()) for texts, codes in columns)))))
+
+
+def read_rows(lines: Iterable[str], what: str, count: int, start: int = 1) -> Iterator[tuple[int, list[str]]]:
+    """``(lineno, fields)`` of each non-blank line, lines numbered from
+    ``start``; a line without ``count`` tab-separated fields raises."""
+    for lineno, raw in enumerate(lines, start=start):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != count:
+            raise InputError(f"{what} line {lineno}: expected {count} tab-separated fields")
+        yield lineno, fields
+
+
+def check_id(uid: str, what: str, lineno: int) -> None:
+    """Reject an id read from a TSV field that no writer would write."""
+    if not uid:
+        raise InputError(f"{what} line {lineno}: empty id")
+    if _padded(uid):
+        raise InputError(f"{what} line {lineno}: id {uid!r} must not begin or end with whitespace")
 
 
 def _normalize_id(value: object, what: str, line: int | None = None) -> str:
@@ -309,22 +342,15 @@ def build_interaction_graph(log: MessageLog, dropped: Counter[str] | None = None
 
 
 def write_edges_tsv(graph: InteractionGraph, path: str | Path) -> None:
-    """Write edges as ``source<TAB>target<TAB>weight`` sorted by (source, target)."""
-    name = graph.ids.__getitem__
-    ends = map(name, graph.src.tolist()), map(name, graph.dst.tolist())
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(map("{}\t{}\t{}\n".format, *ends, graph.weight.tolist())))
+    """Write edges as ``source<TAB>target<TAB>weight`` sorted by (source,
+    target); each id and distinct weight is formatted once."""
+    ids = [uid + "\t" for uid in graph.ids]
+    values, weight = np.unique(graph.weight, return_inverse=True)
+    write_rows(path, (), [(ids, graph.src), (ids, graph.dst), ([f"{w}\n" for w in values.tolist()], weight)])
 
 
 def iter_edges_tsv(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise InputError(f"edge line {lineno}: expected 3 tab-separated fields")
-        src, dst, weight_s = parts
+    for lineno, (src, dst, weight_s) in read_rows(lines, "edge", 3):
         try:
             weight = int(weight_s)
         except ValueError:
@@ -333,13 +359,8 @@ def iter_edges_tsv(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:
             raise InputError(f"edge line {lineno}: weight must be >= 1")
         if weight >= 2**63:
             raise InputError(f"edge line {lineno}: weight {weight} does not fit in 64 bits")
-        if not src or not dst:
-            raise InputError(f"edge line {lineno}: empty endpoint")
-        for uid in (src, dst):
-            if _padded(uid):
-                raise InputError(
-                    f"edge line {lineno}: id {uid!r} must not begin or end with whitespace"
-                )
+        check_id(src, "edge", lineno)
+        check_id(dst, "edge", lineno)
         if src == dst:
             raise InputError(f"edge line {lineno}: self-loop edge on {src!r}")
         yield src, dst, weight
@@ -354,13 +375,15 @@ def read_edges_tsv(path: str | Path) -> InteractionGraph:
     try:
         return _edges_from_columns(rows)
     except ValueError:
-        pass  # iter_edges_tsv raises the error for the first bad line
-    edges: dict[tuple[str, str], int] = {}
-    for src, dst, weight in iter_edges_tsv(rows):
-        if (src, dst) in edges:
+        pass
+    # the per-line pass raises the error of the first bad line; a file it
+    # passes differs from one the column pass takes only by blank lines
+    seen: set[tuple[str, str]] = set()
+    for src, dst, _ in iter_edges_tsv(rows):
+        if (src, dst) in seen:
             raise InputError(f"duplicate edge ({src}, {dst})")
-        edges[(src, dst)] = weight
-    return InteractionGraph(nodes={u for edge in edges for u in edge}, edges=edges)
+        seen.add((src, dst))
+    return _edges_from_columns([row for row in rows if row.strip()])
 
 
 def _edges_from_columns(rows: list[str]) -> InteractionGraph:

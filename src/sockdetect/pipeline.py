@@ -17,12 +17,9 @@ import numpy as np
 from .detect import MatchReport, build_match_report
 from .errors import InputError
 from .features import FeatureMaps, build_feature_maps, check_feature_params
-from .ingest import InteractionGraph, _padded
+from .ingest import InteractionGraph, check_id, read_rows, write_rows
 from .lsh import CandidatePairs, bound, build_index, candidate_pairs, plan_blocks
 from .simhash import SUPPORTED_WIDTHS, Fingerprints, check_hash_params, fingerprint_population
-
-
-_WRITE_CHUNK = 1 << 18  # candidate rows joined per write
 
 
 @dataclass(frozen=True)
@@ -139,33 +136,21 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
 
 def write_candidates_tsv(pairs: CandidatePairs, cfg: RunConfig, path: str | Path) -> None:
     """Write ``a<TAB>b<TAB>distance`` rows sorted by (distance, a, b) after a
-    header line echoing the run configuration, one join per chunk of rows."""
-    left = [uid + "\t" for uid in pairs.users]
-    right = [f"{d}\n" for d in range(bound(pairs.distance))]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(cfg.header_line() + "\n")
-        for s in range(0, len(pairs), _WRITE_CHUNK):
-            rows = slice(s, s + _WRITE_CHUNK)
-            fh.write("".join(itertools.chain.from_iterable(zip(
-                map(left.__getitem__, pairs.a[rows].tolist()),
-                map(left.__getitem__, pairs.b[rows].tolist()),
-                map(right.__getitem__, pairs.distance[rows].tolist())))))
+    header line echoing the run configuration."""
+    ids = [uid + "\t" for uid in pairs.users]
+    distances = [f"{d}\n" for d in range(bound(pairs.distance))]
+    write_rows(path, [cfg.header_line()], [(ids, pairs.a), (ids, pairs.b), (distances, pairs.distance)])
 
 
 def read_candidates_tsv(path: str | Path) -> CandidatePairs:
-    """The distinct pairs of a candidates TSV, each row's ids put in order."""
+    """The distinct pairs of a candidates TSV, each row's ids put in order;
+    only line 1 may be a header, so later ids may begin with ``#``."""
     rows: set[tuple[str, str, int]] = set()
     with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise InputError(
-                    f"candidates line {lineno}: expected 3 tab-separated fields"
-                )
-            a, b, distance_s = parts
+        first = fh.readline()
+        header = first.startswith("#")
+        lines = fh if header else itertools.chain([first], fh)
+        for lineno, (a, b, distance_s) in read_rows(lines, "candidates", 3, start=2 if header else 1):
             try:
                 distance = int(distance_s)
             except ValueError:
@@ -177,13 +162,8 @@ def read_candidates_tsv(path: str | Path) -> CandidatePairs:
                     f"candidates line {lineno}: distance {distance} exceeds"
                     f" {max(SUPPORTED_WIDTHS)}, the widest fingerprint"
                 )
-            for uid in (a, b):
-                if not uid:
-                    raise InputError(f"candidates line {lineno}: empty id")
-                if _padded(uid):
-                    raise InputError(
-                        f"candidates line {lineno}: id {uid!r} must not begin or end with whitespace"
-                    )
+            check_id(a, "candidates", lineno)
+            check_id(b, "candidates", lineno)
             if a == b:
                 raise InputError(
                     f"candidates line {lineno}: pair endpoints must be ordered, got {a!r}, {b!r}"

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .features import TOKEN_DIRECTIONS, FeatureMaps
-from .ingest import _padded
+from .ingest import check_id, read_rows
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
@@ -201,21 +201,12 @@ def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, int]:
         except (KeyError, ValueError) as exc:
             raise InputError(f"bad fingerprint header {header!r}") from exc
         rows: dict[str, int] = {}  # a repeated user keeps its last row
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
+        for lineno, (owner, hexbits) in read_rows(fh, "fingerprint", 2, start=2):
             try:
-                owner, hexbits = line.split("\t")
                 bits = int(hexbits, 16)
             except ValueError as exc:
                 raise InputError(f"bad fingerprint row at line {lineno}") from exc
-            if not owner:
-                raise InputError(f"fingerprint line {lineno}: empty id")
-            if _padded(owner):
-                raise InputError(
-                    f"fingerprint line {lineno}: id {owner!r} must not begin or end with whitespace"
-                )
+            check_id(owner, "fingerprint", lineno)
             if not 0 <= bits < 1 << b:
                 raise InputError(f"fingerprint at line {lineno} does not fit in {b} bits")
             rows[owner] = bits

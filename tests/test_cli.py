@@ -6,6 +6,7 @@ import pytest
 
 import reference
 from sockdetect.cli import main
+from sockdetect.errors import InputError
 from sockdetect.features import FeatureToken
 from sockdetect.ingest import InteractionGraph, build_interaction_graph, parse_messages, write_edges_tsv
 from sockdetect.lsh import CandidatePair, brute_force_pairs
@@ -289,7 +290,9 @@ class TestDetect:
         pairs = brute_force_pairs(fps, 20)
         assert len(pairs) >= 1000 * 999 // 2
         assert (run / "candidates.tsv").read_text() == reference.candidates_tsv(pairs, DEFAULT_HEADER)
-        assert (run / "report.json").read_text() == reference.report_json(pairs, RunConfig().to_dict())
+        # parsed, not re-serialized: TestAgainstReference pins the byte layout
+        report = json.loads((run / "report.json").read_text())
+        assert report == {"config": RunConfig().to_dict(), **reference.report_dict(pairs)}
 
     def test_many_distinct_fingerprints_in_one_bucket_warn(self, tmp_path, capsys):
         # a user whose only token is one reply has that token's hash as its
@@ -390,6 +393,37 @@ class TestEval:
         truth.write_text("a,b\n")
         assert main(["eval", "--input", str(candidates), "--truth", str(truth)]) == 1
         assert capsys.readouterr().err == f"input error: candidates line 2: {message}\n"
+
+    def test_ids_beginning_with_hash_scored_like_sweep(self, tmp_path, capsys):
+        # only line 1 of candidates.tsv is a header, so the pair of "#anna"
+        # and "bob" is a row that eval scores, as sweep does
+        log = tmp_path / "log.jsonl"
+        log.write_text(
+            '{"message_id": 1, "sender": "carol"}\n'
+            '{"message_id": 2, "sender": "#anna", "reply_to": 1}\n'
+            '{"message_id": 3, "sender": "bob", "reply_to": 1}\n'
+        )
+        truth = tmp_path / "truth.txt"
+        truth.write_text("#anna,bob\n")
+        assert main(["ingest", "--input", str(log), "--output-dir", str(tmp_path / "in")]) == 0
+        edges = str(tmp_path / "in" / "edges.tsv")
+        assert main(["detect", "--input", edges, "--output-dir", str(tmp_path / "run")]) == 0
+        assert main(["sweep", "--input", edges, "--truth", str(truth), "--output-dir", str(tmp_path / "sweep")]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--input", str(tmp_path / "run" / "candidates.tsv"), "--truth", str(truth)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        header, row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()
+        assert float(dict(zip(header.split(","), row.split(",")))["f1"]) == payload["f1"] == 1.0
+
+    def test_only_line_1_is_a_header(self, tmp_path):
+        candidates = tmp_path / "candidates.tsv"
+        candidates.write_text("# header\n#a\tb\t0\n")
+        assert list(read_candidates_tsv(candidates)) == [CandidatePair("#a", "b", 0)]
+        candidates.write_text("#a\tb\t0\n")
+        assert list(read_candidates_tsv(candidates)) == []
+        candidates.write_text("# header\n# a comment\n")
+        with pytest.raises(InputError, match="^candidates line 2: expected 3 tab-separated fields$"):
+            read_candidates_tsv(candidates)
 
     def test_distance_of_widest_fingerprint_accepted(self, tmp_path):
         candidates = tmp_path / "candidates.tsv"

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -101,6 +102,22 @@ class TestTruthFile:
         write_truth(truth, path)
         loaded = read_truth(path)
         assert sorted(map(sorted, loaded.clusters)) == [["a", "b"], ["x", "y", "z"]]
+
+    def test_odd_ids_round_trip(self, tmp_path):
+        truth = GroundTruth([{"#a", "in ner"}, {"\u00fc", "b"}])
+        path = tmp_path / "truth.txt"
+        write_truth(truth, path)
+        assert sorted(map(sorted, read_truth(path).clusters)) == [["#a", "in ner"], ["b", "\u00fc"]]
+
+    @pytest.mark.parametrize("uid", ["", "a,b", " d", "d ", "a\nb", "a\rb"])
+    def test_write_rejects_ids_read_back_differently(self, tmp_path, uid):
+        # read_truth splits on commas and line breaks and strips each id
+        path = tmp_path / "truth.txt"
+        message = (f"truth id {uid!r} must be non-empty, hold no comma or line break,"
+                   " and not begin or end with whitespace")
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            write_truth(GroundTruth([{uid, "c"}, {"e", "f"}]), path)
+        assert not path.exists()
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "truth.txt"

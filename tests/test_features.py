@@ -150,9 +150,9 @@ def test_features_tsv_sorted(tmp_path):
         ),
     }
     path = tmp_path / "features.tsv"
-    write_features_tsv(feature_maps(fmaps), path, header_lines=["# test"])
+    write_features_tsv(feature_maps(fmaps), RunConfig(), path)
     assert path.read_text().splitlines() == [
-        "# test",
+        RunConfig().header_line(),
         "u1\tin\ta\t1.0",
         "u1\tout\tb\t0.5",
         "u2\tout\tx\t1.0",

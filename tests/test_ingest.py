@@ -9,7 +9,9 @@ import pytest
 import reference
 from sockdetect.errors import InputError
 from sockdetect.features import build_feature_maps
-from sockdetect.pipeline import RunConfig
+from sockdetect.lsh import CandidatePairs
+from sockdetect.pipeline import RunConfig, read_candidates_tsv, write_candidates_tsv
+from sockdetect.simhash import Fingerprints, read_fingerprints_tsv, write_fingerprints_tsv
 from sockdetect.ingest import (
     InteractionGraph,
     MessageRecord,
@@ -318,6 +320,85 @@ class TestEdgeTsv:
         path.write_text("")
         graph = read_edges_tsv(path)
         assert graph.node_count == 0 and graph.edge_count == 0
+
+    def test_blank_lines_give_the_graph_without_them(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("a\tb\t2\nb\ta\t3\nc\ta\t1\n")
+        plain = read_edges_tsv(path)
+        path.write_text("\nc\ta\t1\n  \na\tb\t2\n\t\nb\ta\t3\n\n")
+        spaced = read_edges_tsv(path)
+        assert spaced.ids == plain.ids == ["a", "b", "c"]
+        for name in ("src", "dst", "weight"):
+            assert getattr(spaced, name).tolist() == getattr(plain, name).tolist()
+
+
+def _read_edges(path, row):
+    path.write_text(f"{row}\n")
+    read_edges_tsv(path)
+
+
+def _read_fingerprints(path, row):
+    path.write_text(f"# b=64 seed=0\n{row}\n")
+    read_fingerprints_tsv(path)
+
+
+def _read_candidates(path, row):
+    path.write_text(f"# header\n{row}\n")
+    read_candidates_tsv(path)
+
+
+# each reader's name in its error texts, the line of the row, and the row
+# fields after the id
+TSV_READERS = {
+    "edge": (_read_edges, 1, ["z", "1"]),
+    "fingerprint": (_read_fingerprints, 2, ["0"]),
+    "candidates": (_read_candidates, 2, ["z", "0"]),
+}
+
+
+class TestSharedTsvRules:
+    @pytest.mark.parametrize("what", TSV_READERS)
+    @pytest.mark.parametrize(
+        "uid, error",
+        [
+            ("", "empty id"),
+            (" a", "id ' a' must not begin or end with whitespace"),
+            ("a ", "id 'a ' must not begin or end with whitespace"),
+            ("a\tb", "expected {count} tab-separated fields"),
+        ],
+        ids=["empty", "leading-space", "trailing-space", "fields"],
+    )
+    def test_readers_share_error_texts(self, tmp_path, what, uid, error):
+        read, lineno, rest = TSV_READERS[what]
+        message = f"{what} line {lineno}: " + error.format(count=1 + len(rest))
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            read(tmp_path / "file.tsv", "\t".join([uid, *rest]))
+
+    def test_odd_ids_round_trip(self, tmp_path):
+        # inner spaces, non-ASCII characters and a leading "#" are all ids
+        ids = ["#a", "#b c", "b", "in ner", "\u00fc", "\u4e2d\u6587"]
+        n = len(ids)
+        src, dst = np.arange(n), (np.arange(n) + 1) % n
+        order = np.lexsort((dst, src))
+        graph = InteractionGraph(arrays=(ids, src[order], dst[order], np.arange(1, n + 1)[order]))
+        write_edges_tsv(graph, tmp_path / "edges.tsv")
+        loaded = read_edges_tsv(tmp_path / "edges.tsv")
+        assert loaded.ids == ids
+        for name in ("src", "dst", "weight"):
+            assert getattr(loaded, name).tolist() == getattr(graph, name).tolist()
+
+        words = np.arange(n, dtype=np.uint64).reshape(n, 1) * np.uint64(0x0101010101010101)
+        write_fingerprints_tsv(Fingerprints(ids, words, 64), 7, tmp_path / "fingerprints.tsv")
+        fps, seed = read_fingerprints_tsv(tmp_path / "fingerprints.tsv")
+        assert (fps.owners, fps.width, seed) == (ids, 64, 7)
+        assert fps.words.tolist() == words.tolist()
+
+        pairs = CandidatePairs.canonical(ids, np.zeros(n - 1, np.int64), np.arange(1, n), np.arange(n - 1))
+        write_candidates_tsv(pairs, RunConfig(), tmp_path / "candidates.tsv")
+        loaded = read_candidates_tsv(tmp_path / "candidates.tsv")
+        assert loaded.users == ids
+        for name in ("a", "b", "distance"):
+            assert getattr(loaded, name).tolist() == getattr(pairs, name).tolist()
 
 
 # senders that are valid but odd: ints, a digit string equal to an int,

@@ -68,8 +68,9 @@ def test_population_equals_per_user_reference(graph, tmp_path, mode, direction, 
         population = build_feature_maps(graph, cfg)
         reference = _reference_maps(graph, mode, theta, direction, weighting)
         path = tmp_path / "features.tsv"
-        write_features_tsv(population, path)
-        rows = path.read_text().splitlines()
+        write_features_tsv(population, cfg, path)
+        header, *rows = path.read_text().splitlines()
+        assert header == cfg.header_line()
         assert rows == _reference_rows(reference)
         if direction != "out" and theta == 0.0:
             assert sum(row.startswith("hub\tin\t") for row in rows) == 150
