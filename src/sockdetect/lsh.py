@@ -1,16 +1,23 @@
 """Lossless Hamming-radius retrieval by multi-index hashing (Norouzi et al. 2012).
 
-A b-bit fingerprint is split into m blocks, each searched at radius
-r = ⌊d/m⌋.  Two fingerprints within distance d differ in at most d bits and
-m·(r+1) > d, so some block holds at most r of them: probing every key
-within radius r of each row's block key reaches every true pair.  A pair is
-emitted only from the lowest block whose r-ball holds it and verified once
-by exact popcount, so ``candidate_pairs`` equals the all-pairs scan.  It
-runs on one row per distinct fingerprint, and one cost rule
-(``BlockPlan.cost``: lookups, directory work and VERIFY_COST per pair that
-uniform bits co-bucket) picks m or the all-pairs scan.  The pairs come
-back as ``CandidatePairs``, row-index arrays in canonical order, with
-each class of equal fingerprints expanded into its member pairs.
+A b-bit fingerprint is split into m blocks, block t searched at its own
+radius r_t, as GPH generalizes the pigeonhole split (Qin et al., "GPH:
+Similarity Search in Hamming Space", ICDE 2018).  Two fingerprints within
+distance d differ in at most d bits and Σ(r_t + 1) > d, so some block t
+holds at most r_t of them: probing the keys within r_t of each row's block
+key reaches every true pair.  Each unordered pair of keys is reached once:
+rows with equal keys pair up inside their bucket, and keys that differ are
+found only from the row whose key has a 0 at the highest differing bit,
+which probes just the masks whose top bit is that one.  A pair is emitted
+only from the lowest block that holds it within its radius and verified
+once by exact popcount, so ``candidate_pairs`` equals the all-pairs scan.
+It runs on one row per distinct fingerprint, and one cost rule
+(``BlockPlan.cost``: lookups, directory work, a fixed cost per block and
+VERIFY_COST per pair that uniform bits would verify) picks the plan -- m0
+blocks at radius r beside m1 at r + 1 -- or the all-pairs scan, priced at
+SCAN_COST per pair.  The pairs come back as ``CandidatePairs``, row-index
+arrays in canonical order, with each class of equal fingerprints expanded
+into its member pairs.
 """
 
 from __future__ import annotations
@@ -19,19 +26,30 @@ import itertools
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator, Set
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
 from .errors import ConfigError
 from .simhash import Fingerprints
 
-# One verification costs about this many key lookups: fitted by timing every
-# plan on ten (corpus, radius) cases, synth 2k, 5k, 20k and a hub-shaped chat
-# at b=128, d = 6..20 (2-core x86 VM: 1.2e-8 s a lookup, 1.1e-7 s a pair).  The
-# rule then picks the fastest plan in all ten (m=11 at 2k, 8 at 5k, 7 at 20k).
-VERIFY_COST = 15
+# The cost rule counts key lookups.  One verification (expanding its run, the
+# lower-block test and the popcount) costs about 25 of them, a block about
+# 2,000 whatever its width, and a pair of the all-pairs scan about 5.  Fitted
+# by timing, each repetition interleaved across plans, the plans the rule
+# offers on 30 (corpus, radius) cases at b=128 (2-core x86 VM): synth 2k to
+# 20k rows and subsets of 20 to 1,000 rows, random-5k and hub-90 at d = 6..20,
+# and a chat of 250 one-reply users.  The rule's plan is then within 7% of
+# the fastest on every case but two kinds: between 168 and about 300 rows at
+# d=20 it takes blocks where the scan measured up to 2.4x faster (3 ms at
+# most), and at 148 rows and d=10 it is 1.35x (0.4 ms) off.  The best fit,
+# 25 / 5,000 / 3, scans up to about 330 rows; the smaller block cost keeps
+# block plans from 168 rows, which the duplicate-class and excess-verification
+# tests of 201 and 250 rows rely on.
+VERIFY_COST = 25
+BLOCK_COST = 2_000
+SCAN_COST = 5
 _KEY_BITS = 62  # widest block key, so every key is one int64
 _DENSE_BITS = 22  # widest block given a dense count table, sorted keys above
 _PROBE_CHUNK = 1 << 18  # probe keys looked up per step
@@ -77,9 +95,19 @@ def sort_rows(columns: list[np.ndarray], bounds: list[int]) -> list[np.ndarray]:
     return unpack_rows(key, bounds)
 
 
-def _ball(width: int, radius: int) -> int:
-    """Keys within Hamming distance ``radius`` of one ``width``-bit key."""
-    return sum(math.comb(width, k) for k in range(radius + 1))
+@cache
+def _block_tables(radii: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For a w-bit block at radius r <= ``radii``, w up to 62 (and 63 for
+    an empty slot): half[w, r], its lookups per row (half its ball, its own
+    key left out); miss[w, r], the log of the chance that two uniform keys
+    lie farther apart than r on it; and table[w], the size of its dense
+    count table, infinite where sorted keys serve instead."""
+    w, k = np.arange(_KEY_BITS + 2)[:, None], np.arange(radii + 1)
+    # C(w, k) = C(w, k-1) (w-k+1) / k, and 0 from k = w+1 on
+    ball = np.cumprod(np.where(k, (w - k + 1) / np.maximum(k, 1), 1), axis=1).cumsum(axis=1)
+    held = np.minimum(ball / np.exp2(w), 1 - 2**-53)  # finite when 1
+    table = np.where(w[:, 0] <= _DENSE_BITS, np.exp2(w[:, 0]), np.inf)
+    return (ball - 1) / 2, np.log1p(-held), table
 
 
 def _dense(width: int, lookups: int, n: int) -> bool:
@@ -87,32 +115,116 @@ def _dense(width: int, lookups: int, n: int) -> bool:
     return width <= _DENSE_BITS and 1 << width <= lookups * n.bit_length()
 
 
+def _terms(widths: np.ndarray, radii: np.ndarray, counts: np.ndarray) -> tuple:
+    """The parts of the cost rule that do not depend on n, for block plans
+    given as [kind, plan] arrays: plan p has counts[k, p] blocks of
+    widths[k, p] bits at radius radii[k, p].  Per plan they are the lookups
+    per row, the share of uniform pairs that some block holds within its
+    radius and the block count; per kind, what the directory needs."""
+    half, miss, table = _block_tables(int(radii.max()))
+    at = widths * half.shape[1] + radii
+    half = half.ravel()[at]
+    share = -np.expm1((counts * miss.ravel()[at]).sum(axis=0))
+    return (counts * half).sum(axis=0), share, counts.sum(axis=0), (counts, half, table[widths])
+
+
+def _price(terms: tuple, n: int) -> np.ndarray:
+    """The cost rule for n distinct rows, per plan: per block its lookups,
+    its directory (a dense count table, or a binary search per lookup) and
+    BLOCK_COST, plus VERIFY_COST per expected verification."""
+    lookups, share, m, (counts, half, table) = terms
+    directory = (counts * np.minimum(table, n * n.bit_length() * half)).sum(axis=0)
+    return n * lookups + directory + BLOCK_COST * m + VERIFY_COST * n * (n - 1) / 2 * share
+
+
 @dataclass(frozen=True)
 class BlockPlan:
-    """m contiguous disjoint bit ranges covering [0, b), widest first, each
-    searched at Hamming radius ``radius``; m = 0 is the all-pairs scan."""
+    """Contiguous disjoint bit ranges covering [0, b), block t searched at
+    Hamming radius ``radii[t]``; no ranges is the all-pairs scan."""
 
-    m: int
-    ranges: list[tuple[int, int]]  # (start, width)
-    radius: int = 0
+    ranges: list[tuple[int, int]] = field(default_factory=list)  # (start, width)
+    radii: list[int] = field(default_factory=list)
 
-    def probes(self) -> int:
-        """Keys looked up per row, over all blocks."""
-        return sum(_ball(width, self.radius) for _, width in self.ranges)
+    @property
+    def m(self) -> int:
+        return len(self.ranges)
+
+    def _terms(self) -> tuple:
+        widths = np.array([[width] for _, width in self.ranges])
+        return _terms(widths, np.array(self.radii)[:, None], np.ones_like(widths))
 
     def expected_verifications(self, n: int) -> float:
-        """Pairs verified among n rows of uniform random bits."""
-        share = sum(_ball(w, self.radius) / 2**w for _, w in self.ranges) if self.m else 1.0
-        return n * (n - 1) / 2 * share
+        """Pairs verified among n rows of uniform random bits: each pair some
+        block holds within its radius, once, from the lowest such block."""
+        return n * (n - 1) / 2 * (float(self._terms()[1][0]) if self.m else 1.0)
 
     def cost(self, n: int) -> float:
-        """Lookups, directory work, and VERIFY_COST per expected verification."""
-        total = VERIFY_COST * self.expected_verifications(n)
-        for _, width in self.ranges:
-            lookups = n * _ball(width, self.radius)
-            directory = 1 << width if _dense(width, lookups, n) else lookups * n.bit_length()
-            total += lookups + directory
-        return total
+        """The cost rule's units for n distinct rows; SCAN_COST per pair for
+        the scan, which has no runs to expand and no lower blocks to test."""
+        return float(_price(self._terms(), n)[0]) if self.m else SCAN_COST * n * (n - 1) / 2
+
+
+def _even(bits: int, m: int) -> list[int]:
+    """``bits`` split into m widths that differ by at most one, widest first."""
+    q, r = divmod(bits, m) if m else (0, 0)
+    return [q + 1] * r + [q] * (m - r)
+
+
+def _grouped(b: int, r: int, m0: int, m1: int, bits0: int) -> BlockPlan:
+    """m0 blocks over bits [0, bits0) at radius r, then m1 blocks over the
+    rest at radius r + 1."""
+    widths = _even(bits0, m0) + _even(b - bits0, m1)
+    starts = itertools.accumulate(widths[:-1], initial=0)
+    return BlockPlan(ranges=list(zip(starts, widths)), radii=[r] * m0 + [r + 1] * m1)
+
+
+def plan_blocks(b: int, d: int) -> BlockPlan:
+    """The exact-match pigeonhole plan: d+1 ranges, each searched at radius 0."""
+    if d < 0:
+        raise ConfigError(f"max distance must be >= 0, got {d}")
+    if d >= b:
+        raise ConfigError(
+            f"max distance {d} >= width {b}: every pair would be a candidate,"
+            " use the brute-force scan instead"
+        )
+    return _grouped(b, 0, d + 1, 0, b)
+
+
+@cache
+def _groupings(b: int, d: int) -> tuple[np.ndarray, tuple]:
+    """The block plans the cost rule weighs besides the scan, as columns
+    (r, m0, m1, bits0) of ``_grouped``, and their ``_terms``.  They are m
+    blocks at radius ⌊d/m⌋, for every m from the fewest whose keys fit in
+    62 bits up to d+1 (beyond it r stays 0 and the blocks only narrow); and
+    m0 blocks at r beside m1 >= 1 at r + 1, m0 the fewest that keep
+    Σ(r_t + 1) > d, over every split of the bits.  Every block is at most
+    62 bits wide and wider than its radius."""
+    plan_blocks(b, d)
+    fewest = -(-b // _KEY_BITS)
+    m = np.arange(fewest, max(fewest, d + 1) + 1)
+    m = m[b // m > d // m]
+    r, m1 = (a.ravel() for a in np.meshgrid(np.arange(d + 1), np.arange(1, d + 1), indexing="ij"))
+    m0 = (d + 1 - m1 * (r + 2) + r) // (r + 1)
+    r, m0, m1 = r[m0 >= 1], m0[m0 >= 1], m1[m0 >= 1]
+    lo = np.maximum(m0 * (r + 1), b - _KEY_BITS * m1)
+    span = np.maximum(np.minimum(b - m1 * (r + 2), _KEY_BITS * m0) - lo + 1, 0)
+    row = np.repeat(np.arange(len(r)), span)
+    groupings = np.stack([np.concatenate([d // m, r[row]]), np.concatenate([m, m0[row]]),
+                          np.concatenate([0 * m, m1[row]]), np.concatenate([0 * m + b, lo[row] + _ragged(span)])])
+    r, m0, m1, bits0 = groupings
+    q0, r0 = np.divmod(bits0, m0)
+    q1, r1 = np.divmod(b - bits0, np.maximum(m1, 1))
+    widths, radii = np.stack([q0 + 1, q0, q1 + 1, q1]), np.stack([r, r, r + 1, r + 1])
+    return groupings, _terms(widths, radii, np.stack([r0, m0 - r0, r1, m1 - r1]))
+
+
+def choose_plan(b: int, d: int, n: int) -> BlockPlan:
+    """The plan of least cost for n distinct rows of b bits at radius d; the
+    scan wins ties."""
+    groupings, terms = _groupings(b, d)
+    costs = _price(terms, n)
+    k = int(np.argmin(costs))
+    return _grouped(b, *map(int, groupings[:, k])) if costs[k] < BlockPlan().cost(n) else BlockPlan()
 
 
 @dataclass(frozen=True, order=True)
@@ -212,41 +324,10 @@ class LshIndex:
         return len(self.reps) * self.plan.m
 
 
-def _split(b: int, d: int, m: int) -> BlockPlan:
-    """[0, b) as m ranges whose sizes differ by at most one, at radius ⌊d/m⌋."""
-    q, r = divmod(b, m)
-    widths = [q + 1] * r + [q] * (m - r)
-    starts = itertools.accumulate(widths[:-1], initial=0)
-    return BlockPlan(m=m, ranges=list(zip(starts, widths)), radius=d // m)
-
-
-def plan_blocks(b: int, d: int) -> BlockPlan:
-    """The exact-match pigeonhole plan: d+1 ranges, each searched at radius 0."""
-    if d < 0:
-        raise ConfigError(f"max distance must be >= 0, got {d}")
-    if d >= b:
-        raise ConfigError(
-            f"max distance {d} >= width {b}: every pair would be a candidate,"
-            " use the brute-force scan instead"
-        )
-    return _split(b, d, d + 1)
-
-
-def _plans(b: int, d: int) -> list[BlockPlan]:
-    """The plans the cost rule chooses from: the scan, and m blocks for every
-    m whose keys fit in 62 bits, up to d+1 (beyond it r stays 0 and the
-    blocks only narrow)."""
-    plan_blocks(b, d)
-    fewest = -(-b // _KEY_BITS)
-    scan = BlockPlan(m=0, ranges=[], radius=d)
-    return [scan, *(_split(b, d, m) for m in range(fewest, max(fewest, d + 1) + 1))]
-
-
 def build_index(fps: Fingerprints, d: int) -> LshIndex:
     """Collapse equal fingerprints and plan for the distinct ones."""
     _, reps, classes = np.unique(fps.words, axis=0, return_index=True, return_inverse=True)
-    n = len(reps)
-    plan = min(_plans(fps.width, d), key=lambda p: p.cost(n)) if fps else BlockPlan(0, [], d)
+    plan = choose_plan(fps.width, d, len(reps)) if fps else BlockPlan()
     return LshIndex(plan=plan, users=fps.owners, words=fps.words, reps=reps,
                     classes=classes.ravel(), max_distance=d)
 
@@ -260,50 +341,92 @@ def _block_keys(words: np.ndarray, start: int, width: int) -> np.ndarray:
     return (key & np.uint64((1 << width) - 1)).astype(np.int64)
 
 
-def _block_pairs(keys: list[np.ndarray], t: int, width: int, radius: int
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Row pairs i < j within ``radius`` on block t and on no lower block."""
-    key = keys[t]
+def _masks_by_top_bit(width: int, radius: int) -> list[np.ndarray]:
+    """For each bit h below ``width``, the masks of at most ``radius`` set
+    bits whose highest set bit is h; none at radius 0."""
+    below = [np.zeros(1, dtype=np.int64)] * radius  # k: masks of at most k bits below h
+    groups = []
+    for h in range(width if radius else 0):
+        groups.append(below[-1] | 1 << h)
+        below = [below[0], *(np.concatenate([below[k], below[k - 1] | 1 << h]) for k in range(1, radius))]
+    return groups
+
+
+def _runs(key: np.ndarray, order: np.ndarray, width: int, radius: int, work: dict
+          ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Runs (owner, lo, cnt), each row ``owner`` paired with the rows
+    order[lo : lo + cnt], where ``order`` sorts ``key``.  Every unordered
+    pair of rows within ``radius`` on this key is in exactly one run: rows
+    with equal keys from the earlier one's place in the bucket, and keys
+    that differ from the row whose key has a 0 at the highest differing bit
+    h, which alone probes the masks whose top bit is h.  Adds the lookups
+    made to ``work["probes"]``."""
     n = len(key)
-    masks = np.array([sum(1 << i for i in c) for k in range(radius + 1)  # <= radius bits set
-                      for c in itertools.combinations(range(width), k)], dtype=np.int64)
-    order = np.argsort(key, kind="stable")
-    dense = _dense(width, n * len(masks), n)
+    sorted_keys = key[order]
+    later = np.searchsorted(sorted_keys, sorted_keys, side="right") - np.arange(n) - 1
+    run = np.flatnonzero(later)
+    yield order[run], run + 1, later[run]
+    groups = _masks_by_top_bit(width, radius)
+    if not groups:
+        return
+    zeros = [np.flatnonzero(key >> h & 1 == 0) for h in range(len(groups))]
+    lookups = sum(len(rows) * len(masks) for rows, masks in zip(zeros, groups))
+    work["probes"] += lookups
+    dense = _dense(width, lookups, n)
     if dense:  # bucket of key k: order[start[k] : start[k] + count[k]]
         count = np.bincount(key, minlength=1 << width)
         start = np.cumsum(count) - count
-    else:
-        sorted_keys = key[order]
-    step = max(1, _PROBE_CHUNK // len(masks))
-    for i0 in range(0, n, step):
-        probe = (key[i0 : i0 + step, None] ^ masks).ravel()
-        if dense:
-            cnt = count[probe]
-        else:
-            lo = np.searchsorted(sorted_keys, probe)
-            cnt = np.searchsorted(sorted_keys, probe, side="right") - lo
-        hit = np.flatnonzero(cnt)
-        lo, cnt = start[probe[hit]] if dense else lo[hit], cnt[hit]
-        owner = hit // len(masks) + i0
-        # cut the hits into runs of about _PAIR_CHUNK pairs
-        cuts = np.arange(_PAIR_CHUNK, cnt.sum(), _PAIR_CHUNK)
-        bounds = [0, *np.searchsorted(np.cumsum(cnt), cuts, side="right"), len(hit)]
+    for rows, masks in zip(zeros, groups):
+        step = max(1, _PROBE_CHUNK // len(masks))
+        for i0 in range(0, len(rows), step):
+            owner = rows[i0 : i0 + step]
+            probe = (key[owner, None] ^ masks).ravel()
+            if dense:
+                cnt = count[probe]
+            else:
+                lo = np.searchsorted(sorted_keys, probe)
+                cnt = np.searchsorted(sorted_keys, probe, side="right") - lo
+            hit = np.flatnonzero(cnt)
+            yield owner[hit // len(masks)], start[probe[hit]] if dense else lo[hit], cnt[hit]
+
+
+def _batches(runs: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple[np.ndarray, ...]]:
+    """The runs joined into batches of at least _PAIR_CHUNK pairs, bar the last."""
+    batch, pairs = [], 0
+    for run in runs:
+        batch.append(run)
+        pairs += int(run[2].sum())
+        if pairs >= _PAIR_CHUNK:
+            yield tuple(map(np.concatenate, zip(*batch)))
+            batch, pairs = [], 0
+    if batch:
+        yield tuple(map(np.concatenate, zip(*batch)))
+
+
+def _block_pairs(keys: list[np.ndarray], by_row: np.ndarray, radii: np.ndarray, t: int, width: int,
+                 work: dict) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row pairs within radii[t] on block t and beyond radii[s] on every
+    lower block s, each unordered pair once; row i of ``by_row`` holds row
+    i's key on every block."""
+    order = np.argsort(keys[t], kind="stable")
+    for owner, lo, cnt in _batches(_runs(keys[t], order, width, int(radii[t]), work)):
+        # cut the runs into pieces of about _PAIR_CHUNK / (t + 1) pairs, as
+        # each pair is tested on t lower blocks at once
+        cuts = np.arange(_PAIR_CHUNK // (t + 1), cnt.sum(), _PAIR_CHUNK // (t + 1))
+        bounds = [0, *np.searchsorted(np.cumsum(cnt), cuts, side="right"), len(cnt)]
         for a, z in itertools.pairwise(bounds):
             if a == z:
                 continue
             c = cnt[a:z]
             I, J = np.repeat(owner[a:z], c), order[np.repeat(lo[a:z], c) + _ragged(c)]
-            up = J > I
-            I, J = I[up], J[up]
-            for lower in keys[:t]:
-                far = np.bitwise_count(lower[I] ^ lower[J]) > radius
-                I, J = I[far], J[far]
-            yield I, J
+            near = (np.bitwise_count(by_row[I, :t] ^ by_row[J, :t]) <= radii[:t]).any(axis=1)
+            yield I[~near], J[~near]
 
 
-def _candidates(words: np.ndarray, plan: BlockPlan) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Row pairs i < j, each at most once, covering every pair within the
-    plan's reach: all of them for the scan."""
+def _candidates(words: np.ndarray, plan: BlockPlan, work: dict
+                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row pairs, each unordered pair at most once, covering every pair
+    within the plan's reach: all of them, i < j, for the scan."""
     n = len(words)
     if not plan.m:
         step = max(1, _PAIR_CHUNK // max(n, 1))
@@ -312,22 +435,24 @@ def _candidates(words: np.ndarray, plan: BlockPlan) -> Iterator[tuple[np.ndarray
             yield I + i0, J
         return
     keys = [_block_keys(words, s, w) for s, w in plan.ranges]
+    by_row, radii = np.stack(keys, axis=1), np.array(plan.radii)
     for t, (_, width) in enumerate(plan.ranges):
-        yield from _block_pairs(keys, t, width, plan.radius)
+        yield from _block_pairs(keys, by_row, radii, t, width, work)
 
 
 def _search(words: np.ndarray, plan: BlockPlan, d: int
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Rows i < j within distance d, as index arrays and their distances,
-    and the number of pairs verified."""
-    found, verified = [(np.zeros(0, dtype=np.int64),) * 3], 0
-    for I, J in _candidates(words, plan):
+    and the work done: ``probes``, the key lookups, and ``pairs_verified``."""
+    found, work = [(np.zeros(0, dtype=np.int64),) * 3], {"probes": 0, "pairs_verified": 0}
+    for I, J in _candidates(words, plan, work):
         dist = np.bitwise_count(words[I] ^ words[J]).sum(axis=1, dtype=np.int64)
         ok = dist <= d
-        verified += len(I)
-        found.append((I[ok], J[ok], dist[ok]))
+        work["pairs_verified"] += len(I)
+        I, J = I[ok], J[ok]
+        found.append((np.minimum(I, J), np.maximum(I, J), dist[ok]))
     I, J, dist = map(np.concatenate, zip(*found))
-    return I, J, dist, verified
+    return I, J, dist, work
 
 
 def _expand(classes: np.ndarray, I: np.ndarray, J: np.ndarray, dist: np.ndarray
@@ -360,14 +485,14 @@ def candidate_pairs(index: LshIndex, stats: dict | None = None) -> CandidatePair
     gives all its member pairs at distance 0, and a verified pair of distinct
     rows gives the product of their classes.  Equals ``brute_force_pairs``:
     the plan's blocks reach every true pair, and every emitted pair is
-    verified with the exact distance.  ``stats`` receives
+    verified with the exact distance.  ``stats`` receives ``probes``,
     ``pairs_verified``, ``distinct_fingerprints`` and
     ``largest_duplicate_class``.
     """
     reps = index.reps
-    I, J, dist, verified = _search(index.words[reps], index.plan, index.max_distance)
+    I, J, dist, work = _search(index.words[reps], index.plan, index.max_distance)
     if stats is not None:
-        stats.update(pairs_verified=verified, distinct_fingerprints=len(reps),
+        stats.update(work, distinct_fingerprints=len(reps),
                      largest_duplicate_class=int(np.bincount(index.classes).max(initial=0)))
     return CandidatePairs.canonical(index.users, *_expand(index.classes, I, J, dist))
 

@@ -86,7 +86,7 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
     verified = lsh_stats.get("pairs_verified", 0)
     expected = round(index.plan.expected_verifications(distinct))
     # The cost rule plans for uniform fingerprint bits; synth and benchmark
-    # corpora verify 0.7-1.35x the expectation.  Far more means that many
+    # corpora verify 0.9-1.1x the expectation.  Far more means that many
     # fingerprints agree on block bits and retrieval drifts toward all pairs.
     limit = 4 * expected + 1000
     warnings = [] if verified <= limit else [{
@@ -96,7 +96,7 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
                    " on block bits, so retrieval drifts toward all pairs",
     }]
     stats = {
-        "schema_version": 3,
+        "schema_version": 4,
         "nodes": graph.node_count,
         "edges": graph.edge_count,
         "fingerprinted": len(fingerprints),
@@ -104,8 +104,8 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
         "distinct_fingerprints": distinct,
         "largest_duplicate_class": lsh_stats.get("largest_duplicate_class", 0),
         "tables": index.plan.m,
-        "block_radius": index.plan.radius,
-        "probes": distinct * index.plan.probes(),
+        "block_radii": index.plan.radii,
+        "probes": lsh_stats.get("probes", 0),
         "bucket_memberships": index.bucket_memberships(),
         "expected_verifications": expected,
         "pairs_verified": verified,

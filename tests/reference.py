@@ -393,7 +393,10 @@ def _candidate_lists(pairs: Iterable[CandidatePair]) -> dict[str, list[tuple[int
 
 
 def mutual_matches(pairs: Iterable[CandidatePair]) -> list[MutualMatch]:
-    lists = _candidate_lists(pairs)
+    return _mutual(_candidate_lists(pairs))
+
+
+def _mutual(lists: dict[str, list[tuple[int, str]]]) -> list[MutualMatch]:
     nearest = {uid: cands[0] for uid, cands in lists.items()}
     matches: list[MutualMatch] = []
     for uid, (dd, other) in nearest.items():
@@ -404,7 +407,10 @@ def mutual_matches(pairs: Iterable[CandidatePair]) -> list[MutualMatch]:
 
 
 def one_to_many(pairs: Iterable[CandidatePair]) -> dict[str, list[tuple[str, int]]]:
-    lists = _candidate_lists(pairs)
+    return _fanout(_candidate_lists(pairs))
+
+
+def _fanout(lists: dict[str, list[tuple[int, str]]]) -> dict[str, list[tuple[str, int]]]:
     return {
         uid: [(other, dd) for dd, other in cands]
         for uid, cands in sorted(lists.items())
@@ -415,15 +421,16 @@ def one_to_many(pairs: Iterable[CandidatePair]) -> dict[str, list[tuple[str, int
 def report_dict(pairs: Iterable[CandidatePair]) -> dict:
     """What ``MatchReport.to_dict`` gives for ``pairs``."""
     pairs = set(pairs)
+    lists = _candidate_lists(pairs)  # built once for both the mutual and the fan-out parts
     return {
         "clusters": [c.members for c in cluster(pairs)],
         "mutual": [
             {"a": m.a, "b": m.b, "distance": m.distance, "exact": m.exact}
-            for m in mutual_matches(pairs)
+            for m in _mutual(lists)
         ],
         "one_to_many": {
             uid: [{"id": other, "distance": dd} for other, dd in cands]
-            for uid, cands in one_to_many(pairs).items()
+            for uid, cands in _fanout(lists).items()
         },
     }
 

@@ -126,27 +126,32 @@ def test_criterion_4_near_linear_scaling():
     lsh_retrieval(warmup)
     brute_force_pairs(warmup, 20)
 
-    times: dict[int, dict[str, list[float]]] = {}
+    population = {n: _scaling_fingerprints(n, seed) for n, seed in ((10_000, 1), (20_000, 2))}
+    times: dict[int, dict[str, list[float]]] = {n: {"lsh": [], "bf": []} for n in population}
+    want: dict[int, CandidatePairs] = {}
+    # the two sizes alternate in every round, so a change of load between
+    # rounds falls on both sides of a ratio
+    for _ in range(2):
+        for n, fps in population.items():
+            t_bf, want[n] = _timed(brute_force_pairs, fps, 20)
+            times[n]["bf"].append(t_bf)
+    # retrieval takes a fraction of a second, where one stall of the machine
+    # weighs heavily on a timing, so it is timed over more rounds
+    for _ in range(6):
+        for n, fps in population.items():
+            t_lsh, got = _timed(lsh_retrieval, fps)
+            assert _same_pairs(got, want[n])  # lossless at scale as well
+            times[n]["lsh"].append(t_lsh)
     # the cost rule's units of work, which unlike wall time no load can skew
     work: dict[int, int] = {}
-    for n, seed in ((10_000, 1), (20_000, 2)):
-        fps = _scaling_fingerprints(n, seed)
-        times[n] = {"lsh": [], "bf": []}
-        last: CandidatePairs | None = None
-        for _ in range(2):
-            t_lsh, got = _timed(lsh_retrieval, fps)
-            t_bf, want = _timed(brute_force_pairs, fps, 20)
-            assert _same_pairs(got, want)  # lossless at scale as well
-            last = want
-            times[n]["lsh"].append(t_lsh)
-            times[n]["bf"].append(t_bf)
+    for n, fps in population.items():
         index, stats = build_index(fps, 20), {}
         candidate_pairs(index, stats=stats)
-        work[n] = stats["distinct_fingerprints"] * index.plan.probes() + VERIFY_COST * stats["pairs_verified"]
+        work[n] = stats["probes"] + VERIFY_COST * stats["pairs_verified"]
         print(
             f"  n={n}: candidate generation {times[n]['lsh']}, "
-            f"brute force {times[n]['bf']}, pairs={len(last)}, plan m={index.plan.m}"
-            f" r={index.plan.radius}, work units {work[n]}"
+            f"brute force {times[n]['bf']}, pairs={len(want[n])}, plan m={index.plan.m}"
+            f" radii={index.plan.radii}, work units {work[n]}"
         )
 
     def mean(xs):

@@ -246,8 +246,11 @@ class TestDetect:
         stats = json.loads((run / "stats.json").read_text())
         assert stats["seconds"]["candidate_generation"] >= 0
         assert stats["nodes"] == 405
-        assert stats["schema_version"] == 3
+        assert stats["schema_version"] == 4
         assert stats["bucket_memberships"] == stats["distinct_fingerprints"] * stats["tables"]
+        # one radius per table, together reaching every pair within d=20
+        assert len(stats["block_radii"]) == stats["tables"]
+        assert stats["tables"] == 0 or sum(r + 1 for r in stats["block_radii"]) > 20
         assert 1 <= stats["distinct_fingerprints"] <= stats["fingerprinted"]
 
     def test_largest_duplicate_class_counts_equal_fingerprints(self, synth_corpus, tmp_path):

@@ -338,7 +338,7 @@ def _read_edges(path, row):
 
 
 def _read_fingerprints(path, row):
-    path.write_text(f"# b=64 seed=0\n{row}\n")
+    path.write_text(f"# b=64 seed=0\nb\t0\n{row}\n")  # a bad row after a good one
     read_fingerprints_tsv(path)
 
 
@@ -351,7 +351,7 @@ def _read_candidates(path, row):
 # fields after the id
 TSV_READERS = {
     "edge": (_read_edges, 1, ["z", "1"]),
-    "fingerprint": (_read_fingerprints, 2, ["0"]),
+    "fingerprint": (_read_fingerprints, 3, ["0"]),
     "candidates": (_read_candidates, 2, ["z", "0"]),
 }
 

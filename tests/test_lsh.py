@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 import reference
@@ -12,11 +14,14 @@ from sockdetect.lsh import (
     CandidatePair,
     CandidatePairs,
     _block_keys,
-    _plans,
+    _candidates,
+    _groupings,
+    _grouped,
     _search,
     brute_force_pairs,
     build_index,
     candidate_pairs,
+    choose_plan,
     plan_blocks,
 )
 from sockdetect.pipeline import read_candidates_tsv
@@ -66,11 +71,36 @@ def _rows(pairs: CandidatePairs) -> tuple:
     return pairs.users, pairs.a.tolist(), pairs.b.tolist(), pairs.distance.tolist()
 
 
+def _plans(b: int, d: int) -> list[BlockPlan]:
+    """The plans the cost rule chooses from: the scan, then every grouping."""
+    return [BlockPlan(), *(_grouped(b, *map(int, row)) for row in _groupings(b, d)[0].T)]
+
+
+def _lookups(plan: BlockPlan) -> float:
+    """Keys a row looks up on average: half of each block's radius ball,
+    its own key left out."""
+    return sum(
+        sum(math.comb(width, k) for k in range(1, radius + 1))
+        for (_, width), radius in zip(plan.ranges, plan.radii)
+    ) / 2
+
+
 def _forced_plans(b: int, d: int) -> list[BlockPlan]:
-    """The scan and every m the cost rule weighs, except those probing more
-    than 4096 keys a row: those cost more than the scan below about 550
-    distinct rows, so the rule cannot pick them at these test sizes."""
-    return [plan for plan in _plans(b, d) if plan.probes() <= 4096]
+    """The scan, every uniform plan the cost rule weighs, and uneven radii:
+    for r = 0 and r = 1 the first and the last split of the bits with m0
+    blocks at r beside m1 at r + 1.  The first split gives the r + 1 blocks
+    the most bits, so at b >= 64 one is wider than 22 bits and is probed
+    through sorted keys.  Plans looking up more than 2048 keys a row are
+    left out: they cost more than the scan below about 800 distinct rows,
+    so the rule cannot pick them at these test sizes."""
+    rows = _groupings(b, d)[0].T
+    mixed = rows[rows[:, 2] > 0]
+    picks = [*rows[rows[:, 2] == 0]]
+    for r in (0, 1):
+        at_r = mixed[mixed[:, 0] == r]
+        picks += [at_r[0], at_r[-1]] if len(at_r) else []
+    plans = [BlockPlan(), *(_grouped(b, *map(int, row)) for row in picks)]
+    return [plan for plan in plans if _lookups(plan) <= 2048]
 
 
 def _forced(index, plan: BlockPlan, stats: dict | None = None):
@@ -349,9 +379,14 @@ class TestOracleSweep:
         k = len(index.reps)
         words = index.words[index.reps]
         for plan in _forced_plans(b, d):
-            I, J, dist, verified = _search(words, plan, d)
-            assert sorted(zip(I.tolist(), J.tolist(), dist.tolist())) == want_rows, plan.m
-            assert verified <= k * (k - 1) // 2
+            I, J, dist, work = _search(words, plan, d)
+            assert sorted(zip(I.tolist(), J.tolist(), dist.tolist())) == want_rows, plan
+            # no pair of rows reaches verification twice, and no row meets itself
+            reached = [(np.zeros(0, dtype=np.int64),) * 2, *_candidates(words, plan, {"probes": 0})]
+            I, J = map(np.concatenate, zip(*reached))
+            assert (I != J).all(), plan
+            assert len(np.unique(np.minimum(I, J) * k + np.maximum(I, J))) == len(I), plan
+            assert len(I) == work["pairs_verified"] <= k * (k - 1) // 2
 
 
 class TestCostRule:
@@ -359,9 +394,11 @@ class TestCostRule:
     def test_every_plan_covers_the_radius(self, b, d):
         for plan in _plans(b, d)[1:]:
             widths = [w for _, w in plan.ranges]
+            assert [s for s, _ in plan.ranges] == list(itertools.accumulate(widths[:-1], initial=0))
             assert sum(widths) == b and max(widths) <= 62
-            assert plan.radius == d // plan.m
-            assert plan.m * (plan.radius + 1) > d  # the pigeonhole condition
+            assert all(width > radius for width, radius in zip(widths, plan.radii))
+            assert max(plan.radii) - min(plan.radii) <= 1
+            assert sum(radius + 1 for radius in plan.radii) > d  # the pigeonhole condition
 
     def test_scan_for_a_handful_of_rows(self):
         fps = _population(seed=3, n=4)
@@ -369,28 +406,69 @@ class TestCostRule:
         assert (index.plan.m, index.bucket_memberships()) == (0, 0)
         assert _rows(candidate_pairs(index)) == _rows(_brute(fps, 20))
 
-    @pytest.mark.parametrize("n,m,radius", [(2_000, 11, 1), (5_000, 8, 2), (20_000, 7, 2)])
-    def test_default_operating_point(self, n, m, radius):
-        plan = min(_plans(128, 20), key=lambda p: p.cost(n))
-        assert (plan.m, plan.radius) == (m, radius)
+    def test_scan_up_to_148_rows(self):
+        # below about 150 distinct rows the fixed cost of each block outweighs
+        # the verifications the blocks save: the scan was measured faster
+        for n in (2, 20, 50, 100, 148):
+            assert choose_plan(128, 20, n) == BlockPlan(), n
+        assert _index(_population(seed=4, n=148), 20).plan == BlockPlan()
+
+    @pytest.mark.parametrize("n,widths,radii", [
+        # six 13-14-bit blocks at radius 1 beside three 16-bit blocks at 2
+        (2_000, [14, 14, 13, 13, 13, 13, 16, 16, 16], [1] * 6 + [2] * 3),
+        (5_000, [15, 14, 14, 17, 17, 17, 17, 17], [1] * 3 + [2] * 5),
+        (20_000, [19, 19, 18, 18, 18, 18, 18], [2] * 7),
+    ], ids=["2000", "5000", "20000"])
+    def test_default_operating_point(self, n, widths, radii):
+        plan = choose_plan(128, 20, n)
+        assert ([w for _, w in plan.ranges], plan.radii) == (widths, radii)
+
+    @pytest.mark.parametrize("b", [32, 64, 128, 256])
+    def test_chosen_plan_costs_no_more_than_any_uniform_plan(self, b):
+        fewest = -(-b // 62)
+        for d in (0, 1, 3, 7, 12, 20, 31, 40):
+            if d >= b:
+                continue
+            # m blocks of nearly equal width at radius ⌊d/m⌋, and the scan
+            uniform = [BlockPlan(), *(_grouped(b, d // m, m, 0, b) for m in range(fewest, max(fewest, d + 1) + 1))]
+            for n in (2, 20, 150, 250, 2_000, 20_000, 10**6):
+                cost = choose_plan(b, d, n).cost(n)
+                assert cost <= min(plan.cost(n) for plan in uniform) * (1 + 1e-12), (b, d, n)
+
+    @pytest.mark.parametrize("n", [200, 5_000, 50_000])
+    def test_chosen_plan_is_the_cheapest_weighed(self, n):
+        cheapest = min(plan.cost(n) for plan in _plans(128, 20))
+        assert choose_plan(128, 20, n).cost(n) == pytest.approx(cheapest, rel=1e-12)
 
     def test_wide_fingerprints_split_to_fit_keys(self):
         # at b=256, d=0 the pigeonhole split is one 256-bit block; five
         # blocks of at most 52 bits searched exactly are the fewest that fit
-        plan = min(_plans(256, 0), key=lambda p: p.cost(10**6))
-        assert (plan.m, plan.radius) == (5, 0)
+        plan = choose_plan(256, 0, 10**6)
+        assert (plan.m, set(plan.radii)) == (5, {0})
 
     def test_expected_verifications(self):
-        scan, *plans = _plans(128, 20)
-        assert scan.expected_verifications(100) == 100 * 99 / 2
+        assert BlockPlan().expected_verifications(100) == 100 * 99 / 2
         exact = plan_blocks(128, 20)
-        share = 2 * 2**-7 + 19 * 2**-6
+        share = 1 - (1 - 2**-7) ** 2 * (1 - 2**-6) ** 19
         assert exact.expected_verifications(1000) == pytest.approx(1000 * 999 / 2 * share)
-        assert exact.probes() == 21
-        # m=11: seven 12-bit and four 11-bit blocks, each probed at radius 1
-        eleven = {p.m: p for p in plans}[11]
-        assert eleven.radius == 1
-        assert eleven.probes() == 7 * (1 + math.comb(12, 1)) + 4 * (1 + math.comb(11, 1))
+        # a pair two blocks hold is verified once, from the lower block, so
+        # the share is below the sum of the blocks' shares
+        assert share < 2 * 2**-7 + 19 * 2**-6
+
+    @pytest.mark.parametrize("ranges,radii", [
+        ([(0, 4), (4, 3), (7, 3)], [1, 0, 1]),
+        ([(0, 6), (6, 4)], [2, 1]),
+        ([(0, 2), (2, 2), (4, 2), (6, 2), (8, 2)], [0] * 5),
+    ])
+    def test_expected_verifications_count_an_exhaustive_population(self, ranges, radii):
+        # every 10-bit key once: the n^2 ordered pairs of keys are the rule's
+        # uniform pairs, so a share of them lies within some block's radius;
+        # the n pairs (x, x) are among them, and each other pair counts twice
+        plan = BlockPlan(ranges=ranges, radii=radii)
+        n = 1 << 10
+        _, _, _, work = _search(np.arange(n, dtype=np.uint64)[:, None], plan, 10)
+        share = plan.expected_verifications(n) / (n * (n - 1) / 2)
+        assert 2 * work["pairs_verified"] + n == pytest.approx(n * n * share, rel=1e-12)
 
 
 class TestQuery:
