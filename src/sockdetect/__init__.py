@@ -20,7 +20,7 @@ from .ingest import (
     read_edges_tsv,
     write_edges_tsv,
 )
-from .lsh import BlockPlan, CandidatePairs, LshIndex, brute_force_pairs, build_index, candidate_pairs, plan_blocks
+from .lsh import BlockPlan, CandidatePairs, LshIndex, brute_force_pairs, build_index, candidate_pairs
 from .pipeline import DetectionResult, RunConfig, run_detection, write_candidates_tsv
 from .simhash import Fingerprints, fingerprint_population
 from .synth import SynthConfig, generate
@@ -55,7 +55,6 @@ __all__ = [
     "generate",
     "pairwise_metrics",
     "parse_messages",
-    "plan_blocks",
     "read_edges_tsv",
     "read_truth",
     "run_detection",

@@ -30,6 +30,7 @@ from .features import DIRECTIONS, MODES, WEIGHTINGS, write_features_tsv
 from .ingest import (
     build_interaction_graph,
     convert_telegram_export,
+    open_text,
     parse_messages_path,
     read_edges_tsv,
     write_edges_tsv,
@@ -121,7 +122,7 @@ def _write_json(path: Path, obj: dict) -> None:
 def cmd_ingest(args: argparse.Namespace) -> int:
     dropped: Counter[str] = Counter()
     if args.telegram:
-        with open(args.input, encoding="utf-8") as fh:
+        with open_text(args.input) as fh:
             try:
                 document = json.load(fh)
             except json.JSONDecodeError as exc:
@@ -276,10 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

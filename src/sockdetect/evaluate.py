@@ -3,20 +3,18 @@ plus the parameter sweep."""
 
 from __future__ import annotations
 
+import csv
 import itertools
 import time
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import InputError
+from .ingest import InteractionGraph, open_text
 from .lsh import CandidatePairs
 from .pipeline import RunConfig
-
-if TYPE_CHECKING:
-    from .ingest import InteractionGraph
 
 
 @dataclass
@@ -82,7 +80,7 @@ def pairwise_metrics(pairs: CandidatePairs, truth: GroundTruth) -> EvalReport:
 def read_truth(path: str | Path) -> GroundTruth:
     """One cluster per line, comma-separated user ids; blank lines skipped."""
     clusters: list[set[str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -125,15 +123,9 @@ class SweepGrid:
 
 @dataclass
 class SweepRow:
-    # the grid point, in SweepGrid field order, then the seed: sweep.csv's
-    # first seven columns
-    bits: int
-    max_distance: int
-    theta: float
-    direction: str
-    mode: str
-    weighting: str
-    seed: int
+    # the grid point as RunConfig keyword arguments, in SweepGrid field order,
+    # then the seed: sweep.csv's first seven columns
+    point: dict
     status: str  # "ok" or "failed"
     error: str = ""
     candidates: int = 0
@@ -157,19 +149,19 @@ def sweep_row_fields(r: SweepRow) -> list[str]:
         ]
     else:
         metrics = [""] * 6
-    config = [str(getattr(r, f.name)) for f in fields(SweepRow)[:7]]
+    config = map(str, r.point.values())
     return [*config, r.status, str(r.candidates), *metrics, f"{r.seconds:.3f}", r.error]
 
 
 def sweep_rows_to_csv(rows: list[SweepRow], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    """The header, then one CSV row per grid point: an error text's commas stay in one cell."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(SWEEP_COLUMNS + "\n")
-        for r in rows:
-            fh.write(",".join(sweep_row_fields(r)) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows(map(sweep_row_fields, rows))
 
 
 def sweep(
-    graph: "InteractionGraph",
+    graph: InteractionGraph,
     truth: GroundTruth,
     grid: SweepGrid,
     seed: int = RunConfig.seed,
@@ -189,18 +181,18 @@ def sweep(
     # looked up at call time, so wrappers installed on pipeline functions apply
     from . import pipeline
 
-    rows: list[SweepRow] = []
+    axes = asdict(grid)
+    rows = [SweepRow(dict(zip(axes, values), seed=seed), status="ok")
+            for values in itertools.product(*axes.values())]
     by_key: dict[tuple, list[tuple[SweepRow, RunConfig]]] = {}
-    for point in itertools.product(*astuple(grid)):
-        row = SweepRow(*point, seed=seed, status="ok")
-        rows.append(row)
+    for row in rows:
         try:
-            cfg = RunConfig(**{f.name: getattr(row, f.name) for f in fields(RunConfig)})
+            cfg = RunConfig(**row.point)
         except ValueError as exc:
             row.status = "failed"
             row.error = str(exc)
             continue
-        key = tuple(v for f, v in zip(fields(cfg), astuple(cfg)) if f.name != "max_distance")
+        key = tuple(v for name, v in row.point.items() if name != "max_distance")
         by_key.setdefault(key, []).append((row, cfg))
 
     for points in by_key.values():
@@ -213,8 +205,8 @@ def sweep(
                 row.status = "failed"
                 row.error = str(exc)
             continue
-        for row, _ in points:
-            candidates = result.candidates.within(row.max_distance)
+        for row, cfg in points:
+            candidates = result.candidates.within(cfg.max_distance)
             row.candidates = len(candidates)
             row.report = pairwise_metrics(candidates, truth)
             now = time.perf_counter()

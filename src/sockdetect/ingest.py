@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -121,6 +122,17 @@ def _padded(uid: str) -> bool:
     return uid != uid.strip()
 
 
+@contextmanager
+def open_text(path: str | Path) -> Iterator[TextIO]:
+    """``path`` opened to read as UTF-8; bytes that are not UTF-8 raise an
+    InputError naming the file, wherever the reading meets them."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
 def write_rows(path: str | Path, header: Iterable[str], columns: Sequence[tuple[list[str], np.ndarray]]) -> None:
     """Write the header lines, then row k as ``texts[codes[k]]`` of each
     ``(texts, codes)`` column, one join per chunk of rows; each text
@@ -167,6 +179,10 @@ def _normalize_id(value: object, what: str, line: int | None = None) -> str:
             raise InputError(f"{what} must not contain a tab or line break{where}")
         if _padded(value):
             raise InputError(f"{what} must not begin or end with whitespace{where}")
+        try:  # a JSON escape such as "\ud800" decodes to a lone surrogate
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise InputError(f"{what} must be valid Unicode text{where}") from None
         return value
     raise InputError(f"{what} must be a string or integer{where}")
 
@@ -257,7 +273,7 @@ def _parse_per_line(lines: Iterable[str]) -> MessageLog:
 def parse_messages_path(path: str | Path) -> MessageLog:
     # a text file splits into lines on "\n" only, never on the other breaks
     # str.splitlines knows, which JSON strings may hold raw
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return parse_messages(fh)
 
 
@@ -349,8 +365,20 @@ def write_edges_tsv(graph: InteractionGraph, path: str | Path) -> None:
     write_rows(path, (), [(ids, graph.src), (ids, graph.dst), ([f"{w}\n" for w in values.tolist()], weight)])
 
 
-def iter_edges_tsv(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:
-    for lineno, (src, dst, weight_s) in read_rows(lines, "edge", 3):
+def read_edges_tsv(path: str | Path) -> InteractionGraph:
+    """Read an edge-list TSV.  Nodes are the edge endpoints."""
+    with open_text(path) as fh:
+        rows = fh.read().split("\n")
+    if rows[-1] == "":
+        rows.pop()  # the final line break
+    try:
+        return _edges_from_columns(rows)
+    except ValueError:
+        pass
+    # the per-line pass raises the error of the first bad line; a file it
+    # passes differs from one the column pass takes only by blank lines
+    seen: set[tuple[str, str]] = set()
+    for lineno, (src, dst, weight_s) in read_rows(rows, "edge", 3):
         try:
             weight = int(weight_s)
         except ValueError:
@@ -363,23 +391,6 @@ def iter_edges_tsv(lines: Iterable[str]) -> Iterator[tuple[str, str, int]]:
         check_id(dst, "edge", lineno)
         if src == dst:
             raise InputError(f"edge line {lineno}: self-loop edge on {src!r}")
-        yield src, dst, weight
-
-
-def read_edges_tsv(path: str | Path) -> InteractionGraph:
-    """Read an edge-list TSV.  Nodes are the edge endpoints."""
-    with open(path, encoding="utf-8") as fh:
-        rows = fh.read().split("\n")
-    if rows[-1] == "":
-        rows.pop()  # the final line break
-    try:
-        return _edges_from_columns(rows)
-    except ValueError:
-        pass
-    # the per-line pass raises the error of the first bad line; a file it
-    # passes differs from one the column pass takes only by blank lines
-    seen: set[tuple[str, str]] = set()
-    for src, dst, _ in iter_edges_tsv(rows):
         if (src, dst) in seen:
             raise InputError(f"duplicate edge ({src}, {dst})")
         seen.add((src, dst))
@@ -388,7 +399,7 @@ def read_edges_tsv(path: str | Path) -> InteractionGraph:
 
 def _edges_from_columns(rows: list[str]) -> InteractionGraph:
     """Split the rows into columns and check them whole; raises ValueError
-    on anything ``iter_edges_tsv`` must look at."""
+    on anything the per-line pass must look at."""
     if set(map(str.count, rows, repeat("\t"))) - {2}:
         raise ValueError("a row without three fields")
     fields = "\t".join(rows).split("\t") if rows else []

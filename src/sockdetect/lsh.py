@@ -178,8 +178,8 @@ def _grouped(b: int, r: int, m0: int, m1: int, bits0: int) -> BlockPlan:
     return BlockPlan(ranges=list(zip(starts, widths)), radii=[r] * m0 + [r + 1] * m1)
 
 
-def plan_blocks(b: int, d: int) -> BlockPlan:
-    """The exact-match pigeonhole plan: d+1 ranges, each searched at radius 0."""
+def check_radius(b: int, d: int) -> None:
+    """Raise ConfigError for a radius below 0, or one no pair of b-bit fingerprints exceeds."""
     if d < 0:
         raise ConfigError(f"max distance must be >= 0, got {d}")
     if d >= b:
@@ -187,7 +187,6 @@ def plan_blocks(b: int, d: int) -> BlockPlan:
             f"max distance {d} >= width {b}: every pair would be a candidate,"
             " use the brute-force scan instead"
         )
-    return _grouped(b, 0, d + 1, 0, b)
 
 
 @cache
@@ -199,7 +198,7 @@ def _groupings(b: int, d: int) -> tuple[np.ndarray, tuple]:
     m0 blocks at r beside m1 >= 1 at r + 1, m0 the fewest that keep
     Σ(r_t + 1) > d, over every split of the bits.  Every block is at most
     62 bits wide and wider than its radius."""
-    plan_blocks(b, d)
+    check_radius(b, d)
     fewest = -(-b // _KEY_BITS)
     m = np.arange(fewest, max(fewest, d + 1) + 1)
     m = m[b // m > d // m]

@@ -17,8 +17,8 @@ import numpy as np
 from .detect import MatchReport, build_match_report
 from .errors import InputError
 from .features import FeatureMaps, build_feature_maps, check_feature_params
-from .ingest import InteractionGraph, check_id, read_rows, write_rows
-from .lsh import CandidatePairs, bound, build_index, candidate_pairs, plan_blocks
+from .ingest import InteractionGraph, check_id, open_text, read_rows, write_rows
+from .lsh import CandidatePairs, bound, build_index, candidate_pairs, check_radius
 from .simhash import SUPPORTED_WIDTHS, Fingerprints, check_hash_params, fingerprint_population
 
 
@@ -37,7 +37,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         check_hash_params(self.bits, self.seed)
-        plan_blocks(self.bits, self.max_distance)
+        check_radius(self.bits, self.max_distance)
         check_feature_params(self.mode, self.theta, self.direction, self.weighting)
 
     def to_dict(self) -> dict:
@@ -82,8 +82,8 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
     report = build_match_report(candidates)
     t5 = time.perf_counter()
 
-    distinct = lsh_stats.get("distinct_fingerprints", 0)
-    verified = lsh_stats.get("pairs_verified", 0)
+    distinct = lsh_stats["distinct_fingerprints"]
+    verified = lsh_stats["pairs_verified"]
     expected = round(index.plan.expected_verifications(distinct))
     # The cost rule plans for uniform fingerprint bits; synth and benchmark
     # corpora verify 0.9-1.1x the expectation.  Far more means that many
@@ -102,10 +102,10 @@ def run_detection(graph: InteractionGraph, cfg: RunConfig) -> DetectionResult:
         "fingerprinted": len(fingerprints),
         "unfingerprintable": len(skipped),
         "distinct_fingerprints": distinct,
-        "largest_duplicate_class": lsh_stats.get("largest_duplicate_class", 0),
+        "largest_duplicate_class": lsh_stats["largest_duplicate_class"],
         "tables": index.plan.m,
         "block_radii": index.plan.radii,
-        "probes": lsh_stats.get("probes", 0),
+        "probes": lsh_stats["probes"],
         "bucket_memberships": index.bucket_memberships(),
         "expected_verifications": expected,
         "pairs_verified": verified,
@@ -146,7 +146,7 @@ def read_candidates_tsv(path: str | Path) -> CandidatePairs:
     """The distinct pairs of a candidates TSV, each row's ids put in order;
     only line 1 may be a header, so later ids may begin with ``#``."""
     rows: set[tuple[str, str, int]] = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         first = fh.readline()
         header = first.startswith("#")
         lines = fh if header else itertools.chain([first], fh)

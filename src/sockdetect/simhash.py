@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .features import TOKEN_DIRECTIONS, FeatureMaps
-from .ingest import check_id, read_rows
+from .ingest import check_id, open_text, read_rows
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
@@ -190,7 +190,7 @@ def write_fingerprints_tsv(fps: Fingerprints, seed: int, path: str | Path) -> No
 
 def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, int]:
     """The fingerprints of a fingerprints TSV and the seed its header records."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         fields = dict(
             part.split("=", 1) for part in header.lstrip("# ").split() if "=" in part

@@ -70,6 +70,8 @@ def _normalize_id(value: object, what: str, line: int | None = None) -> str:
             raise InputError(f"{what} must not contain a tab or line break{where}")
         if value != value.strip():
             raise InputError(f"{what} must not begin or end with whitespace{where}")
+        if any(0xD800 <= ord(c) <= 0xDFFF for c in value):
+            raise InputError(f"{what} must be valid Unicode text{where}")
         return value
     raise InputError(f"{what} must be a string or integer{where}")
 

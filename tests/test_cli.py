@@ -1,3 +1,4 @@
+import csv
 import itertools
 import json
 from collections import Counter
@@ -5,6 +6,7 @@ from collections import Counter
 import pytest
 
 import reference
+from sockdetect import pipeline
 from sockdetect.cli import main
 from sockdetect.errors import InputError
 from sockdetect.features import FeatureToken
@@ -86,6 +88,21 @@ class TestIngest:
         argv = ["ingest", "--input", str(src), "--output-dir", str(tmp_path / "out")]
         assert main(argv + ["--telegram"] * telegram) == 1
         assert "must not contain a tab or line break" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "edges.tsv").exists()
+
+    @pytest.mark.parametrize("telegram", [False, True])
+    def test_sender_not_writable_as_utf8_exits_1(self, tmp_path, capsys, telegram):
+        # the JSON escape decodes to a lone surrogate, which no UTF-8 file can hold
+        if telegram:
+            text = json.dumps({"messages": [{"id": 1, "from_id": "a"}, {"id": 2, "from_id": "\ud800"}]})
+        else:
+            text = '{"message_id": 1, "sender": "a"}\n{"message_id": 2, "sender": "\\ud800"}\n'
+        src = tmp_path / "input"
+        src.write_text(text)
+        argv = ["ingest", "--input", str(src), "--output-dir", str(tmp_path / "out")]
+        assert main(argv + ["--telegram"] * telegram) == 1
+        where = "of entry 1 must be valid Unicode text" if telegram else "must be valid Unicode text at line 2"
+        assert capsys.readouterr().err == f"input error: sender {where}\n"
         assert not (tmp_path / "out" / "edges.tsv").exists()
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
@@ -252,6 +269,20 @@ class TestDetect:
         assert len(stats["block_radii"]) == stats["tables"]
         assert stats["tables"] == 0 or sum(r + 1 for r in stats["block_radii"]) > 20
         assert 1 <= stats["distinct_fingerprints"] <= stats["fingerprinted"]
+
+    @pytest.mark.parametrize("key", ["distinct_fingerprints", "pairs_verified", "largest_duplicate_class", "probes"])
+    def test_stats_read_every_retrieval_counter(self, monkeypatch, key):
+        # a counter that retrieval stops reporting raises instead of reading 0
+        def dropping(index, stats):
+            pairs = candidate_pairs(index, stats=stats)
+            del stats[key]
+            return pairs
+
+        candidate_pairs = pipeline.candidate_pairs
+        monkeypatch.setattr(pipeline, "candidate_pairs", dropping)
+        graph = InteractionGraph(nodes={"a", "b"}, edges={("a", "b"): 1})
+        with pytest.raises(KeyError, match=key):
+            run_detection(graph, RunConfig())
 
     def test_largest_duplicate_class_counts_equal_fingerprints(self, synth_corpus, tmp_path):
         # two more users copy an existing user's only reply, so all three
@@ -558,6 +589,25 @@ class TestSweep:
         assert f"argument {flag}: invalid choice: {bad!r}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_failed_grid_point_error_is_one_csv_cell(self, synth_corpus, tmp_path, capsys):
+        # the error text holds a comma, so the cell is quoted
+        out = tmp_path / "sweep"
+        argv = ["sweep", "--input", str(synth_corpus / "edges.tsv"), "--truth",
+                str(synth_corpus / "truth.txt"), "--output-dir", str(out), "--max-distance", "20,128"]
+        assert main(argv) == 0
+        with open(out / "sweep.csv", newline="") as fh:
+            header, ok, failed = csv.reader(fh)
+        assert len(header) == len(ok) == len(failed) == 17
+        error = dict(zip(header, failed))["error"]
+        assert error == (
+            "max distance 128 >= width 128: every pair would be a candidate,"
+            " use the brute-force scan instead"
+        )
+        assert dict(zip(header, ok))["error"] == ""
+        # the stdout table is tab-separated and keeps the text as it is
+        table = capsys.readouterr().out.splitlines()
+        assert table[2].split("\t")[-1] == error
+
     def test_failed_grid_point_row(self, synth_corpus, tmp_path):
         out = tmp_path / "sweep"
         rc = main(
@@ -573,3 +623,36 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert "failed" in lines[1]
         assert ",ok," in lines[2]
+
+
+VALID_INPUTS = {
+    "messages": '{"message_id": 1, "sender": "a"}\n{"message_id": 2, "sender": "b", "reply_to": 1}\n',
+    "export": '{"messages": [{"id": 1, "from_id": "a"}, {"id": 2, "from_id": "b", "reply_to_message_id": 1}]}',
+    "edges": "a\tb\t1\nb\ta\t1\n",
+    "candidates": "a\tb\t0\n",
+    "truth": "a,b\n",
+}
+
+
+COMMANDS = {
+    "ingest": ["ingest", "--input", "messages"],
+    "ingest-telegram": ["ingest", "--telegram", "--input", "export"],
+    "detect": ["detect", "--input", "edges"],
+    "eval": ["eval", "--input", "candidates", "--truth", "truth"],
+    "sweep": ["sweep", "--input", "edges", "--truth", "truth"],
+}
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("ingest", "messages"), ("ingest-telegram", "export"), ("detect", "edges"),
+    ("eval", "candidates"), ("eval", "truth"), ("sweep", "edges"), ("sweep", "truth"),
+])
+def test_input_not_utf8_exits_1_naming_the_file(tmp_path, capsys, command, bad):
+    for name, text in VALID_INPUTS.items():
+        (tmp_path / name).write_bytes(text.encode() + b"\xff\n" * (name == bad))
+    argv = [str(tmp_path / arg) if arg in VALID_INPUTS else arg for arg in COMMANDS[command]]
+    out = [] if command == "eval" else ["--output-dir", str(tmp_path / "out")]
+    assert main(argv + out) == 1
+    err = capsys.readouterr().err
+    assert err == f"input error: {tmp_path / bad} is not UTF-8 text: invalid start byte\n"
+    assert "Traceback" not in err

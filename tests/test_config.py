@@ -8,8 +8,9 @@ from dataclasses import fields
 import pytest
 
 from sockdetect.cli import _from_args, build_parser
-from sockdetect.evaluate import SweepGrid, sweep
+from sockdetect.evaluate import GroundTruth, SweepGrid, SweepRow, sweep
 from sockdetect.features import build_feature_maps, check_feature_params
+from sockdetect.ingest import InteractionGraph
 from sockdetect.pipeline import RunConfig
 from sockdetect.simhash import check_hash_params, fingerprint_population
 from sockdetect.synth import SynthConfig
@@ -47,6 +48,18 @@ def test_sweep_flag_defaults_are_one_point_lists():
         expected = [f.default] if f.name in swept else f.default
         assert getattr(args, f.name) == expected, f.name
     assert _from_args(SweepGrid, args) == SweepGrid()
+
+
+def test_sweep_rows_hold_their_grid_point_as_run_config_arguments():
+    # the row restates no RunConfig field; its point is the config's
+    # keyword arguments, in SweepGrid order, then the seed
+    assert not {f.name for f in fields(SweepRow)} & {f.name for f in fields(RunConfig)}
+    grid = SweepGrid(bits=[64], max_distance=[9, 64], theta=[0.3], mode=["sum"],
+                     direction=["both"], weighting=["binary"])
+    ok, failed = sweep(InteractionGraph(), GroundTruth([]), grid, seed=5)
+    assert list(ok.point) == [f.name for f in fields(SweepGrid)] + ["seed"]
+    assert RunConfig(**ok.point) == OFF_DEFAULT
+    assert failed.point == {**ok.point, "max_distance": 64} and failed.status == "failed"
 
 
 def test_synth_flag_defaults_are_synth_config_defaults():

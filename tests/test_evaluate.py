@@ -155,7 +155,7 @@ class TestSweep:
         grid = SweepGrid(max_distance=[10, 20], theta=[0.3, 0.5])
         rows1 = sweep(graph, truth, grid)
         rows2 = sweep(graph, truth, grid)
-        assert [(r.max_distance, r.theta) for r in rows1] == [
+        assert [(r.point["max_distance"], r.point["theta"]) for r in rows1] == [
             (10, 0.3),
             (10, 0.5),
             (20, 0.3),
@@ -198,12 +198,11 @@ class TestSweep:
         rows = sweep(graph, truth, grid)
         assert len(fingerprint_calls) == 2
         assert [cfg.max_distance for cfg in run_calls] == [10, 10]
-        assert [(r.max_distance, r.theta) for r in rows] == [
+        assert [(r.point["max_distance"], r.point["theta"]) for r in rows] == [
             (d, theta) for d in (6, 8, 10) for theta in (0.3, 0.5)
         ]
         for row in rows:
-            cfg = RunConfig(max_distance=row.max_distance, theta=row.theta)
-            result = run_detection(graph, cfg)
+            result = run_detection(graph, RunConfig(**row.point))
             assert row.status == "ok"
             assert row.candidates == len(result.candidates)
             assert row.report == pairwise_metrics(result.candidates, truth)
@@ -219,7 +218,7 @@ class TestSweep:
         assert len(fingerprint_calls) == 1
         assert [cfg.max_distance for cfg in run_calls] == [8]
         for row in (rows[0], rows[2]):
-            result = run_detection(graph, RunConfig(bits=32, max_distance=row.max_distance))
+            result = run_detection(graph, RunConfig(**row.point))
             assert row.candidates == len(result.candidates)
 
     def test_failed_run_fails_every_row_of_its_key(self):

@@ -107,6 +107,16 @@ class TestParseMessages:
             with pytest.raises(InputError, match=message):
                 parse(lines)
 
+    @pytest.mark.parametrize("later", ['{"message_id": 3, "sender": "c"}', '{"message_id": true, "sender": "c"}'])
+    def test_sender_not_writable_as_utf8_rejected(self, later):
+        # the escape decodes to a lone surrogate; the column pass meets it
+        # first unless a later line fails a column check, and either way
+        # the error names its line
+        lines = ['{"message_id": 1, "sender": "a"}', '{"message_id": 2, "sender": "\\ud800"}', later]
+        for parse in (parse_messages, reference.parse_messages):
+            with pytest.raises(InputError, match="^sender must be valid Unicode text at line 2$"):
+                parse(lines)
+
     def test_unknown_fields_ignored_and_order_kept(self):
         lines = [
             '{"message_id": 5, "sender": "a", "text": "hi", "views": 3}',
@@ -157,6 +167,11 @@ class TestTelegramExport:
     def test_sender_breaking_tsv_rejected(self):
         doc = {"messages": [{"id": 1, "from_id": "a"}, {"id": 2, "from_id": "b\tz\t1\nc"}]}
         with pytest.raises(InputError, match="sender of entry 1 must not contain a tab or line break"):
+            convert_telegram_export(doc)
+
+    def test_sender_not_writable_as_utf8_rejected(self):
+        doc = json.loads('{"messages": [{"id": 1, "from_id": "a"}, {"id": 2, "from_id": "b\\udfff"}]}')
+        with pytest.raises(InputError, match="^sender of entry 1 must be valid Unicode text$"):
             convert_telegram_export(doc)
 
     def test_sender_with_surrounding_whitespace_rejected(self):

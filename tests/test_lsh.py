@@ -21,8 +21,8 @@ from sockdetect.lsh import (
     brute_force_pairs,
     build_index,
     candidate_pairs,
+    check_radius,
     choose_plan,
-    plan_blocks,
 )
 from sockdetect.pipeline import read_candidates_tsv
 from sockdetect.simhash import Fingerprint
@@ -103,29 +103,34 @@ def _forced_plans(b: int, d: int) -> list[BlockPlan]:
     return [plan for plan in plans if _lookups(plan) <= 2048]
 
 
+def _exact(b: int, d: int) -> BlockPlan:
+    """The exact-match pigeonhole plan: d+1 ranges, each searched at radius 0."""
+    return _grouped(b, 0, d + 1, 0, b)
+
+
 def _forced(index, plan: BlockPlan, stats: dict | None = None):
     return candidate_pairs(dataclasses.replace(index, plan=plan), stats=stats)
 
 
 class TestPlanBlocks:
     def test_128_20_gives_two_sevens_and_nineteen_sixes(self):
-        plan = plan_blocks(128, 20)
+        plan = _exact(128, 20)
         widths = [w for _, w in plan.ranges]
         assert plan.m == 21
         assert widths == [7, 7] + [6] * 19
         assert sum(widths) == 128
 
     def test_128_15_gives_sixteen_eights(self):
-        plan = plan_blocks(128, 15)
+        plan = _exact(128, 15)
         assert [w for _, w in plan.ranges] == [8] * 16
 
     def test_8_1_gives_two_fours(self):
-        plan = plan_blocks(8, 1)
+        plan = _exact(8, 1)
         assert plan.ranges == [(0, 4), (4, 4)]
 
     @pytest.mark.parametrize("b,d", [(128, 5), (128, 20), (64, 10), (256, 33), (32, 31)])
     def test_ranges_partition_widest_first(self, b, d):
-        plan = plan_blocks(b, d)
+        plan = _exact(b, d)
         assert plan.m == d + 1
         position = 0
         widths = []
@@ -140,9 +145,10 @@ class TestPlanBlocks:
 
     def test_distance_not_below_width_rejected(self):
         with pytest.raises(ConfigError, match="brute-force"):
-            plan_blocks(128, 128)
+            check_radius(128, 128)
         with pytest.raises(ConfigError, match=">= 0"):
-            plan_blocks(128, -1)
+            check_radius(128, -1)
+        assert check_radius(128, 127) is None and check_radius(128, 0) is None
 
 
 class TestBuildIndex:
@@ -200,7 +206,7 @@ class TestCandidatePairs:
         # agreement and puts the pair at distance 21 > 20
         rng = random.Random(3)
         base = rng.getrandbits(128)
-        plan = plan_blocks(128, 20)
+        plan = _exact(128, 20)
         flipped = base
         for start, width in plan.ranges:
             flipped ^= 1 << (start + rng.randrange(width))
@@ -448,7 +454,7 @@ class TestCostRule:
 
     def test_expected_verifications(self):
         assert BlockPlan().expected_verifications(100) == 100 * 99 / 2
-        exact = plan_blocks(128, 20)
+        exact = _exact(128, 20)
         share = 1 - (1 - 2**-7) ** 2 * (1 - 2**-6) ** 19
         assert exact.expected_verifications(1000) == pytest.approx(1000 * 999 / 2 * share)
         # a pair two blocks hold is verified once, from the lower block, so

@@ -47,7 +47,6 @@ def test_public_surface_is_pinned():
     "generate",
     "pairwise_metrics",
     "parse_messages",
-    "plan_blocks",
     "read_edges_tsv",
     "read_truth",
     "run_detection",
