@@ -126,7 +126,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             try:
                 document = json.load(fh)
             except json.JSONDecodeError as exc:
-                raise InputError(f"export is not valid JSON: {exc.msg}")
+                raise InputError(f"export is not valid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
         records = convert_telegram_export(document, dropped=dropped)
     else:
         records = parse_messages_path(args.input)

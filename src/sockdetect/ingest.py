@@ -6,10 +6,13 @@ Input is line-delimited JSON, one message per line:
 
 ``message_id`` (integer) and ``sender`` (string) are required, ``reply_to``
 (integer) is optional, unknown fields are ignored.  A one-way adapter for
-Telegram desktop chat exports produces the same messages.  Both give a
-``MessageLog`` of three columns; lines are decoded once and checked as whole
-columns, and only a failed check re-runs the per-line pass that reports the
-first bad line.  The graph is interned: sorted node ids plus int64 edge arrays.
+Telegram desktop chat exports produces the same messages, reading each entry's
+``id``, ``from_id`` and ``reply_to_message_id`` (or the JSONL keys).  Both give
+a ``MessageLog`` of three columns.  JSONL lines are decoded once and checked
+as whole columns; only a failed check re-runs them one at a time through the
+per-record pass, which checks export entries too and reports the first bad
+record by its key and place (``line N``, or ``entry N`` in an export).  The
+graph is interned: sorted node ids plus int64 edge arrays.
 """
 
 from __future__ import annotations
@@ -165,8 +168,8 @@ def check_id(uid: str, what: str, lineno: int) -> None:
         raise InputError(f"{what} line {lineno}: id {uid!r} must not begin or end with whitespace")
 
 
-def _normalize_id(value: object, what: str, line: int | None = None) -> str:
-    where = f" at line {line}" if line is not None else ""
+def _normalize_id(value: object, what: str, place: str = "") -> str:
+    where = place and f" at {place}"
     if isinstance(value, bool):
         raise InputError(f"{what} must be a string or integer{where}")
     if isinstance(value, int):
@@ -187,10 +190,9 @@ def _normalize_id(value: object, what: str, line: int | None = None) -> str:
     raise InputError(f"{what} must be a string or integer{where}")
 
 
-def _require_int(value: object, what: str, line: int | None = None) -> int:
-    where = f" at line {line}" if line is not None else ""
+def _require_int(value: object, what: str, place: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer{where}")
+        raise InputError(f"{what} must be an integer at {place}")
     return value
 
 
@@ -206,7 +208,7 @@ def parse_messages(lines: Iterable[str]) -> MessageLog:
     except Exception:
         # whatever the fast pass tripped on, the per-line pass decides again:
         # it raises the first real error, or returns the same columns
-        return _parse_per_line(lines)
+        return _checked_records(_decoded_lines(lines), _JSONL_KEYS)
 
 
 def _parse_columns(lines: list[str]) -> MessageLog:
@@ -236,10 +238,8 @@ def _parse_columns(lines: list[str]) -> MessageLog:
     return MessageLog(ids, senders, replies)
 
 
-def _parse_per_line(lines: Iterable[str]) -> MessageLog:
-    """The parser one line at a time, home of every error text."""
-    log = MessageLog([], [], [])
-    seen: dict[int, int] = {}
+def _decoded_lines(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
+    """``("line N", object)`` for each non-blank line, N 1-based."""
     for lineno, raw in enumerate(lines, start=1):
         if not raw.strip():
             continue
@@ -249,21 +249,34 @@ def _parse_per_line(lines: Iterable[str]) -> MessageLog:
             raise InputError(f"invalid JSON at line {lineno}: {exc.msg}") from exc
         if not isinstance(obj, dict):
             raise InputError(f"expected an object at line {lineno}")
-        if "message_id" not in obj:
-            raise InputError(f"missing message_id at line {lineno}")
-        message_id = _require_int(obj["message_id"], "message_id", lineno)
-        if "sender" not in obj:
-            raise InputError(f"missing sender at line {lineno}")
-        sender = _normalize_id(obj["sender"], "sender", lineno)
-        reply_to = obj.get("reply_to")
+        yield f"line {lineno}", obj
+
+
+# the keys message id, sender and reply id are read from, per input format;
+# the first key present wins
+_JSONL_KEYS = (("message_id",), ("sender",), ("reply_to",))
+_TELEGRAM_KEYS = (("id", "message_id"), ("from_id", "sender"), ("reply_to_message_id", "reply_to"))
+
+
+def _checked_records(records: Iterable[tuple[str, dict]], keys: tuple[tuple[str, ...], ...]) -> MessageLog:
+    """The per-record pass over ``(place, object)`` pairs, home of every
+    record error text; each names the key read and the place."""
+    log = MessageLog([], [], [])
+    seen: dict[int, str] = {}
+    for place, obj in records:
+        id_key, sender_key, reply_key = (next((k for k in names if k in obj), names[0]) for names in keys)
+        if id_key not in obj:
+            raise InputError(f"missing {id_key} at {place}")
+        message_id = _require_int(obj[id_key], id_key, place)
+        if sender_key not in obj:
+            raise InputError(f"missing {sender_key} at {place}")
+        sender = _normalize_id(obj[sender_key], sender_key, place)
+        reply_to = obj.get(reply_key)
         if reply_to is not None:
-            reply_to = _require_int(reply_to, "reply_to", lineno)
+            reply_to = _require_int(reply_to, reply_key, place)
         if message_id in seen:
-            raise InputError(
-                f"duplicate message_id {message_id} at line {lineno}"
-                f" (first seen at line {seen[message_id]})"
-            )
-        seen[message_id] = lineno
+            raise InputError(f"duplicate {id_key} {message_id} at {place} (first seen at {seen[message_id]})")
+        seen[message_id] = place
         log.message_id.append(message_id)
         log.sender.append(sender)
         log.reply_to.append(reply_to)
@@ -285,42 +298,22 @@ def convert_telegram_export(
     Accepts either the whole export object (with a top-level ``messages``
     array) or the bare array.  Service/system entries without a sender id,
     and entries that are not objects, are skipped and counted under
-    "service" in ``dropped`` when given; document order is preserved.
+    "service" in ``dropped`` when given; document order is preserved.  The
+    other entries go through the per-record pass as ``entry N``, N being
+    the 0-based array index.
     """
-    if isinstance(document, dict):
-        messages = document.get("messages")
-    else:
-        messages = document
+    messages = document.get("messages") if isinstance(document, dict) else document
     if not isinstance(messages, list):
         raise InputError("export has no message array")
 
-    log = MessageLog([], [], [])
-    seen: dict[int, int] = {}
-    for pos, entry in enumerate(messages):
-        sender_raw = entry.get("from_id", entry.get("sender")) if isinstance(entry, dict) else None
-        if sender_raw is None:
-            if dropped is not None:
+    def entries() -> Iterator[tuple[str, dict]]:
+        for pos, entry in enumerate(messages):
+            if isinstance(entry, dict) and entry.get("from_id", entry.get("sender")) is not None:
+                yield f"entry {pos}", entry
+            elif dropped is not None:
                 dropped["service"] += 1  # service message: no sender
-            continue
-        if "id" not in entry and "message_id" not in entry:
-            raise InputError(f"message entry {pos} has no id")
-        message_id = _require_int(
-            entry.get("id", entry.get("message_id")), f"id of entry {pos}"
-        )
-        sender = _normalize_id(sender_raw, f"sender of entry {pos}")
-        reply_raw = entry.get("reply_to_message_id", entry.get("reply_to"))
-        reply_to = None if reply_raw is None else _require_int(
-            reply_raw, f"reply id of entry {pos}"
-        )
-        if message_id in seen:
-            raise InputError(
-                f"duplicate message id {message_id} in export"
-                f" (entries {seen[message_id]} and {pos})"
-            )
-        seen[message_id] = pos
-        log.message_id.append(message_id)
-        log.sender.append(sender)
-        log.reply_to.append(reply_to)
+
+    log = _checked_records(entries(), _TELEGRAM_KEYS)
     if not log:
         raise InputError("empty export")
     return log

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .features import TOKEN_DIRECTIONS, FeatureMaps
-from .ingest import check_id, open_text, read_rows
+from .ingest import check_id, open_text, read_rows, write_rows
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
@@ -57,6 +57,11 @@ def check_hash_params(bits: int, seed: int) -> None:
     """Raise ConfigError for a fingerprint width or hash seed outside its domain."""
     if bits not in SUPPORTED_WIDTHS:
         raise ConfigError(f"width must be one of {SUPPORTED_WIDTHS}, got {bits}")
+    check_seed(seed)
+
+
+def check_seed(seed: int) -> None:
+    """Raise ConfigError for a hash seed outside 64 unsigned bits."""
     if not 0 <= seed < 2**64:
         raise ConfigError("seed must fit in 64 unsigned bits")
 
@@ -183,9 +188,8 @@ def fingerprint_population(table: FeatureMaps, cfg: RunConfig) -> tuple[Fingerpr
 def write_fingerprints_tsv(fps: Fingerprints, seed: int, path: str | Path) -> None:
     """Write ``user<TAB>hex`` rows sorted by user after a header recording
     the width and the hash seed."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# b={fps.width} seed={seed}\n")
-        fh.write("".join(map("{}\t{}\n".format, fps.owners, fps.hex())))
+    rows = list(map("{}\t{}\n".format, fps.owners, fps.hex()))
+    write_rows(path, [f"# b={fps.width} seed={seed}"], [(rows, np.arange(len(rows)))])
 
 
 def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, int]:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from .errors import ConfigError
 from .evaluate import GroundTruth
 from .ingest import InteractionGraph
+from .simhash import check_seed
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,7 @@ class SynthConfig:
             raise ConfigError("perturbation must lie in [0, 1]")
         if self.weight_max < 1:
             raise ConfigError("weight_max must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
 
 
 def _poisson(rng: random.Random, lam: float) -> int:

@@ -101,8 +101,11 @@ class TestIngest:
         src.write_text(text)
         argv = ["ingest", "--input", str(src), "--output-dir", str(tmp_path / "out")]
         assert main(argv + ["--telegram"] * telegram) == 1
-        where = "of entry 1 must be valid Unicode text" if telegram else "must be valid Unicode text at line 2"
-        assert capsys.readouterr().err == f"input error: sender {where}\n"
+        if telegram:
+            message = "from_id must be valid Unicode text at entry 1"
+        else:
+            message = "sender must be valid Unicode text at line 2"
+        assert capsys.readouterr().err == f"input error: {message}\n"
         assert not (tmp_path / "out" / "edges.tsv").exists()
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
@@ -160,7 +163,10 @@ class TestIngest:
         src.write_text("{not json")
         rc = main(["ingest", "--telegram", "--input", str(src), "--output-dir", str(tmp_path)])
         assert rc == 1
-        assert "input error" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "input error: export is not valid JSON at line 1 column 2:"
+            " Expecting property name enclosed in double quotes\n"
+        )
 
 
 class TestDetect:

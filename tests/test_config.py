@@ -8,6 +8,7 @@ from dataclasses import fields
 import pytest
 
 from sockdetect.cli import _from_args, build_parser
+from sockdetect.errors import ConfigError
 from sockdetect.evaluate import GroundTruth, SweepGrid, SweepRow, sweep
 from sockdetect.features import build_feature_maps, check_feature_params
 from sockdetect.ingest import InteractionGraph
@@ -105,3 +106,13 @@ def test_header_line_and_to_dict_pinned():
         ("direction", "both"), ("weighting", "binary"), ("seed", 5),
     ]
 
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_rule_has_one_home(seed):
+    # the synth generator and the hash share one 64-bit seed check
+    texts = []
+    for build in (SynthConfig, RunConfig):
+        with pytest.raises(ConfigError) as err:
+            build(seed=seed)
+        texts.append(str(err.value))
+    assert texts == ["seed must fit in 64 unsigned bits"] * 2

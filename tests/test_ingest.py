@@ -166,17 +166,17 @@ class TestTelegramExport:
 
     def test_sender_breaking_tsv_rejected(self):
         doc = {"messages": [{"id": 1, "from_id": "a"}, {"id": 2, "from_id": "b\tz\t1\nc"}]}
-        with pytest.raises(InputError, match="sender of entry 1 must not contain a tab or line break"):
+        with pytest.raises(InputError, match="^from_id must not contain a tab or line break at entry 1$"):
             convert_telegram_export(doc)
 
     def test_sender_not_writable_as_utf8_rejected(self):
         doc = json.loads('{"messages": [{"id": 1, "from_id": "a"}, {"id": 2, "from_id": "b\\udfff"}]}')
-        with pytest.raises(InputError, match="^sender of entry 1 must be valid Unicode text$"):
+        with pytest.raises(InputError, match="^from_id must be valid Unicode text at entry 1$"):
             convert_telegram_export(doc)
 
     def test_sender_with_surrounding_whitespace_rejected(self):
         doc = {"messages": [{"id": 1, "from_id": "a"}, {"id": 2, "from_id": "a "}]}
-        with pytest.raises(InputError, match="sender of entry 1 must not begin or end with whitespace"):
+        with pytest.raises(InputError, match="^from_id must not begin or end with whitespace at entry 1$"):
             convert_telegram_export(doc)
 
     def test_document_order_preserved(self):
@@ -195,12 +195,12 @@ class TestTelegramExport:
             convert_telegram_export({"name": "x"})
 
     def test_message_without_id(self):
-        with pytest.raises(InputError, match="no id"):
+        with pytest.raises(InputError, match="^missing id at entry 0$"):
             convert_telegram_export({"messages": [{"from_id": "a"}]})
 
     def test_duplicate_ids_rejected(self):
         doc = {"messages": [{"id": 1, "from_id": "a"}, {"id": 1, "from_id": "b"}]}
-        with pytest.raises(InputError, match="duplicate message id 1"):
+        with pytest.raises(InputError, match=r"^duplicate id 1 at entry 1 \(first seen at entry 0\)$"):
             convert_telegram_export(doc)
 
     def test_round_trips_through_jsonl(self):
@@ -216,6 +216,61 @@ class TestTelegramExport:
             for r in records
         ]
         assert parse_messages(lines) == records
+
+
+# malformed records for the shared per-record pass: (id, sender, reply id)
+# values, or None for a missing field, and the text with the key left open
+MALFORMED_RECORDS = [
+    pytest.param(None, "a", None, "missing {id}", id="missing id"),
+    pytest.param("1", "a", None, "{id} must be an integer", id="string id"),
+    pytest.param(True, "a", None, "{id} must be an integer", id="true id"),
+    pytest.param(1, "a\tb", None, "{sender} must not contain a tab or line break", id="sender with a tab"),
+    pytest.param(1, " a", None, "{sender} must not begin or end with whitespace", id="padded sender"),
+    pytest.param(1, "\ud800", None, "{sender} must be valid Unicode text", id="lone surrogate sender"),
+    pytest.param(1, "a", "2", "{reply} must be an integer", id="string reply id"),
+]
+JSONL_KEYS = {"id": "message_id", "sender": "sender", "reply": "reply_to"}
+EXPORT_KEYS = {"id": "id", "sender": "from_id", "reply": "reply_to_message_id"}
+
+
+def _record(keys, message_id, sender, reply_to):
+    fields = {keys["id"]: message_id, keys["sender"]: sender, keys["reply"]: reply_to}
+    return {k: v for k, v in fields.items() if v is not None}
+
+
+class TestSharedRecordPass:
+    """JSONL lines and export entries go through one per-record pass: the
+    same record gives the same text, with the format's key and place."""
+
+    def _texts(self, records):
+        lines = [json.dumps(_record(JSONL_KEYS, *r)) for r in records]
+        entries = [_record(EXPORT_KEYS, *r) for r in records]
+        texts = []
+        for parse, document in ((parse_messages, lines), (convert_telegram_export, {"messages": entries})):
+            with pytest.raises(InputError) as err:
+                parse(document)
+            texts.append(str(err.value))
+        return texts
+
+    @pytest.mark.parametrize("message_id, sender, reply_to, text", MALFORMED_RECORDS)
+    def test_malformed_record_same_text(self, message_id, sender, reply_to, text):
+        jsonl, export = self._texts([(7, "z", None), (message_id, sender, reply_to)])
+        assert jsonl == text.format(**JSONL_KEYS) + " at line 2"
+        assert export == text.format(**EXPORT_KEYS) + " at entry 1"
+
+    def test_repeated_id_same_text(self):
+        jsonl, export = self._texts([(7, "a", None), (8, "b", None), (7, "c", None)])
+        assert jsonl == "duplicate message_id 7 at line 3 (first seen at line 1)"
+        assert export == "duplicate id 7 at entry 2 (first seen at entry 0)"
+
+    def test_export_accepts_the_jsonl_keys(self):
+        entries = [{"message_id": 1, "sender": "a"}, {"message_id": 2, "sender": "b", "reply_to": 1}]
+        assert list(convert_telegram_export(entries)) == [MessageRecord(1, "a"), MessageRecord(2, "b", 1)]
+
+    def test_export_key_wins_over_its_alias(self):
+        # the first key present is read, even when it holds null
+        with pytest.raises(InputError, match="^id must be an integer at entry 0$"):
+            convert_telegram_export([{"id": None, "message_id": 1, "from_id": "a"}])
 
 
 class TestBuildGraph:

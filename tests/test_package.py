@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import sockdetect
 
@@ -60,3 +62,12 @@ def test_public_surface_is_pinned():
 def test_every_exported_name_resolves():
     for name in sockdetect.__all__:
         assert hasattr(sockdetect, name), name
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10, so no newer syntax
+    # (such as except*) may appear in the package
+    sources = sorted(Path(sockdetect.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    for path in sources:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
