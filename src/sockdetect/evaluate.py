@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .ingest import InteractionGraph, open_text
+from .ingest import InteractionGraph, _padded, open_text
 from .lsh import CandidatePairs
 from .pipeline import RunConfig
 
@@ -97,7 +97,7 @@ def write_truth(truth: GroundTruth, path: str | Path) -> None:
     """One cluster per line, ids sorted; raises before writing on an id
     that ``read_truth`` would read back differently."""
     for uid in sorted(set().union(*truth.clusters)):
-        if not uid or uid != uid.strip() or {",", "\n", "\r"} & set(uid):
+        if not uid or _padded(uid) or {",", "\n", "\r"} & set(uid):
             raise InputError(
                 f"truth id {uid!r} must be non-empty, hold no comma or line break,"
                 " and not begin or end with whitespace"

@@ -14,10 +14,11 @@ once by exact popcount, so ``candidate_pairs`` equals the all-pairs scan.
 It runs on one row per distinct fingerprint, and one cost rule
 (``BlockPlan.cost``: lookups, directory work, a fixed cost per block and
 VERIFY_COST per pair that uniform bits would verify) picks the plan -- m0
-blocks at radius r beside m1 at r + 1 -- or the all-pairs scan, priced at
-SCAN_COST per pair.  The pairs come back as ``CandidatePairs``, row-index
-arrays in canonical order, with each class of equal fingerprints expanded
-into its member pairs.
+blocks at radius r beside m1 at r + 1 -- or the all-pairs scan ``_scan``,
+priced at SCAN_COST per pair, which the oracle ``brute_force_pairs`` runs
+too.  The pairs come back as ``CandidatePairs``, row-index arrays in
+canonical order, with each class of equal fingerprints expanded into its
+member pairs.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .simhash import Fingerprints
 # most), and at 148 rows and d=10 it is 1.35x (0.4 ms) off.  The best fit,
 # 25 / 5,000 / 3, scans up to about 330 rows; the smaller block cost keeps
 # block plans from 168 rows, which the duplicate-class and excess-verification
-# tests of 201 and 250 rows rely on.
+# tests of 201 and 250 rows rely on.  The scan now runs the oracle's kernel,
+# 3-4x faster than when fitted; SCAN_COST is kept so that no plan changes.
 VERIFY_COST = 25
 BLOCK_COST = 2_000
 SCAN_COST = 5
@@ -414,35 +416,44 @@ def _block_pairs(keys: list[np.ndarray], by_row: np.ndarray, radii: np.ndarray, 
         cuts = np.arange(_PAIR_CHUNK // (t + 1), cnt.sum(), _PAIR_CHUNK // (t + 1))
         bounds = [0, *np.searchsorted(np.cumsum(cnt), cuts, side="right"), len(cnt)]
         for a, z in itertools.pairwise(bounds):
-            if a == z:
-                continue
             c = cnt[a:z]
             I, J = np.repeat(owner[a:z], c), order[np.repeat(lo[a:z], c) + _ragged(c)]
             near = (np.bitwise_count(by_row[I, :t] ^ by_row[J, :t]) <= radii[:t]).any(axis=1)
             yield I[~near], J[~near]
 
 
-def _candidates(words: np.ndarray, plan: BlockPlan, work: dict
-                ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Row pairs, each unordered pair at most once, covering every pair
-    within the plan's reach: all of them, i < j, for the scan."""
-    n = len(words)
-    if not plan.m:
-        step = max(1, _PAIR_CHUNK // max(n, 1))
-        for i0 in range(0, n, step):
-            I, J = np.nonzero(np.arange(i0, min(i0 + step, n))[:, None] < np.arange(n))
-            yield I + i0, J
-        return
+def _candidates(words: np.ndarray, plan: BlockPlan, work: dict) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Row pairs covering every pair within a block plan's reach, each unordered pair at most once."""
     keys = [_block_keys(words, s, w) for s, w in plan.ranges]
     by_row, radii = np.stack(keys, axis=1), np.array(plan.radii)
     for t, (_, width) in enumerate(plan.ranges):
         yield from _block_pairs(keys, by_row, radii, t, width, work)
 
 
+def _scan(words: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows i < j within distance d and their distances, by popcount over all
+    pairs: a chunk of rows meets only the rows from its own first on, word by
+    word, sized so that its XOR holds about _PAIR_CHUNK words in all."""
+    n, nwords = words.shape
+    found, i0 = [(np.zeros(0, dtype=np.int64),) * 3], 0
+    while i0 < n:
+        i1 = min(n, i0 + max(1, _PAIR_CHUNK // (nwords * (n - i0))))
+        dist = np.zeros((i1 - i0, n - i0), dtype=np.uint16)  # b <= 256 overflows uint8
+        for w in range(nwords):
+            dist += np.bitwise_count(words[i0:i1, w, None] ^ words[i0:, w])
+        I, J = np.nonzero(dist <= d)
+        I, J = I[J > I], J[J > I]  # each pair once, and no row with itself
+        found.append((I + i0, J + i0, dist[I, J].astype(np.int64)))
+        i0 = i1
+    return tuple(map(np.concatenate, zip(*found)))
+
+
 def _search(words: np.ndarray, plan: BlockPlan, d: int
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Rows i < j within distance d, as index arrays and their distances,
     and the work done: ``probes``, the key lookups, and ``pairs_verified``."""
+    if not plan.m:
+        return (*_scan(words, d), {"probes": 0, "pairs_verified": len(words) * (len(words) - 1) // 2})
     found, work = [(np.zeros(0, dtype=np.int64),) * 3], {"probes": 0, "pairs_verified": 0}
     for I, J in _candidates(words, plan, work):
         dist = np.bitwise_count(words[I] ^ words[J]).sum(axis=1, dtype=np.int64)
@@ -450,8 +461,7 @@ def _search(words: np.ndarray, plan: BlockPlan, d: int
         work["pairs_verified"] += len(I)
         I, J = I[ok], J[ok]
         found.append((np.minimum(I, J), np.maximum(I, J), dist[ok]))
-    I, J, dist = map(np.concatenate, zip(*found))
-    return I, J, dist, work
+    return (*map(np.concatenate, zip(*found)), work)
 
 
 def _expand(classes: np.ndarray, I: np.ndarray, J: np.ndarray, dist: np.ndarray
@@ -497,15 +507,5 @@ def candidate_pairs(index: LshIndex, stats: dict | None = None) -> CandidatePair
 
 
 def brute_force_pairs(fps: Fingerprints, d: int) -> CandidatePairs:
-    """All-pairs exact Hamming filter; the O(n^2) oracle the index replaces."""
-    words = fps.words
-    n, nwords = words.shape
-    found = [(np.zeros(0, dtype=np.int64),) * 3]
-    rows_per_chunk = max(1, (1 << 22) // max(n * nwords, 1))
-    for i0 in range(0, n, rows_per_chunk):
-        dist = np.bitwise_count(words[i0 : i0 + rows_per_chunk, None, :] ^ words[None, :, :])
-        dist = dist.sum(axis=2, dtype=np.int64)
-        I, J = np.nonzero((dist <= d) & (np.arange(n) > np.arange(i0, i0 + len(dist))[:, None]))
-        found.append((I + i0, J, dist[I, J]))
-    a, b, distance = map(np.concatenate, zip(*found))
-    return CandidatePairs.canonical(fps.owners, a, b, distance)
+    """All-pairs exact Hamming filter, the scan plan's kernel; the O(n^2) oracle the index replaces."""
+    return CandidatePairs.canonical(fps.owners, *_scan(fps.words, d))

@@ -204,7 +204,7 @@ def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, int]:
             check_hash_params(b, seed)  # a ConfigError is a ValueError
         except (KeyError, ValueError) as exc:
             raise InputError(f"bad fingerprint header {header!r}") from exc
-        rows: dict[str, int] = {}  # a repeated user keeps its last row
+        rows: dict[str, tuple[int, int]] = {}  # owner -> (bits, line)
         for lineno, (owner, hexbits) in read_rows(fh, "fingerprint", 2, start=2):
             try:
                 bits = int(hexbits, 16)
@@ -213,8 +213,11 @@ def read_fingerprints_tsv(path: str | Path) -> tuple[Fingerprints, int]:
             check_id(owner, "fingerprint", lineno)
             if not 0 <= bits < 1 << b:
                 raise InputError(f"fingerprint at line {lineno} does not fit in {b} bits")
-            rows[owner] = bits
+            if owner in rows:
+                first = rows[owner][1]
+                raise InputError(f"fingerprint line {lineno}: repeated id {owner!r} (first seen at line {first})")
+            rows[owner] = bits, lineno
     owners = sorted(rows)
     nbytes = 8 * -(-b // 64)
-    raw = b"".join(rows[uid].to_bytes(nbytes, "little") for uid in owners)
+    raw = b"".join(rows[uid][0].to_bytes(nbytes, "little") for uid in owners)
     return Fingerprints(owners, np.frombuffer(raw, dtype="<u8").reshape(len(owners), nbytes // 8), b), seed

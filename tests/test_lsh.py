@@ -2,11 +2,13 @@ import dataclasses
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import reference
+from sockdetect import lsh
 from sockdetect.detect import build_match_report
 from sockdetect.errors import ConfigError
 from sockdetect.lsh import (
@@ -25,7 +27,7 @@ from sockdetect.lsh import (
     choose_plan,
 )
 from sockdetect.pipeline import read_candidates_tsv
-from sockdetect.simhash import Fingerprint
+from sockdetect.simhash import Fingerprint, Fingerprints
 
 
 def _population(
@@ -387,6 +389,9 @@ class TestOracleSweep:
         for plan in _forced_plans(b, d):
             I, J, dist, work = _search(words, plan, d)
             assert sorted(zip(I.tolist(), J.tolist(), dist.tolist())) == want_rows, plan
+            if not plan.m:  # the scan verifies every pair; a repeat would lengthen the rows above
+                assert work["pairs_verified"] == k * (k - 1) // 2
+                continue
             # no pair of rows reaches verification twice, and no row meets itself
             reached = [(np.zeros(0, dtype=np.int64),) * 2, *_candidates(words, plan, {"probes": 0})]
             I, J = map(np.concatenate, zip(*reached))
@@ -531,16 +536,46 @@ class TestBruteForce:
         fps = {f"u{i}": Fingerprint(f"u{i}", rng.getrandbits(128), 128) for i in range(3)}
         assert len(_brute(fps, 20)) == 0
 
-    def test_matches_pairwise_int_hamming(self):
-        fps = _population(seed=47, n=60, planted=25, max_flips=24)
+    # besides 85 rows at b=128, 40 rows of one word at b=32 (half of it
+    # used) and of four at b=256; a chunk of c words takes
+    # max(1, c // (words * rows left)) rows, so c = 1, 64 and 256 give 40,
+    # 19 and 5 chunks at b=32 and 40, 35 and 19 at b=256
+    @pytest.mark.parametrize("chunk", [1, 64, 256, lsh._PAIR_CHUNK])
+    @pytest.mark.parametrize("b,d,n,planted", [(128, 20, 60, 25), (32, 12, 25, 15), (256, 20, 25, 15)])
+    def test_matches_pairwise_int_hamming(self, monkeypatch, b, d, n, planted, chunk):
+        fps = _population(seed=47, n=n, b=b, planted=planted, max_flips=24)
         ids = sorted(fps)
         expected = set()
-        for i, a in enumerate(ids):
-            for b in ids[i + 1 :]:
-                dist = (fps[a].bits ^ fps[b].bits).bit_count()
-                if dist <= 20:
-                    expected.add(CandidatePair(a, b, dist))
-        assert list(_brute(fps, 20)) == sorted(expected, key=lambda p: (p.distance, p.a, p.b))
+        for i, x in enumerate(ids):
+            for y in ids[i + 1 :]:
+                dist = (fps[x].bits ^ fps[y].bits).bit_count()
+                if dist <= d:
+                    expected.add(CandidatePair(x, y, dist))
+        monkeypatch.setattr(lsh, "_PAIR_CHUNK", chunk)
+        got = list(_brute(fps, d))
+        assert 0 < len(got) < len(ids) * (len(ids) - 1) // 2
+        assert got == sorted(expected, key=lambda p: (p.distance, p.a, p.b))
+
+    def test_oracle_memory_stays_small(self):
+        # the benchmark harness runs the oracle in its own process, so the
+        # oracle's peak is the harness's; 5,000 rows need about 6 MB
+        rng = np.random.default_rng(5)
+        fps = Fingerprints([f"u{i:04d}" for i in range(5000)], rng.integers(0, 2**64, (5000, 2), dtype=np.uint64), 128)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            brute_force_pairs(fps, 20)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+    def test_complements_at_every_width(self):
+        # 256 differing bits overflow an 8-bit count
+        for b in (32, 64, 128, 256):
+            fps = {"x": Fingerprint("x", 0, b), "y": Fingerprint("y", (1 << b) - 1, b)}
+            assert len(_brute(fps, b - 1)) == 0
+            assert list(_brute(fps, b)) == [CandidatePair("x", "y", b)]
 
     def test_single_or_empty(self):
         assert len(_brute({}, 5)) == 0

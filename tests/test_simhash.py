@@ -273,6 +273,14 @@ def test_fingerprint_tsv_rejects_ids_other_readers_reject(tmp_path, row, error):
         read_fingerprints_tsv(path)
 
 
+def test_fingerprint_tsv_rejects_a_repeated_id(tmp_path):
+    # keeping either row would hide the other, as the edge reader's repeats would
+    path = tmp_path / "fingerprints.tsv"
+    path.write_text("# b=32 seed=0\na\t00000001\nb\tffffffff\n\na\t000000ff\n")
+    with pytest.raises(InputError, match=r"^fingerprint line 5: repeated id 'a' \(first seen at line 2\)$"):
+        read_fingerprints_tsv(path)
+
+
 @pytest.mark.parametrize("b", WIDTHS)
 def test_packed_rows_equal_fingerprints(tmp_path, b):
     # b=32 is half a word, b=256 four; the top and bottom bits sit at the
