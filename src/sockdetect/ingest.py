@@ -211,10 +211,11 @@ def parse_messages(lines: Iterable[str]) -> MessageLog:
         return _checked_records(_decoded_lines(lines), _JSONL_KEYS)
 
 
-def _parse_columns(lines: list[str]) -> MessageLog:
+def _parse_columns(lines: Iterable[str]) -> MessageLog:
     """Decode each line once and check whole columns; raises on anything
     the per-line pass must look at."""
     ids, senders, replies = [], [], []
+    same: dict[str, str] = {}  # one string per sender, however many messages it sent
     for raw in lines:
         text = raw.strip(_JSON_SPACE)
         if text:
@@ -222,7 +223,10 @@ def _parse_columns(lines: list[str]) -> MessageLog:
             if end != len(text):
                 raise ValueError("more than one value on a line")
             ids.append(obj["message_id"])
-            senders.append(obj["sender"])
+            sender = obj["sender"]
+            if type(sender) is str:  # True == 1, so only strings share a key
+                sender = same.setdefault(sender, sender)
+            senders.append(sender)
             replies.append(obj.get("reply_to"))
     # type sets, not values: True == 1, so bools must not hide among ints
     sender_types = set(map(type, senders))
@@ -285,9 +289,14 @@ def _checked_records(records: Iterable[tuple[str, dict]], keys: tuple[tuple[str,
 
 def parse_messages_path(path: str | Path) -> MessageLog:
     # a text file splits into lines on "\n" only, never on the other breaks
-    # str.splitlines knows, which JSON strings may hold raw
+    # str.splitlines knows, which JSON strings may hold raw.  The lines are
+    # decoded as they are read and never held in a list.
     with open_text(path) as fh:
-        return parse_messages(fh)
+        try:
+            return _parse_columns(fh)
+        except Exception:
+            fh.seek(0)  # the per-line pass reads the file again from line 1
+            return _checked_records(_decoded_lines(fh), _JSONL_KEYS)
 
 
 def convert_telegram_export(

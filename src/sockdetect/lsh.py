@@ -16,19 +16,23 @@ It runs on one row per distinct fingerprint, and one cost rule
 VERIFY_COST per pair that uniform bits would verify) picks the plan -- m0
 blocks at radius r beside m1 at r + 1 -- or the all-pairs scan ``_scan``,
 priced at SCAN_COST per pair, which the oracle ``brute_force_pairs`` runs
-too.  The pairs come back as ``CandidatePairs``, row-index arrays in
-canonical order, with each class of equal fingerprints expanded into its
-member pairs.
+too.  Blocks, and the scan's row chunks, are independent, so a plan whose
+cost passes PARALLEL_COST runs them on one thread per CPU the process may
+use; the result does not depend on the thread count.  The
+pairs come back as ``CandidatePairs``, row-index arrays in canonical order,
+with each class of equal fingerprints expanded into its member pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from bisect import bisect_left
-from collections.abc import Iterable, Iterator, Set
+from collections.abc import Callable, Iterable, Iterator, Sequence, Set
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -56,11 +60,55 @@ _KEY_BITS = 62  # widest block key, so every key is one int64
 _DENSE_BITS = 22  # widest block given a dense count table, sorted keys above
 _PROBE_CHUNK = 1 << 18  # probe keys looked up per step
 _PAIR_CHUNK = 1 << 20  # row pairs expanded and verified per step
+# Two threads take turns at a plan's Python-level steps, so a small plan runs
+# on the calling thread.  Fitted on first calls in fresh processes, one thread
+# and two interleaved, 9 of each (2-core x86 VM, b=128): hub-90 at d=20
+# (1.5 M units) took 29 ms on one thread and 28 ms on two, random-5k at d=10
+# (0.57 M) 19 and 18 ms; random-5k's rows at d=20 gained from 2.05 M on
+# (37 -> 31 ms), and all of them (5.4 M) went from 83 to 55 ms.
+PARALLEL_COST = 2_000_000
 
 
 def _ragged(counts: np.ndarray) -> np.ndarray:
     """0, 1, .., counts[0]-1, 0, 1, .., counts[1]-1, ...: each position within its run."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _workers(cost: float, tasks: int) -> int:
+    """Threads for ``tasks`` independent tasks of a plan of this cost: one
+    below PARALLEL_COST, else one per CPU the process may use, at most one
+    per task."""
+    if cost < PARALLEL_COST:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(tasks, cpus))
+
+
+def _mapped(fn: Callable, items: Sequence, workers: int) -> list:
+    """``[fn(x) for x in items]``, on ``workers`` threads when more than one:
+    the calling thread and workers - 1 started for this call, each taking
+    the next item in order.  All have stopped on return, and the first
+    exception any of them raised is raised here."""
+    if workers <= 1:
+        return list(map(fn, items))
+    results, todo, raised = [None] * len(items), iter(enumerate(items)), []
+
+    def work() -> None:
+        try:
+            for k, item in todo:  # one shared iterator: each item goes to one thread
+                results[k] = fn(item)
+        except BaseException as exc:
+            raised.append(exc)
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    work()
+    for thread in threads:
+        thread.join()
+    if raised:
+        raise raised[0]
+    return results
 
 
 def bound(values: np.ndarray) -> int:
@@ -164,6 +212,12 @@ class BlockPlan:
         """The cost rule's units for n distinct rows; SCAN_COST per pair for
         the scan, which has no runs to expand and no lower blocks to test."""
         return float(_price(self._terms(), n)[0]) if self.m else SCAN_COST * n * (n - 1) / 2
+
+    def block_costs(self, n: int) -> np.ndarray:
+        """Each block's units for n distinct rows, as if it were the plan's
+        only block: the order in which to search the blocks."""
+        widths = np.array([[width for _, width in self.ranges]])
+        return _price(_terms(widths, np.array([self.radii]), np.ones_like(widths)), n)
 
 
 def _even(bits: int, m: int) -> list[int]:
@@ -391,13 +445,13 @@ def _runs(key: np.ndarray, order: np.ndarray, width: int, radius: int, work: dic
             yield owner[hit // len(masks)], start[probe[hit]] if dense else lo[hit], cnt[hit]
 
 
-def _batches(runs: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple[np.ndarray, ...]]:
-    """The runs joined into batches of at least _PAIR_CHUNK pairs, bar the last."""
+def _batches(runs: Iterable[tuple[np.ndarray, ...]], chunk: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """The runs joined into batches of at least ``chunk`` pairs, bar the last."""
     batch, pairs = [], 0
     for run in runs:
         batch.append(run)
         pairs += int(run[2].sum())
-        if pairs >= _PAIR_CHUNK:
+        if pairs >= chunk:
             yield tuple(map(np.concatenate, zip(*batch)))
             batch, pairs = [], 0
     if batch:
@@ -405,15 +459,15 @@ def _batches(runs: Iterable[tuple[np.ndarray, ...]]) -> Iterator[tuple[np.ndarra
 
 
 def _block_pairs(keys: list[np.ndarray], by_row: np.ndarray, radii: np.ndarray, t: int, width: int,
-                 work: dict) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+                 chunk: int, work: dict) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Row pairs within radii[t] on block t and beyond radii[s] on every
-    lower block s, each unordered pair once; row i of ``by_row`` holds row
-    i's key on every block."""
+    lower block s, each unordered pair once, about ``chunk`` pairs a step;
+    row i of ``by_row`` holds row i's key on every block."""
     order = np.argsort(keys[t], kind="stable")
-    for owner, lo, cnt in _batches(_runs(keys[t], order, width, int(radii[t]), work)):
-        # cut the runs into pieces of about _PAIR_CHUNK / (t + 1) pairs, as
-        # each pair is tested on t lower blocks at once
-        cuts = np.arange(_PAIR_CHUNK // (t + 1), cnt.sum(), _PAIR_CHUNK // (t + 1))
+    for owner, lo, cnt in _batches(_runs(keys[t], order, width, int(radii[t]), work), chunk):
+        # cut the runs into pieces of about chunk / (t + 1) pairs, as each
+        # pair is tested on t lower blocks at once
+        cuts = np.arange(chunk // (t + 1), cnt.sum(), chunk // (t + 1))
         bounds = [0, *np.searchsorted(np.cumsum(cnt), cuts, side="right"), len(cnt)]
         for a, z in itertools.pairwise(bounds):
             c = cnt[a:z]
@@ -422,45 +476,71 @@ def _block_pairs(keys: list[np.ndarray], by_row: np.ndarray, radii: np.ndarray, 
             yield I[~near], J[~near]
 
 
-def _candidates(words: np.ndarray, plan: BlockPlan, work: dict) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Row pairs covering every pair within a block plan's reach, each unordered pair at most once."""
+def _candidates(words: np.ndarray, plan: BlockPlan, chunk: int
+                ) -> list[Callable[[dict], Iterator[tuple[np.ndarray, np.ndarray]]]]:
+    """Per block, a call giving its ``_block_pairs`` and adding its lookups to
+    a work dict: together they cover every pair within the plan's reach,
+    each unordered pair at most once, and any order of the calls does."""
     keys = [_block_keys(words, s, w) for s, w in plan.ranges]
     by_row, radii = np.stack(keys, axis=1), np.array(plan.radii)
-    for t, (_, width) in enumerate(plan.ranges):
-        yield from _block_pairs(keys, by_row, radii, t, width, work)
+    return [partial(_block_pairs, keys, by_row, radii, t, width, chunk) for t, (_, width) in enumerate(plan.ranges)]
 
 
-def _scan(words: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scan(words: np.ndarray, d: int, workers: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows i < j within distance d and their distances, by popcount over all
     pairs: a chunk of rows meets only the rows from its own first on, word by
-    word, sized so that its XOR holds about _PAIR_CHUNK words in all."""
+    word.  The chunks go to ``workers`` threads, by default as ``_workers``
+    decides, and are sized so that the XORs of all threads hold about
+    _PAIR_CHUNK words at once."""
     n, nwords = words.shape
-    found, i0 = [(np.zeros(0, dtype=np.int64),) * 3], 0
-    while i0 < n:
-        i1 = min(n, i0 + max(1, _PAIR_CHUNK // (nwords * (n - i0))))
+    workers = _workers(BlockPlan().cost(n), n) if workers is None else workers
+    budget = max(1, _PAIR_CHUNK // workers)
+    starts = [0]
+    while starts[-1] < n:
+        i0 = starts[-1]
+        starts.append(min(n, i0 + max(1, budget // (nwords * (n - i0)))))
+
+    def chunk(rows: tuple[int, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        i0, i1 = rows
         dist = np.zeros((i1 - i0, n - i0), dtype=np.uint16)  # b <= 256 overflows uint8
         for w in range(nwords):
             dist += np.bitwise_count(words[i0:i1, w, None] ^ words[i0:, w])
         I, J = np.nonzero(dist <= d)
         I, J = I[J > I], J[J > I]  # each pair once, and no row with itself
-        found.append((I + i0, J + i0, dist[I, J].astype(np.int64)))
-        i0 = i1
-    return tuple(map(np.concatenate, zip(*found)))
+        return I + i0, J + i0, dist[I, J].astype(np.int64)
+
+    found = _mapped(chunk, list(itertools.pairwise(starts)), workers)
+    return tuple(map(np.concatenate, zip((np.zeros(0, dtype=np.int64),) * 3, *found)))
 
 
-def _search(words: np.ndarray, plan: BlockPlan, d: int
+def _search(words: np.ndarray, plan: BlockPlan, d: int, workers: int | None = None
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict]:
     """Rows i < j within distance d, as index arrays and their distances,
-    and the work done: ``probes``, the key lookups, and ``pairs_verified``."""
+    and the work done: ``probes``, the key lookups, and ``pairs_verified``.
+    The blocks go to ``workers`` threads, by default as ``_workers`` decides,
+    which share the _PAIR_CHUNK budget, and their pairs are gathered in
+    block order."""
+    n = len(words)
     if not plan.m:
-        return (*_scan(words, d), {"probes": 0, "pairs_verified": len(words) * (len(words) - 1) // 2})
-    found, work = [(np.zeros(0, dtype=np.int64),) * 3], {"probes": 0, "pairs_verified": 0}
-    for I, J in _candidates(words, plan, work):
-        dist = np.bitwise_count(words[I] ^ words[J]).sum(axis=1, dtype=np.int64)
-        ok = dist <= d
-        work["pairs_verified"] += len(I)
-        I, J = I[ok], J[ok]
-        found.append((np.minimum(I, J), np.maximum(I, J), dist[ok]))
+        return (*_scan(words, d, workers), {"probes": 0, "pairs_verified": n * (n - 1) // 2})
+    workers = _workers(plan.cost(n), plan.m) if workers is None else workers
+    blocks = _candidates(words, plan, max(1, _PAIR_CHUNK // workers))
+
+    def verified(t: int) -> tuple[list, dict]:
+        found, work = [], {"probes": 0, "pairs_verified": 0}
+        for I, J in blocks[t](work):
+            dist = np.bitwise_count(words[I] ^ words[J]).sum(axis=1, dtype=np.int64)
+            ok = dist <= d
+            work["pairs_verified"] += len(I)
+            I, J = I[ok], J[ok]
+            found.append((np.minimum(I, J), np.maximum(I, J), dist[ok]))
+        return found, work
+
+    # the costliest block first, so that the last to finish is a cheap one
+    first = np.argsort(-plan.block_costs(n), kind="stable").tolist()
+    done = dict(zip(first, _mapped(verified, first, workers)))
+    found = [(np.zeros(0, dtype=np.int64),) * 3, *(f for t in range(plan.m) for f in done[t][0])]
+    work = {key: sum(w[key] for _, w in done.values()) for key in ("probes", "pairs_verified")}
     return (*map(np.concatenate, zip(*found)), work)
 
 

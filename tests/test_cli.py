@@ -662,3 +662,14 @@ def test_input_not_utf8_exits_1_naming_the_file(tmp_path, capsys, command, bad):
     err = capsys.readouterr().err
     assert err == f"input error: {tmp_path / bad} is not UTF-8 text: invalid start byte\n"
     assert "Traceback" not in err
+
+
+def test_non_utf8_byte_late_in_messages_exits_1(tmp_path, capsys):
+    # the log is decoded as it is read: the bad byte comes after 100 KB of
+    # valid lines, once the column pass is well under way
+    lines = [f'{{"message_id": {k}, "sender": "u{k % 50}"}}\n'.encode() for k in range(3000)]
+    (tmp_path / "messages").write_bytes(b"".join(lines) + b'{"message_id": -1, "sender": "\xff"}\n')
+    assert main(["ingest", "--input", str(tmp_path / "messages"), "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"input error: {tmp_path / 'messages'} is not UTF-8 text: invalid start byte\n"
+    assert not (tmp_path / "out" / "edges.tsv").exists()

@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -577,6 +578,44 @@ class TestColumnarParser:
             with open(path, encoding="utf-8") as fh:
                 expected = _outcome(reference.parse_messages, fh)
             assert _outcome(parse_messages_path, path) == expected, (seed, lines)
+
+    @pytest.mark.parametrize("bad", [
+        '{"message_id": 1, "sender": "late"}\n',  # a duplicate of line 2
+        '{"message_id": 99999, "sender": true}\n',
+        '{"message_id": 99999, "sender"\n',
+        "[1]\n",
+    ], ids=["duplicate", "bool", "unterminated", "not_object"])
+    def test_file_error_past_the_read_buffer_matches_lines(self, tmp_path, bad):
+        # the file is parsed as it is read, so the column pass meets the bad
+        # line well past the reader's first 64 KiB; the per-line pass must
+        # still start again from line 1
+        lines = [f'{{"message_id": {k}, "sender": "u{k % 50}", "reply_to": {k - 1}}}\n' for k in range(2000)]
+        lines.insert(1500, bad)
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        assert len("".join(lines[:1500]).encode()) > 1 << 16
+        expected = _outcome(parse_messages, lines)
+        assert expected[0] is InputError and "line 1501" in expected[1]
+        assert _outcome(parse_messages_path, path) == expected
+
+    def test_file_is_parsed_in_bounded_memory(self, tmp_path):
+        # 100k messages, 10 MB on disk, from 3,000 senders: the lines are
+        # decoded as they are read and the senders share one string each, so
+        # the columns are all that is held (about 14 MB at the peak, against
+        # 35 MB when the lines were read into a list first)
+        path = tmp_path / "log.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for k in range(100_000):
+                fh.write(json.dumps({"message_id": k, "sender": f"user{k % 3000}", "reply_to": k // 2,
+                                     "text": "see you at the meeting tomorrow"}) + "\n")
+        tracemalloc.start()
+        try:
+            log = parse_messages_path(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert len(log) == 100_000 and len(set(map(id, log.sender))) == 3000
 
     def test_lines_without_line_breaks(self):
         lines = ['{"message_id": 1, "sender": "a"}', "", '{"message_id": 2, "sender": "b", "reply_to": 1}']

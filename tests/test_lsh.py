@@ -1,7 +1,10 @@
 import dataclasses
 import itertools
 import math
+import os
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -19,6 +22,7 @@ from sockdetect.lsh import (
     _candidates,
     _groupings,
     _grouped,
+    _scan,
     _search,
     brute_force_pairs,
     build_index,
@@ -71,6 +75,14 @@ def _rows(pairs: CandidatePairs) -> tuple:
     equal for two results only if they hold the same pairs in the same
     order, each once."""
     return pairs.users, pairs.a.tolist(), pairs.b.tolist(), pairs.distance.tolist()
+
+
+def _searched_on_one_and_two_threads(words: np.ndarray, plan: BlockPlan, d: int) -> tuple:
+    """``_search`` on one worker, checked to give the same arrays in the
+    same order, and the same work, as on two."""
+    one, two = _search(words, plan, d, 1), _search(words, plan, d, 2)
+    assert all(np.array_equal(x, y) for x, y in zip(one[:3], two[:3])) and one[3] == two[3], plan
+    return one
 
 
 def _plans(b: int, d: int) -> list[BlockPlan]:
@@ -299,6 +311,8 @@ class TestCandidatePairs:
         # pairs are verified, never the class's 499,500
         assert stats["pairs_verified"] < 201 * 200 // 2
         assert stats["distinct_fingerprints"] == 201
+        assert _searched_on_one_and_two_threads(index.words[index.reps], index.plan, 20)[3] == {
+            key: stats[key] for key in ("probes", "pairs_verified")}
 
     def test_class_within_a_leaf_is_not_verified(self):
         fps = {f"f{i:02d}": Fingerprint(f"f{i:02d}", 0xC0FFEE, 128) for i in range(90)}
@@ -387,17 +401,101 @@ class TestOracleSweep:
         k = len(index.reps)
         words = index.words[index.reps]
         for plan in _forced_plans(b, d):
-            I, J, dist, work = _search(words, plan, d)
+            I, J, dist, work = _searched_on_one_and_two_threads(words, plan, d)
             assert sorted(zip(I.tolist(), J.tolist(), dist.tolist())) == want_rows, plan
             if not plan.m:  # the scan verifies every pair; a repeat would lengthen the rows above
                 assert work["pairs_verified"] == k * (k - 1) // 2
                 continue
             # no pair of rows reaches verification twice, and no row meets itself
-            reached = [(np.zeros(0, dtype=np.int64),) * 2, *_candidates(words, plan, {"probes": 0})]
+            reached = [(np.zeros(0, dtype=np.int64),) * 2,
+                       *(pair for block in _candidates(words, plan, lsh._PAIR_CHUNK) for pair in block({"probes": 0}))]
             I, J = map(np.concatenate, zip(*reached))
             assert (I != J).all(), plan
             assert len(np.unique(np.minimum(I, J) * k + np.maximum(I, J))) == len(I), plan
             assert len(I) == work["pairs_verified"] <= k * (k - 1) // 2
+
+
+class TestThreads:
+    @pytest.mark.parametrize("b", [32, 128, 256])
+    def test_scan_chunks_on_two_threads(self, b, monkeypatch):
+        fps = reference.fingerprints(_population(seed=b, n=150, b=b, planted=60, max_flips=b // 4))
+        d = b // 8
+        whole = _scan(fps.words, d)
+        mapped = lsh._mapped
+        chunks = []
+
+        def counted(fn, items, workers):
+            chunks.append(len(items))
+            return mapped(fn, items, workers)
+
+        monkeypatch.setattr(lsh, "_PAIR_CHUNK", 1 << 10)
+        monkeypatch.setattr(lsh, "_mapped", counted)
+        for workers in (1, 2):
+            assert all(np.array_equal(x, y) for x, y in zip(_scan(fps.words, d, workers), whole)), workers
+        assert chunks[0] >= 5 and len(whole[0]) > 0
+        assert _rows(brute_force_pairs(fps, d)) == _rows(CandidatePairs.canonical(fps.owners, *whole))
+
+    def test_a_plan_below_the_parallel_cost_starts_no_thread(self, monkeypatch):
+        index = _index(_population(seed=6, n=1000, planted=100), 20)
+        words, plan = index.words[index.reps], index.plan
+        assert plan.m and plan.cost(len(words)) < lsh.PARALLEL_COST
+        threads = []
+        block_pairs = lsh._block_pairs
+
+        def counted(*args):
+            threads.append(threading.active_count())
+            yield from block_pairs(*args)
+
+        monkeypatch.setattr(lsh, "_block_pairs", counted)
+        before = threading.active_count()
+        _search(words, plan, 20)
+        assert threads == [before] * plan.m
+        # the same search forced onto two workers runs beside a second thread
+        threads.clear()
+        _search(words, plan, 20, 2)
+        assert len(threads) == plan.m and max(threads) > before
+
+    def test_an_error_on_any_thread_is_raised_once_all_have_stopped(self):
+        def fn(k):
+            if k == 5:
+                raise ValueError(k)
+            return k
+
+        before = threading.active_count()
+        for workers in (1, 2, 3):
+            assert lsh._mapped(fn, range(5), workers) == [0, 1, 2, 3, 4]
+            with pytest.raises(ValueError):
+                lsh._mapped(fn, range(9), workers)
+            assert threading.active_count() == before
+
+    def test_each_item_once_under_frequent_switches(self):
+        # more threads than cores, switching every microsecond: the shared
+        # iterator must hand each item to exactly one of them
+        calls = []
+
+        def fn(k):
+            calls.append(k)
+            return k * k
+
+        done = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: done.append(lsh._mapped(fn, range(5000), 8)))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not runner.is_alive()
+        assert done == [[k * k for k in range(5000)]] and sorted(calls) == list(range(5000))
+
+    def test_one_worker_per_cpu_and_task_above_the_cost(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert lsh._workers(lsh.PARALLEL_COST - 1, 8) == 1
+        assert lsh._workers(lsh.PARALLEL_COST, 8) == 3
+        assert lsh._workers(lsh.PARALLEL_COST, 2) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert lsh._workers(lsh.PARALLEL_COST, 8) == 1
 
 
 class TestCostRule:
