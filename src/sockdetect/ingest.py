@@ -290,8 +290,11 @@ def _checked_records(records: Iterable[tuple[str, dict]], keys: tuple[tuple[str,
 def parse_messages_path(path: str | Path) -> MessageLog:
     # a text file splits into lines on "\n" only, never on the other breaks
     # str.splitlines knows, which JSON strings may hold raw.  The lines are
-    # decoded as they are read and never held in a list.
+    # decoded as they are read and never held in a list, unless the input
+    # is a pipe, which the per-line pass could not read again.
     with open_text(path) as fh:
+        if not fh.seekable():
+            return parse_messages(fh)
         try:
             return _parse_columns(fh)
         except Exception:

@@ -80,17 +80,14 @@ def _workers(cost: float, tasks: int) -> int:
     per task."""
     if cost < PARALLEL_COST:
         return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(tasks, cpus))
+    return max(1, min(tasks, len(os.sched_getaffinity(0))))
 
 
 def _mapped(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(x) for x in items]``, on ``workers`` threads when more than one:
-    the calling thread and workers - 1 started for this call, each taking
-    the next item in order.  All have stopped on return, and the first
-    exception any of them raised is raised here."""
-    if workers <= 1:
-        return list(map(fn, items))
+    """``[fn(x) for x in items]`` on ``workers`` threads: the calling thread
+    and workers - 1 started for this call, each taking the next item in
+    order.  All have stopped on return, and the first exception any of them
+    raised is raised here."""
     results, todo, raised = [None] * len(items), iter(enumerate(items)), []
 
     def work() -> None:
@@ -212,12 +209,6 @@ class BlockPlan:
         """The cost rule's units for n distinct rows; SCAN_COST per pair for
         the scan, which has no runs to expand and no lower blocks to test."""
         return float(_price(self._terms(), n)[0]) if self.m else SCAN_COST * n * (n - 1) / 2
-
-    def block_costs(self, n: int) -> np.ndarray:
-        """Each block's units for n distinct rows, as if it were the plan's
-        only block: the order in which to search the blocks."""
-        widths = np.array([[width for _, width in self.ranges]])
-        return _price(_terms(widths, np.array([self.radii]), np.ones_like(widths)), n)
 
 
 def _even(bits: int, m: int) -> list[int]:
@@ -431,18 +422,21 @@ def _runs(key: np.ndarray, order: np.ndarray, width: int, radius: int, work: dic
     if dense:  # bucket of key k: order[start[k] : start[k] + count[k]]
         count = np.bincount(key, minlength=1 << width)
         start = np.cumsum(count) - count
+        held = count.astype(bool)  # one byte a key: the probes' lookups stay in cache
     for rows, masks in zip(zeros, groups):
         step = max(1, _PROBE_CHUNK // len(masks))
         for i0 in range(0, len(rows), step):
             owner = rows[i0 : i0 + step]
             probe = (key[owner, None] ^ masks).ravel()
             if dense:
-                cnt = count[probe]
+                hit = np.flatnonzero(held[probe])
+                lo, cnt = start[probe[hit]], count[probe[hit]]
             else:
                 lo = np.searchsorted(sorted_keys, probe)
                 cnt = np.searchsorted(sorted_keys, probe, side="right") - lo
-            hit = np.flatnonzero(cnt)
-            yield owner[hit // len(masks)], start[probe[hit]] if dense else lo[hit], cnt[hit]
+                hit = np.flatnonzero(cnt)
+                lo, cnt = lo[hit], cnt[hit]
+            yield owner[hit // len(masks)], lo, cnt
 
 
 def _batches(runs: Iterable[tuple[np.ndarray, ...]], chunk: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -536,11 +530,11 @@ def _search(words: np.ndarray, plan: BlockPlan, d: int, workers: int | None = No
             found.append((np.minimum(I, J), np.maximum(I, J), dist[ok]))
         return found, work
 
-    # the costliest block first, so that the last to finish is a cheap one
-    first = np.argsort(-plan.block_costs(n), kind="stable").tolist()
-    done = dict(zip(first, _mapped(verified, first, workers)))
-    found = [(np.zeros(0, dtype=np.int64),) * 3, *(f for t in range(plan.m) for f in done[t][0])]
-    work = {key: sum(w[key] for _, w in done.values()) for key in ("probes", "pairs_verified")}
+    # the highest block first: the higher blocks search the larger radius and
+    # test more lower blocks, so the last to finish is a cheap one
+    done = _mapped(verified, range(plan.m - 1, -1, -1), workers)[::-1]
+    found = [(np.zeros(0, dtype=np.int64),) * 3, *(f for pairs, _ in done for f in pairs)]
+    work = {key: sum(w[key] for _, w in done) for key in ("probes", "pairs_verified")}
     return (*map(np.concatenate, zip(*found)), work)
 
 

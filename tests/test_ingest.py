@@ -1,6 +1,8 @@
 import json
+import os
 import random
 import re
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -597,6 +599,25 @@ class TestColumnarParser:
         expected = _outcome(parse_messages, lines)
         assert expected[0] is InputError and "line 1501" in expected[1]
         assert _outcome(parse_messages_path, path) == expected
+
+    @pytest.mark.parametrize("bad", [None, '{"message_id": 1, "sender": "late"}\n', "[1]\n"],
+                             ids=["valid", "duplicate", "not_object"])
+    def test_pipe_gives_the_texts_of_lines(self, tmp_path, bad):
+        # a named pipe cannot be read twice, so a bad line in one must still
+        # be named by its number, not by the failed rewind
+        lines = [f'{{"message_id": {k}, "sender": "u{k % 50}", "reply_to": {k - 1}}}\n' for k in range(2000)]
+        if bad:
+            lines.insert(1500, bad)
+        path = tmp_path / "log.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("".join(lines),), kwargs={"encoding": "utf-8"})
+        writer.start()
+        try:
+            outcome = _outcome(parse_messages_path, path)
+        finally:
+            writer.join()
+        assert outcome == _outcome(parse_messages, lines)
+        assert (outcome[0] is InputError and "line 1501" in outcome[1]) if bad else len(outcome) == 2000
 
     def test_file_is_parsed_in_bounded_memory(self, tmp_path):
         # 100k messages, 10 MB on disk, from 3,000 senders: the lines are
