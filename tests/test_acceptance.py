@@ -13,7 +13,16 @@ from sockdetect.cli import main
 from sockdetect.evaluate import GroundTruth, pairwise_metrics
 from sockdetect.features import FeatureMap, FeatureToken, build_feature_maps
 from sockdetect.ingest import build_interaction_graph, parse_messages_path, write_edges_tsv
-from sockdetect.lsh import VERIFY_COST, CandidatePair, CandidatePairs, brute_force_pairs, build_index, candidate_pairs
+from sockdetect.lsh import (
+    VERIFY_COST,
+    BlockPlan,
+    CandidatePair,
+    CandidatePairs,
+    _search,
+    brute_force_pairs,
+    build_index,
+    candidate_pairs,
+)
 from sockdetect.pipeline import RunConfig, run_detection
 from sockdetect.simhash import Fingerprint, Fingerprints, fingerprint_population
 from sockdetect.synth import SynthConfig, generate
@@ -122,6 +131,10 @@ def test_criterion_4_near_linear_scaling():
     def lsh_retrieval(fps):
         return candidate_pairs(build_index(fps, 20))
 
+    def oracle(fps):  # brute_force_pairs, with the work it reports
+        *arrays, work = _search(fps.words, BlockPlan(), 20)
+        return CandidatePairs.canonical(fps.owners, *arrays), work
+
     warmup = _scaling_fingerprints(2000, 9)
     lsh_retrieval(warmup)
     brute_force_pairs(warmup, 20)
@@ -129,12 +142,16 @@ def test_criterion_4_near_linear_scaling():
     population = {n: _scaling_fingerprints(n, seed) for n, seed in ((10_000, 1), (20_000, 2))}
     times: dict[int, dict[str, list[float]]] = {n: {"lsh": [], "bf": []} for n in population}
     want: dict[int, CandidatePairs] = {}
+    verified: dict[int, int] = {}
     # the two sizes alternate in every round, so a change of load between
     # rounds falls on both sides of a ratio
     for _ in range(2):
         for n, fps in population.items():
-            t_bf, want[n] = _timed(brute_force_pairs, fps, 20)
+            t_bf, (want[n], work) = _timed(oracle, fps)
             times[n]["bf"].append(t_bf)
+            # the oracle examines every pair once, whatever the load
+            assert work["pairs_verified"] == len(fps) * (len(fps) - 1) // 2
+            verified[n] = work["pairs_verified"]
     # retrieval takes a fraction of a second, where one stall of the machine
     # weighs heavily on a timing, so it is timed over more rounds
     for _ in range(6):
@@ -164,11 +181,14 @@ def test_criterion_4_near_linear_scaling():
     work_ratio = work[20_000] / work[10_000]
     bf_ratio = mean(times[20_000]["bf"]) / mean(times[10_000]["bf"])
     bf_variance = max(spread(times[n]["bf"]) for n in times)
+    bf_count_ratio = verified[20_000] / verified[10_000]
     print(
         f"  candidate-generation ratio {lsh_ratio:.2f} (< 3.0 required), "
         f"brute-force ratio {bf_ratio:.2f} (> 3.2, variance {bf_variance:.1%}), "
+        f"brute-force pair-count ratio {bf_count_ratio:.2f} (> 3.2 required), "
         f"work-unit ratio {work_ratio:.2f} (< 3.0 required)"
     )
+    assert bf_count_ratio > 3.2
     assert work_ratio < 3.0
     assert lsh_ratio < 3.0
     if bf_variance <= 0.10:

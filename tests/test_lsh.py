@@ -19,10 +19,10 @@ from sockdetect.lsh import (
     CandidatePair,
     CandidatePairs,
     _block_keys,
-    _candidates,
+    _block_pairs,
     _groupings,
     _grouped,
-    _scan,
+    _pieces,
     _search,
     brute_force_pairs,
     build_index,
@@ -407,20 +407,57 @@ class TestOracleSweep:
                 assert work["pairs_verified"] == k * (k - 1) // 2
                 continue
             # no pair of rows reaches verification twice, and no row meets itself
-            reached = [(np.zeros(0, dtype=np.int64),) * 2,
-                       *(pair for block in _candidates(words, plan, lsh._PAIR_CHUNK) for pair in block({"probes": 0}))]
+            by_row = np.stack([_block_keys(words, s, w) for s, w in plan.ranges], axis=1)
+            reached = [(np.zeros(0, dtype=np.int64),) * 2, *(
+                pair for t in range(plan.m) for pair in _block_pairs(by_row, plan, t, lsh._PAIR_CHUNK, {"probes": 0}))]
             I, J = map(np.concatenate, zip(*reached))
             assert (I != J).all(), plan
             assert len(np.unique(np.minimum(I, J) * k + np.maximum(I, J))) == len(I), plan
             assert len(I) == work["pairs_verified"] <= k * (k - 1) // 2
 
 
+def _groups(counts: list[list[int]]) -> list[tuple[np.ndarray, ...]]:
+    """Runs (owner, lo, cnt) in groups as ``_runs`` yields them, with the
+    given counts; owner and lo number the runs, so any reordering shows."""
+    ends = itertools.accumulate(map(len, counts), initial=0)
+    return [(np.arange(a, a + len(cnt)), 10 * np.arange(a, a + len(cnt)), np.array(cnt, dtype=np.int64))
+            for a, cnt in zip(ends, counts)]
+
+
+class TestPieces:
+    @pytest.mark.parametrize("budget", [1, 12, 1 << 20])
+    @pytest.mark.parametrize("size", [1, 2, 5, 16, 1000])
+    @pytest.mark.parametrize("counts", [
+        [[3, 0, 1, 7], [], [0, 0], [2, 2, 2, 40, 1], [1] * 9, [0]],
+        [[0, 0, 0], [0]],
+        [[25], [1, 30, 1]],
+    ])
+    def test_pieces_are_the_runs_cut_in_order(self, counts, size, budget):
+        runs = _groups(counts)
+        pieces = list(_pieces(iter(runs), budget, size))
+        for got, want in zip(map(np.concatenate, zip(*pieces)), map(np.concatenate, zip(*runs))):
+            assert got.tolist() == want.tolist()
+        for _, _, cnt in pieces:
+            assert 0 < len(cnt) and (cnt.sum() <= size or len(cnt) == 1)
+        # a run larger than size comes out alone
+        assert sum(len(cnt) == 1 and cnt[0] > size for _, _, cnt in pieces) == sum(
+            c > size for cnt in counts for c in cnt)
+
+    def test_small_groups_join_into_pieces_of_the_size(self):
+        pieces = list(_pieces(iter(_groups([[1]] * 23)), 10, 5))
+        assert [cnt.sum() for _, _, cnt in pieces] == [5, 5, 5, 5, 3]
+
+    def test_no_runs_no_pieces(self):
+        assert list(_pieces(iter([]), 1, 1)) == []
+        assert list(_pieces(iter(_groups([[], []])), 1, 1)) == []
+
+
 class TestThreads:
     @pytest.mark.parametrize("b", [32, 128, 256])
     def test_scan_chunks_on_two_threads(self, b, monkeypatch):
         fps = reference.fingerprints(_population(seed=b, n=150, b=b, planted=60, max_flips=b // 4))
-        d = b // 8
-        whole = _scan(fps.words, d)
+        d, n = b // 8, len(fps)
+        whole = _search(fps.words, BlockPlan(), d)
         mapped = lsh._mapped
         chunks = []
 
@@ -431,9 +468,12 @@ class TestThreads:
         monkeypatch.setattr(lsh, "_PAIR_CHUNK", 1 << 10)
         monkeypatch.setattr(lsh, "_mapped", counted)
         for workers in (1, 2):
-            assert all(np.array_equal(x, y) for x, y in zip(_scan(fps.words, d, workers), whole)), workers
+            *arrays, work = _search(fps.words, BlockPlan(), d, workers)
+            assert all(np.array_equal(x, y) for x, y in zip(arrays, whole[:3])), workers
+            # each chunk counts its own pairs, and together they are every pair once
+            assert work == {"probes": 0, "pairs_verified": n * (n - 1) // 2}, workers
         assert chunks[0] >= 5 and len(whole[0]) > 0
-        assert _rows(brute_force_pairs(fps, d)) == _rows(CandidatePairs.canonical(fps.owners, *whole))
+        assert _rows(brute_force_pairs(fps, d)) == _rows(CandidatePairs.canonical(fps.owners, *whole[:3]))
 
     def test_a_plan_below_the_parallel_cost_starts_no_thread(self, monkeypatch):
         index = _index(_population(seed=6, n=1000, planted=100), 20)

@@ -261,18 +261,6 @@ def test_fingerprint_tsv_rejects_values_outside_width(tmp_path, row):
         read_fingerprints_tsv(path)
 
 
-@pytest.mark.parametrize("row, error", [
-    ("\tffffffff", "fingerprint line 3: empty id"),
-    (" a\tffffffff", "fingerprint line 3: id ' a' must not begin or end with whitespace"),
-    ("a \tffffffff", "fingerprint line 3: id 'a ' must not begin or end with whitespace"),
-])
-def test_fingerprint_tsv_rejects_ids_other_readers_reject(tmp_path, row, error):
-    path = tmp_path / "fingerprints.tsv"
-    path.write_text(f"# b=32 seed=0\nb\tffffffff\n{row}\n")
-    with pytest.raises(InputError, match=f"^{error}$"):
-        read_fingerprints_tsv(path)
-
-
 def test_fingerprint_tsv_rejects_a_repeated_id(tmp_path):
     # keeping either row would hide the other, as the edge reader's repeats would
     path = tmp_path / "fingerprints.tsv"
