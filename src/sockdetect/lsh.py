@@ -12,8 +12,9 @@ which probes just the masks whose top bit is that one.  A pair is emitted
 only from the lowest block that holds it within its radius and verified
 once by exact popcount, so ``candidate_pairs`` equals the all-pairs scan.
 It runs on one row per distinct fingerprint, and one cost rule
-(``BlockPlan.cost``: lookups, directory work, a fixed cost per block and
-VERIFY_COST per pair that uniform bits would verify) picks the plan -- m0
+(``BlockPlan.cost``: lookups, a fixed cost per block, a dense count table
+of 2^w entries per w-bit block at a positive radius and VERIFY_COST per
+pair that uniform bits would verify) picks the plan -- m0
 blocks at radius r beside m1 at r + 1 -- or the all-pairs scan, priced at
 SCAN_COST per pair.  ``_search`` runs a plan's blocks, or for the scan plan
 and the oracle ``brute_force_pairs`` chunks of rows by ``_scan_rows``, on
@@ -57,7 +58,7 @@ VERIFY_COST = 25
 BLOCK_COST = 2_000
 SCAN_COST = 5
 _KEY_BITS = 62  # widest block key, so every key is one int64
-_DENSE_BITS = 22  # widest block given a dense count table, sorted keys above
+_DENSE_BITS = 22  # widest block searched at a positive radius: its count table has 2^w entries
 _PROBE_CHUNK = 1 << 18  # probe keys looked up per step
 _PAIR_CHUNK = 1 << 20  # row pairs expanded and verified per step
 # Two threads take turns at a plan's Python-level steps, so a small plan runs
@@ -80,7 +81,8 @@ def _workers(cost: float, tasks: int) -> int:
     per task."""
     if cost < PARALLEL_COST:
         return 1
-    return max(1, min(tasks, len(os.sched_getaffinity(0))))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return max(1, min(tasks, cpus))
 
 
 def _mapped(fn: Callable, items: Sequence, workers: int) -> list:
@@ -143,23 +145,16 @@ def sort_rows(columns: list[np.ndarray], bounds: list[int]) -> list[np.ndarray]:
 
 
 @cache
-def _block_tables(radii: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block_tables(radii: int) -> tuple[np.ndarray, np.ndarray]:
     """For a w-bit block at radius r <= ``radii``, w up to 62 (and 63 for
     an empty slot): half[w, r], its lookups per row (half its ball, its own
-    key left out); miss[w, r], the log of the chance that two uniform keys
-    lie farther apart than r on it; and table[w], the size of its dense
-    count table, infinite where sorted keys serve instead."""
+    key left out); and miss[w, r], the log of the chance that two uniform
+    keys lie farther apart than r on it."""
     w, k = np.arange(_KEY_BITS + 2)[:, None], np.arange(radii + 1)
     # C(w, k) = C(w, k-1) (w-k+1) / k, and 0 from k = w+1 on
     ball = np.cumprod(np.where(k, (w - k + 1) / np.maximum(k, 1), 1), axis=1).cumsum(axis=1)
     held = np.minimum(ball / np.exp2(w), 1 - 2**-53)  # finite when 1
-    table = np.where(w[:, 0] <= _DENSE_BITS, np.exp2(w[:, 0]), np.inf)
-    return (ball - 1) / 2, np.log1p(-held), table
-
-
-def _dense(width: int, lookups: int, n: int) -> bool:
-    """A dense count table, when 2^width entries cost less than log2 n per lookup."""
-    return width <= _DENSE_BITS and 1 << width <= lookups * n.bit_length()
+    return (ball - 1) / 2, np.log1p(-held)
 
 
 def _terms(widths: np.ndarray, radii: np.ndarray, counts: np.ndarray) -> tuple:
@@ -167,21 +162,21 @@ def _terms(widths: np.ndarray, radii: np.ndarray, counts: np.ndarray) -> tuple:
     given as [kind, plan] arrays: plan p has counts[k, p] blocks of
     widths[k, p] bits at radius radii[k, p].  Per plan they are the lookups
     per row, the share of uniform pairs that some block holds within its
-    radius and the block count; per kind, what the directory needs."""
-    half, miss, table = _block_tables(int(radii.max()))
+    radius, and the fixed cost: BLOCK_COST per block, and 2^w for the dense
+    count table of each w-bit block at a positive radius, infinite when w
+    passes _DENSE_BITS."""
+    half, miss = _block_tables(int(radii.max()))
     at = widths * half.shape[1] + radii
-    half = half.ravel()[at]
     share = -np.expm1((counts * miss.ravel()[at]).sum(axis=0))
-    return (counts * half).sum(axis=0), share, counts.sum(axis=0), (counts, half, table[widths])
+    table = np.where((radii > 0) & (counts > 0), np.exp2(np.where(widths > _DENSE_BITS, np.inf, widths)), 0)
+    return (counts * half.ravel()[at]).sum(axis=0), share, (counts * (BLOCK_COST + table)).sum(axis=0)
 
 
 def _price(terms: tuple, n: int) -> np.ndarray:
-    """The cost rule for n distinct rows, per plan: per block its lookups,
-    its directory (a dense count table, or a binary search per lookup) and
-    BLOCK_COST, plus VERIFY_COST per expected verification."""
-    lookups, share, m, (counts, half, table) = terms
-    directory = (counts * np.minimum(table, n * n.bit_length() * half)).sum(axis=0)
-    return n * lookups + directory + BLOCK_COST * m + VERIFY_COST * n * (n - 1) / 2 * share
+    """The cost rule for n distinct rows, per plan: the rows' lookups, the
+    blocks' fixed cost and VERIFY_COST per expected verification."""
+    lookups, share, fixed = terms
+    return n * lookups + fixed + VERIFY_COST * n * (n - 1) / 2 * share
 
 
 @dataclass(frozen=True)
@@ -207,7 +202,9 @@ class BlockPlan:
 
     def cost(self, n: int) -> float:
         """The cost rule's units for n distinct rows; SCAN_COST per pair for
-        the scan, which has no runs to expand and no lower blocks to test."""
+        the scan, which has no runs to expand and no lower blocks to test;
+        infinite for a block wider than _DENSE_BITS at a positive radius,
+        which cannot be searched."""
         return float(_price(self._terms(), n)[0]) if self.m else SCAN_COST * n * (n - 1) / 2
 
 
@@ -243,17 +240,18 @@ def _groupings(b: int, d: int) -> tuple[np.ndarray, tuple]:
     blocks at radius ⌊d/m⌋, for every m from the fewest whose keys fit in
     62 bits up to d+1 (beyond it r stays 0 and the blocks only narrow); and
     m0 blocks at r beside m1 >= 1 at r + 1, m0 the fewest that keep
-    Σ(r_t + 1) > d, over every split of the bits.  Every block is at most
-    62 bits wide and wider than its radius."""
+    Σ(r_t + 1) > d, over every split of the bits.  Every block is wider
+    than its radius and at most 62 bits wide, or _DENSE_BITS when searched
+    at a positive radius, so that its count table fits."""
     check_radius(b, d)
     fewest = -(-b // _KEY_BITS)
     m = np.arange(fewest, max(fewest, d + 1) + 1)
-    m = m[b // m > d // m]
+    m = m[(b // m > d // m) & (-(-b // m) <= np.where(d // m, _DENSE_BITS, _KEY_BITS))]
     r, m1 = (a.ravel() for a in np.meshgrid(np.arange(d + 1), np.arange(1, d + 1), indexing="ij"))
     m0 = (d + 1 - m1 * (r + 2) + r) // (r + 1)
     r, m0, m1 = r[m0 >= 1], m0[m0 >= 1], m1[m0 >= 1]
-    lo = np.maximum(m0 * (r + 1), b - _KEY_BITS * m1)
-    span = np.maximum(np.minimum(b - m1 * (r + 2), _KEY_BITS * m0) - lo + 1, 0)
+    lo = np.maximum(m0 * (r + 1), b - _DENSE_BITS * m1)
+    span = np.maximum(np.minimum(b - m1 * (r + 2), np.where(r, _DENSE_BITS, _KEY_BITS) * m0) - lo + 1, 0)
     row = np.repeat(np.arange(len(r)), span)
     groupings = np.stack([np.concatenate([d // m, r[row]]), np.concatenate([m, m0[row]]),
                           np.concatenate([0 * m, m1[row]]), np.concatenate([0 * m + b, lo[row] + _ragged(span)])])
@@ -406,7 +404,10 @@ def _runs(key: np.ndarray, order: np.ndarray, width: int, radius: int, work: dic
     with equal keys from the earlier one's place in the bucket, and keys
     that differ from the row whose key has a 0 at the highest differing bit
     h, which alone probes the masks whose top bit is h.  Adds the lookups
-    made to ``work["probes"]``."""
+    made to ``work["probes"]``.  A block wider than _DENSE_BITS is searched
+    only at radius 0."""
+    if radius and width > _DENSE_BITS:
+        raise ValueError(f"a {width}-bit block at radius {radius} is wider than {_DENSE_BITS} bits")
     n = len(key)
     sorted_keys = key[order]
     later = np.searchsorted(sorted_keys, sorted_keys, side="right") - np.arange(n) - 1
@@ -416,27 +417,23 @@ def _runs(key: np.ndarray, order: np.ndarray, width: int, radius: int, work: dic
     if not groups:
         return
     zeros = [np.flatnonzero(key >> h & 1 == 0) for h in range(len(groups))]
-    lookups = sum(len(rows) * len(masks) for rows, masks in zip(zeros, groups))
-    work["probes"] += lookups
-    dense = _dense(width, lookups, n)
-    if dense:  # bucket of key k: order[start[k] : start[k] + count[k]]
-        count = np.bincount(key, minlength=1 << width)
-        start = np.cumsum(count) - count
-        held = count.astype(bool)  # one byte a key: the probes' lookups stay in cache
+    work["probes"] += sum(len(rows) * len(masks) for rows, masks in zip(zeros, groups))
+    # a present key k's bucket begins at start[k] in sorted order and holds later[start[k]] + 1
+    # rows; the tables are written only at the keys present
+    held = np.zeros(1 << width, dtype=bool)  # one byte a key: the probes' lookups stay in cache
+    # int32 while positions fit: a 22-bit block of 100 rows took 4.3 ms with an int64 table and
+    # 0.5 ms with this one, which the allocator reuses instead of mapping it afresh (2-core x86 VM)
+    start = np.empty(1 << width, dtype=np.int32 if n < 2**31 else np.int64)
+    first = np.flatnonzero(np.diff(sorted_keys, prepend=-1))
+    held[sorted_keys[first]], start[sorted_keys[first]] = True, first
     for rows, masks in zip(zeros, groups):
         step = max(1, _PROBE_CHUNK // len(masks))
         for i0 in range(0, len(rows), step):
             owner = rows[i0 : i0 + step]
             probe = (key[owner, None] ^ masks).ravel()
-            if dense:
-                hit = np.flatnonzero(held[probe])
-                lo, cnt = start[probe[hit]], count[probe[hit]]
-            else:
-                lo = np.searchsorted(sorted_keys, probe)
-                cnt = np.searchsorted(sorted_keys, probe, side="right") - lo
-                hit = np.flatnonzero(cnt)
-                lo, cnt = lo[hit], cnt[hit]
-            yield owner[hit // len(masks)], lo, cnt
+            hit = np.flatnonzero(held[probe])
+            lo = start[probe[hit]]
+            yield owner[hit // len(masks)], lo, later[lo] + 1
 
 
 def _pieces(runs: Iterable[tuple[np.ndarray, ...]], budget: int, size: int) -> Iterator[tuple[np.ndarray, ...]]:

@@ -103,10 +103,10 @@ def _forced_plans(b: int, d: int) -> list[BlockPlan]:
     """The scan, every uniform plan the cost rule weighs, and uneven radii:
     for r = 0 and r = 1 the first and the last split of the bits with m0
     blocks at r beside m1 at r + 1.  The first split gives the r + 1 blocks
-    the most bits, so at b >= 64 one is wider than 22 bits and is probed
-    through sorted keys.  Plans looking up more than 2048 keys a row are
-    left out: they cost more than the scan below about 800 distinct rows,
-    so the rule cannot pick them at these test sizes."""
+    the most bits, so at b >= 64 they are 22 bits wide, the widest a block
+    at a positive radius may be.  Plans looking up more than 2048 keys a
+    row are left out: they cost more than the scan below about 800
+    distinct rows, so the rule cannot pick them at these test sizes."""
     rows = _groupings(b, d)[0].T
     mixed = rows[rows[:, 2] > 0]
     picks = [*rows[rows[:, 2] == 0]]
@@ -536,6 +536,13 @@ class TestThreads:
         assert lsh._workers(lsh.PARALLEL_COST, 2) == 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert lsh._workers(lsh.PARALLEL_COST, 8) == 1
+        # without sched_getaffinity (macOS, Windows) the CPU count serves, or one if unknown
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert lsh._workers(lsh.PARALLEL_COST, 8) == 4
+        assert lsh._workers(lsh.PARALLEL_COST - 1, 8) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert lsh._workers(lsh.PARALLEL_COST, 8) == 1
 
 
 class TestCostRule:
@@ -546,6 +553,7 @@ class TestCostRule:
             assert [s for s, _ in plan.ranges] == list(itertools.accumulate(widths[:-1], initial=0))
             assert sum(widths) == b and max(widths) <= 62
             assert all(width > radius for width, radius in zip(widths, plan.radii))
+            assert all(width <= lsh._DENSE_BITS for width, radius in zip(widths, plan.radii) if radius)
             assert max(plan.radii) - min(plan.radii) <= 1
             assert sum(radius + 1 for radius in plan.radii) > d  # the pigeonhole condition
 
@@ -588,6 +596,26 @@ class TestCostRule:
     def test_chosen_plan_is_the_cheapest_weighed(self, n):
         cheapest = min(plan.cost(n) for plan in _plans(128, 20))
         assert choose_plan(128, 20, n).cost(n) == pytest.approx(cheapest, rel=1e-12)
+
+    def test_no_wide_block_at_a_positive_radius(self):
+        # one 32-bit block at radius 1 would need a 2^32-entry count table;
+        # two 16-bit blocks searched exactly find the same pairs
+        plan = choose_plan(32, 1, 10**6)
+        assert (plan.ranges, plan.radii) == ([(0, 16), (16, 16)], [0, 0])
+
+    @pytest.mark.parametrize("width", [23, 62])
+    def test_a_block_too_wide_for_its_table_is_refused(self, width):
+        # refused before any table is allocated: 2^62 entries could not be
+        plan = BlockPlan(ranges=[(0, width), (width, 64 - width)], radii=[1, 0])
+        assert plan.cost(100) == math.inf
+        words = np.arange(100, dtype=np.uint64)[:, None]
+        with pytest.raises(ValueError, match=f"{width}-bit block at radius 1"):
+            _search(words, plan, 1)
+        # at radius 0 the block needs no table, and the plan finds the scan's pairs
+        exact = dataclasses.replace(plan, radii=[0, 0])
+        assert exact.cost(100) < math.inf
+        pairs = [sorted(zip(*(x.tolist() for x in _search(words, p, 1)[:3]))) for p in (exact, BlockPlan())]
+        assert pairs[0] == pairs[1] and pairs[0]
 
     def test_wide_fingerprints_split_to_fit_keys(self):
         # at b=256, d=0 the pigeonhole split is one 256-bit block; five
