@@ -116,7 +116,8 @@ def _intern(ids: list[str], sources: list[str], targets: list[str], weights: lis
         weight = np.array(weights, dtype=np.int64)
     except OverflowError:
         raise InputError("edge weight does not fit in 64 bits") from None
-    order = np.lexsort((dst, src))
+    # a stable sort of one key, which passes once over rows already in order
+    order = np.argsort(src * max(len(ids), 1) + dst, kind="stable")
     return ids, src[order], dst[order], weight[order]
 
 
@@ -410,7 +411,9 @@ def _edges_from_columns(rows: list[str]) -> InteractionGraph:
     fields = "\t".join(rows).split("\t") if rows else []
     sources, targets = fields[0::3], fields[1::3]
     ids = sorted(set(sources).union(targets))
-    graph = InteractionGraph(arrays=_intern(ids, sources, targets, list(map(int, fields[2::3]))))
+    weights = fields[2::3]
+    value = {text: int(text) for text in set(weights)}  # each distinct weight parsed once
+    graph = InteractionGraph(arrays=_intern(ids, sources, targets, list(map(value.__getitem__, weights))))
     src, dst = graph.src, graph.dst
     repeated = (np.diff(src) == 0) & (np.diff(dst) == 0)
     padded = ids != list(map(str.strip, ids))  # _padded over every id at once

@@ -19,26 +19,25 @@ blocks at radius r beside m1 at r + 1 -- or the all-pairs scan, priced at
 SCAN_COST per pair.  ``_search`` runs a plan's blocks, or for the scan plan
 and the oracle ``brute_force_pairs`` chunks of rows by ``_scan_rows``, on
 one thread per CPU the process may use once the plan's cost passes
-PARALLEL_COST; the result does not depend on the thread count.  The pairs
-come back as ``CandidatePairs``, row-index arrays in canonical order, with
-each class of equal fingerprints expanded into its member pairs.
+PARALLEL_COST, through the thread map ``simhash._mapped`` that
+fingerprinting uses too; the result does not depend on the thread count.
+The pairs come back as ``CandidatePairs``, row-index arrays in canonical
+order, with each class of equal fingerprints expanded into its member pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
-import threading
 from bisect import bisect_left
-from collections.abc import Callable, Iterable, Iterator, Sequence, Set
+from collections.abc import Iterable, Iterator, Set
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 
 import numpy as np
 
 from .errors import ConfigError
-from .simhash import Fingerprints
+from .simhash import Fingerprints, _cpus, _mapped
 
 # The cost rule counts key lookups.  One verification (expanding its run, the
 # lower-block test and the popcount) costs about 25 of them, a block about
@@ -79,35 +78,7 @@ def _workers(cost: float, tasks: int) -> int:
     """Threads for ``tasks`` independent tasks of a plan of this cost: one
     below PARALLEL_COST, else one per CPU the process may use, at most one
     per task."""
-    if cost < PARALLEL_COST:
-        return 1
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return max(1, min(tasks, cpus))
-
-
-def _mapped(fn: Callable, items: Sequence, workers: int) -> list:
-    """``[fn(x) for x in items]`` on ``workers`` threads: the calling thread
-    and workers - 1 started for this call, each taking the next item in
-    order.  All have stopped on return, and the first exception any of them
-    raised is raised here."""
-    results, todo, raised = [None] * len(items), iter(enumerate(items)), []
-
-    def work() -> None:
-        try:
-            for k, item in todo:  # one shared iterator: each item goes to one thread
-                results[k] = fn(item)
-        except BaseException as exc:
-            raised.append(exc)
-
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    work()
-    for thread in threads:
-        thread.join()
-    if raised:
-        raise raised[0]
-    return results
+    return 1 if cost < PARALLEL_COST else max(1, min(tasks, _cpus()))
 
 
 def bound(values: np.ndarray) -> int:
@@ -369,11 +340,19 @@ class LshIndex:
 
 
 def build_index(fps: Fingerprints, d: int) -> LshIndex:
-    """Collapse equal fingerprints and plan for the distinct ones."""
-    _, reps, classes = np.unique(fps.words, axis=0, return_index=True, return_inverse=True)
-    plan = choose_plan(fps.width, d, len(reps)) if fps else BlockPlan()
-    return LshIndex(plan=plan, users=fps.owners, words=fps.words, reps=reps,
-                    classes=classes.ravel(), max_distance=d)
+    """Collapse equal fingerprints and plan for the distinct ones: the
+    ``reps`` and ``classes`` of ``np.unique(words, axis=0)``, from a stable
+    sort of the rows, word 0 first, and a comparison of neighbours."""
+    words = fps.words
+    # np.lexsort takes its primary key last, and refuses an empty key list
+    order = np.lexsort(words.T[::-1]) if words.size else np.arange(len(words))
+    rows, new = words[order], np.ones(len(words), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    classes = np.empty(len(words), dtype=np.intp)
+    classes[order] = np.cumsum(new) - 1
+    plan = choose_plan(fps.width, d, int(new.sum())) if fps else BlockPlan()
+    return LshIndex(plan=plan, users=fps.owners, words=words, reps=order[new],
+                    classes=classes, max_distance=d)
 
 
 def _block_keys(words: np.ndarray, start: int, width: int) -> np.ndarray:

@@ -388,6 +388,18 @@ class TestEdgeTsv:
         with pytest.raises(InputError, match=re.escape(message)):
             read_edges_tsv(path)
 
+    def test_shuffled_rows_read_to_the_sorted_graph(self, tmp_path):
+        graph = build_interaction_graph(reference.message_log(_random_messages(seed=23, count=400, users=30)))
+        path, shuffled = tmp_path / "edges.tsv", tmp_path / "shuffled.tsv"
+        write_edges_tsv(graph, path)
+        rows = path.read_text().splitlines(keepends=True)
+        random.Random(5).shuffle(rows)
+        shuffled.write_text("".join(rows))
+        plain, loaded = read_edges_tsv(path), read_edges_tsv(shuffled)
+        assert len(set(graph.weight.tolist())) > 1 and loaded.ids == plain.ids
+        for name in ("src", "dst", "weight"):
+            assert getattr(loaded, name).tolist() == getattr(plain, name).tolist() == getattr(graph, name).tolist()
+
     def test_empty_file_is_empty_graph(self, tmp_path):
         path = tmp_path / "empty.tsv"
         path.write_text("")

@@ -206,6 +206,29 @@ class TestBuildIndex:
         with pytest.raises(ConfigError):
             _index(fps, 64)
 
+    @pytest.mark.parametrize("b", [32, 64, 128, 256])
+    @pytest.mark.parametrize("shape", ["empty", "one row", "all equal", "duplicates", "random"])
+    def test_classes_equal_np_unique(self, b, shape):
+        rng = random.Random(b)
+        base = rng.getrandbits(b)
+        # rows that agree on every word but the first, or the last, so each word decides somewhere
+        pool = [0, (1 << b) - 1, base, base ^ 1, base ^ 1 << (b - 1), base ^ 1 << 63, rng.getrandbits(b)]
+        values = {
+            "empty": [],
+            "one row": [base],
+            "all equal": [base] * 50,
+            "duplicates": [rng.choice(pool) for _ in range(300)],
+            "random": [rng.getrandbits(b) for _ in range(300)],
+        }[shape]
+        fps = reference.fingerprints({f"u{i:03d}": Fingerprint(f"u{i:03d}", v, b) for i, v in enumerate(values)})
+        if not values:  # as the fingerprint stage and the reader give it
+            fps = Fingerprints([], np.zeros((0, -(-b // 64)), dtype=np.uint64), b)
+        index = build_index(fps, 1)
+        _, reps, classes = np.unique(fps.words, axis=0, return_index=True, return_inverse=True)
+        assert index.reps.tolist() == reps.tolist()
+        assert index.classes.tolist() == classes.ravel().tolist()
+        assert index.plan == (choose_plan(b, 1, len(reps)) if values else BlockPlan())
+
 
 class TestCandidatePairs:
     def test_exact_duplicates_found_at_distance_zero(self):

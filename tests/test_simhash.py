@@ -1,8 +1,11 @@
 import random
+import sys
+import threading
 
 import pytest
 
 import reference
+from sockdetect import simhash as simhash_module
 from sockdetect.errors import ConfigError, InputError
 from sockdetect.features import FeatureMap, FeatureToken
 from sockdetect.lsh import brute_force_pairs
@@ -186,6 +189,95 @@ class TestSimhash:
         fps, skipped = fingerprint_population(reference.feature_maps(fmaps), CFG)
         assert set(fps) == {"a", "c"}
         assert skipped == ["b"]
+
+
+def _mixed_maps(rng: random.Random, n: int) -> dict[str, FeatureMap]:
+    """n users: every tenth map empty, every tenth a copy of an earlier one,
+    every tenth 150 to 300 tokens long and the rest 1 to 12 tokens, with
+    weights from a small set so that votes tie."""
+    neighbors = [f"n{k}" for k in range(400)]
+    fmaps: dict[str, FeatureMap] = {}
+    for i in range(n):
+        uid = f"u{i:04d}"
+        if i % 10 == 0:
+            entries = {}
+        elif i % 10 == 1 and i > 10:
+            entries = dict(fmaps[f"u{i - 7:04d}"].entries)
+        else:
+            size = rng.randint(150, 300) if i % 10 == 2 else rng.randint(1, 12)
+            entries = {
+                FeatureToken(rng.choice(("out", "in")), v): rng.choice((0.25, 0.5, 1.0, rng.uniform(0.05, 1)))
+                for v in rng.sample(neighbors, size)
+            }
+        fmaps[uid] = FeatureMap(uid, entries)
+    return fmaps
+
+
+def _counted_map(monkeypatch) -> list[tuple[int, int, list[int]]]:
+    """Record, for each call of the fingerprint thread map, the chunks, the
+    workers, and the threads alive as each chunk ran."""
+    mapped, calls = simhash_module._mapped, []
+
+    def counted(fn, items, workers):
+        alive: list[int] = []
+        calls.append((len(items), workers, alive))
+        return mapped(lambda item: (alive.append(threading.active_count()), fn(item))[1], items, workers)
+
+    monkeypatch.setattr(simhash_module, "_mapped", counted)
+    return calls
+
+
+class TestChunks:
+    @pytest.mark.parametrize("b", WIDTHS)
+    def test_equal_to_the_reference_at_any_chunk_size_and_thread_count(self, b, monkeypatch):
+        fmaps = _mixed_maps(random.Random(b), 160)
+        cfg = RunConfig(bits=b, seed=7)
+        want = {uid: reference.simhash(fmap, cfg) for uid, fmap in fmaps.items() if not fmap.is_empty()}
+        table = reference.feature_maps(fmaps)
+        calls = _counted_map(monkeypatch)
+        # one user a chunk, 64 users a chunk, and the default: one chunk of all
+        for floats in (b, 64 * b, simhash_module._CHUNK_FLOATS):
+            monkeypatch.setattr(simhash_module, "_CHUNK_FLOATS", floats)
+            for cpus in (1, 2):
+                monkeypatch.setattr(simhash_module, "_cpus", lambda cpus=cpus: cpus)
+                fps, skipped = fingerprint_population(table, cfg)
+                assert dict(fps) == want, (floats, cpus)
+                assert skipped == sorted(uid for uid, fmap in fmaps.items() if fmap.is_empty())
+        n = len(want)
+        assert [call[:2] for call in calls] == [(n, 1), (n, 2), (-(-n // 64), 1), (-(-n // 64), 2), (1, 1), (1, 1)]
+
+    def test_one_chunk_maps_on_one_worker_and_starts_no_thread(self, monkeypatch):
+        table = reference.feature_maps(_mixed_maps(random.Random(3), 300))
+        calls = _counted_map(monkeypatch)
+        monkeypatch.setattr(simhash_module, "_cpus", lambda: 2)
+        before = threading.active_count()
+        whole, _ = fingerprint_population(table, CFG)  # 270 users, under 512 at b=128
+        assert [call[:2] for call in calls] == [(1, 1)] and calls[0][2] == [before]
+        # two chunks of the same users run beside a second thread, to the same rows
+        monkeypatch.setattr(simhash_module, "_CHUNK_FLOATS", 200 * CFG.bits)
+        split, _ = fingerprint_population(table, CFG)
+        assert calls[1][:2] == (2, 2) and max(calls[1][2]) > before
+        assert split.owners == whole.owners and split.words.tolist() == whole.words.tolist()
+        assert threading.active_count() == before
+
+    def test_every_row_written_under_frequent_switches(self, monkeypatch):
+        # more threads than cores, one user a chunk, switching every
+        # microsecond: each chunk's rows must land, and no other rows change
+        table = reference.feature_maps(_mixed_maps(random.Random(4), 200))
+        whole, _ = fingerprint_population(table, CFG)
+        monkeypatch.setattr(simhash_module, "_CHUNK_FLOATS", CFG.bits)
+        monkeypatch.setattr(simhash_module, "_cpus", lambda: 8)
+        done = []
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: done.append(fingerprint_population(table, CFG)[0]))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not runner.is_alive() and len(done) == 1
+        assert done[0].owners == whole.owners and done[0].words.tolist() == whole.words.tolist()
 
 
 class TestHamming:
