@@ -9,14 +9,15 @@ key reaches every true pair.  Each unordered pair of keys is reached once:
 rows with equal keys pair up inside their bucket, and keys that differ are
 found only from the row whose key has a 0 at the highest differing bit,
 which probes just the masks whose top bit is that one.  A pair is emitted
-only from the lowest block that holds it within its radius and verified
-once by exact popcount, so ``candidate_pairs`` equals the all-pairs scan.
-It runs on one row per distinct fingerprint, and one cost rule
-(``BlockPlan.cost``: lookups, a fixed cost per block, a dense count table
-of 2^w entries per w-bit block at a positive radius and VERIFY_COST per
-pair that uniform bits would verify) picks the plan -- m0
-blocks at radius r beside m1 at r + 1 -- or the all-pairs scan, priced at
-SCAN_COST per pair.  ``_search`` runs a plan's blocks, or for the scan plan
+only from the lowest block that holds it within its radius: the lower
+blocks are tested on the XOR of the pair's words, whose popcount is then
+the exact distance, verified once, so ``candidate_pairs`` equals the
+all-pairs scan.  It runs on one row per distinct fingerprint, and one cost
+rule (``BlockPlan.cost``: lookups, a fixed cost per block, dense tables of
+2^w entries per w-bit block at a positive radius and VERIFY_COST per pair
+that uniform bits would verify) picks the plan -- m0 blocks at radius r
+beside m1 at r + 1 -- or the all-pairs scan, priced at SCAN_COST per pair.
+``_search`` runs a plan's blocks by ``_block_pairs``, or for the scan plan
 and the oracle ``brute_force_pairs`` chunks of rows by ``_scan_rows``, on
 one thread per CPU the process may use once the plan's cost passes
 PARALLEL_COST, through the thread map ``simhash._mapped`` that
@@ -40,7 +41,7 @@ from .errors import ConfigError
 from .simhash import Fingerprints, _cpus, _mapped
 
 # The cost rule counts key lookups.  One verification (expanding its run, the
-# lower-block test and the popcount) costs about 25 of them, a block about
+# lower-block test and the popcount) cost about 25 of them, a block about
 # 2,000 whatever its width, and a pair of the all-pairs scan about 5.  Fitted
 # by timing, each repetition interleaved across plans, the plans the rule
 # offers on 30 (corpus, radius) cases at b=128 (2-core x86 VM): synth 2k to
@@ -52,12 +53,14 @@ from .simhash import Fingerprints, _cpus, _mapped
 # 25 / 5,000 / 3, scans up to about 330 rows; the smaller block cost keeps
 # block plans from 168 rows, which the duplicate-class and excess-verification
 # tests of 201 and 250 rows rely on.  The scan now runs the oracle's kernel,
-# 3-4x faster than when fitted; SCAN_COST is kept so that no plan changes.
+# 3-4x faster than when fitted, and the lower-block test runs on the XOR of
+# the pair's words, which also gives the distance verified; SCAN_COST and
+# VERIFY_COST are kept so that no plan changes.
 VERIFY_COST = 25
 BLOCK_COST = 2_000
 SCAN_COST = 5
 _KEY_BITS = 62  # widest block key, so every key is one int64
-_DENSE_BITS = 22  # widest block searched at a positive radius: its count table has 2^w entries
+_DENSE_BITS = 22  # widest block searched at a positive radius: its tables have 2^w entries
 _PROBE_CHUNK = 1 << 18  # probe keys looked up per step
 _PAIR_CHUNK = 1 << 20  # row pairs expanded and verified per step
 # Two threads take turns at a plan's Python-level steps, so a small plan runs
@@ -134,8 +137,8 @@ def _terms(widths: np.ndarray, radii: np.ndarray, counts: np.ndarray) -> tuple:
     widths[k, p] bits at radius radii[k, p].  Per plan they are the lookups
     per row, the share of uniform pairs that some block holds within its
     radius, and the fixed cost: BLOCK_COST per block, and 2^w for the dense
-    count table of each w-bit block at a positive radius, infinite when w
-    passes _DENSE_BITS."""
+    tables of each w-bit block at a positive radius, infinite when w passes
+    _DENSE_BITS."""
     half, miss = _block_tables(int(radii.max()))
     at = widths * half.shape[1] + radii
     share = -np.expm1((counts * miss.ravel()[at]).sum(axis=0))
@@ -213,7 +216,7 @@ def _groupings(b: int, d: int) -> tuple[np.ndarray, tuple]:
     m0 blocks at r beside m1 >= 1 at r + 1, m0 the fewest that keep
     Σ(r_t + 1) > d, over every split of the bits.  Every block is wider
     than its radius and at most 62 bits wide, or _DENSE_BITS when searched
-    at a positive radius, so that its count table fits."""
+    at a positive radius, so that its tables fit."""
     check_radius(b, d)
     fewest = -(-b // _KEY_BITS)
     m = np.arange(fewest, max(fewest, d + 1) + 1)
@@ -361,7 +364,7 @@ def _block_keys(words: np.ndarray, start: int, width: int) -> np.ndarray:
     key = words[:, w] >> np.uint64(s)
     if s + width > 64:
         key |= words[:, w + 1] << np.uint64(64 - s)
-    return (key & np.uint64((1 << width) - 1)).astype(np.int64)
+    return (key & np.uint64((1 << width) - 1)).view(np.int64)
 
 
 def _masks_by_top_bit(width: int, radius: int) -> list[np.ndarray]:
@@ -434,20 +437,27 @@ def _pieces(runs: Iterable[tuple[np.ndarray, ...]], budget: int, size: int) -> I
             batch, pairs = [], 0
 
 
-def _block_pairs(by_row: np.ndarray, plan: BlockPlan, t: int, budget: int, work: dict
-                 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _block_pairs(words: np.ndarray, plan: BlockPlan, d: int, budget: int, t: int) -> tuple[list, dict]:
     """Row pairs within the plan's radius on block t and beyond it on every
-    lower block, each once, ``budget`` pairs joined at a time, adding the
-    lookups to ``work["probes"]``; row i of ``by_row`` holds row i's keys."""
-    key, radii = np.ascontiguousarray(by_row[:, t]), np.array(plan.radii)  # a copy sorts and probes faster
+    lower block, each once, ``budget`` pairs joined at a time: those within
+    distance d, and the work, the lookups made and those pairs verified."""
+    (start, width), work = plan.ranges[t], {"probes": 0, "pairs_verified": 0}
+    key, found = _block_keys(words, start, width), []
     order = np.argsort(key, kind="stable")
-    runs = _runs(key, order, plan.ranges[t][1], plan.radii[t], work)
-    # each pair is tested on t lower blocks at once, so a piece holds budget / (t + 1) pairs; joined
-    # to the budget, most blocks probe all before they verify (7% faster at 20k rows, 2-core x86 VM)
+    runs = _runs(key, order, width, plan.radii[t], work)
+    # a piece is passed over t + 1 times, by the XOR and by each lower block, so it holds budget / (t + 1)
+    # pairs; joined to the budget, most blocks probe all before they verify (7% faster at 20k rows, 2-core x86 VM)
     for owner, lo, cnt in _pieces(runs, budget, budget // (t + 1)):
         I, J = np.repeat(owner, cnt), order[np.repeat(lo, cnt) + _ragged(cnt)]
-        near = (np.bitwise_count(by_row[I, :t] ^ by_row[J, :t]) <= radii[:t]).any(axis=1)
-        yield I[~near], J[~near]
+        x, far = words[I], np.ones(len(I), dtype=bool)
+        x ^= words[J]
+        for (s, w), r in zip(plan.ranges[:t], plan.radii):  # a block key of x is the XOR of the pair's keys
+            far &= np.bitwise_count(_block_keys(x, s, w)) > r
+        dist = np.bitwise_count(x[far]).sum(axis=1, dtype=np.int64)
+        I, J, ok = I[far], J[far], dist <= d
+        work["pairs_verified"] += len(I)
+        found.append((np.minimum(I[ok], J[ok]), np.maximum(I[ok], J[ok]), dist[ok]))
+    return found, work
 
 
 def _scan_rows(words: np.ndarray, d: int, rows: tuple[int, int]) -> tuple[list, dict]:
@@ -473,21 +483,9 @@ def _search(words: np.ndarray, plan: BlockPlan, d: int, workers: int | None = No
     workers = _workers(plan.cost(n), plan.m or n) if workers is None else workers
     budget = _PAIR_CHUNK // workers
     if plan.m:
-        by_row = np.stack([_block_keys(words, s, w) for s, w in plan.ranges], axis=1)
-
-        def task(t: int) -> tuple[list, dict]:
-            found, work = [], {"probes": 0, "pairs_verified": 0}
-            for I, J in _block_pairs(by_row, plan, t, budget, work):
-                dist = np.bitwise_count(words[I] ^ words[J]).sum(axis=1, dtype=np.int64)
-                ok = dist <= d
-                work["pairs_verified"] += len(I)
-                I, J = I[ok], J[ok]
-                found.append((np.minimum(I, J), np.maximum(I, J), dist[ok]))
-            return found, work
-
         # the highest block first: the higher blocks search the larger radius
         # and test more lower blocks, so the last to finish is a cheap one
-        tasks = range(plan.m - 1, -1, -1)
+        task, tasks = partial(_block_pairs, words, plan, d, budget), range(plan.m - 1, -1, -1)
     else:  # a chunk of rows meets only the rows from its own first on, its XORs about budget words
         starts = [0]
         while starts[-1] < n:

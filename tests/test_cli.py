@@ -1,14 +1,20 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import reference
+import sockdetect
 from sockdetect import pipeline
 from sockdetect.cli import main
 from sockdetect.errors import InputError
+from sockdetect.evaluate import write_truth
 from sockdetect.features import FeatureToken
 from sockdetect.ingest import InteractionGraph, build_interaction_graph, parse_messages, write_edges_tsv
 from sockdetect.lsh import CandidatePair, brute_force_pairs
@@ -629,6 +635,58 @@ class TestSweep:
         lines = (out / "sweep.csv").read_text().splitlines()
         assert "failed" in lines[1]
         assert ",ok," in lines[2]
+
+
+def _artifacts(out: Path) -> dict[str, object]:
+    """Every file a chain wrote, by path: ``stats.json`` without its
+    ``seconds`` and ``sweep.csv`` without its ``seconds`` column, which read
+    the clock; the rest as bytes."""
+    files = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        if path.name == "stats.json":
+            files[str(path.relative_to(out))] = {**json.loads(path.read_text()), "seconds": None}
+        elif path.name == "sweep.csv":
+            with open(path, newline="") as fh:
+                rows = list(csv.reader(fh))
+            files[str(path.relative_to(out))] = [row[:15] + row[16:] for row in rows]
+            assert rows[0][15] == "seconds"
+        else:
+            files[str(path.relative_to(out))] = path.read_bytes()
+    return files
+
+
+def test_chains_in_processes_of_two_hash_seeds_write_the_same_files(tmp_path):
+    # string hashing differs between the two processes, so any output that
+    # follows the iteration order of a set or dict of ids would differ
+    graph, truth = generate(SynthConfig(n=300, clones=6, perturbation=0.1, seed=5))
+    roots = len(graph.ids)
+    lines = [json.dumps({"message_id": k + 1, "sender": uid}) for k, uid in enumerate(graph.ids)]
+    replies = zip(graph.src.repeat(graph.weight).tolist(), graph.dst.repeat(graph.weight).tolist())
+    lines += [json.dumps({"message_id": roots + k + 1, "sender": graph.ids[u], "reply_to": v + 1})
+              for k, (u, v) in enumerate(replies)]
+    (tmp_path / "messages.jsonl").write_text("\n".join(lines) + "\n")
+    write_truth(truth, tmp_path / "truth.txt")
+    src = str(Path(sockdetect.__file__).parents[1])
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"hash{hash_seed}"
+        edges = str(out / "corpus" / "edges.tsv")
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for argv in (
+            ["ingest", "--input", str(tmp_path / "messages.jsonl"), "--output-dir", str(out / "corpus")],
+            ["detect", "--input", edges, "--output-dir", str(out / "run")],
+            ["sweep", "--input", edges, "--truth", str(tmp_path / "truth.txt"), "--output-dir", str(out / "sweep"),
+             "--max-distance", "6,20", "--threshold", "0.3,0.5"],
+        ):
+            subprocess.run([sys.executable, "-c", "import sys; from sockdetect.cli import main; sys.exit(main())",
+                            *argv], env=env, check=True, capture_output=True, timeout=120)
+        outputs.append(_artifacts(out))
+    assert sorted(outputs[0]) == [
+        "corpus/edges.tsv", "corpus/ingest.json", "run/candidates.tsv", "run/features.tsv",
+        "run/fingerprints.tsv", "run/report.json", "run/stats.json", "sweep/sweep.csv"]
+    assert outputs[0]["run/candidates.tsv"].count(b"\n") > 1  # a header and pairs
+    assert outputs[0] == outputs[1]
 
 
 VALID_INPUTS = {

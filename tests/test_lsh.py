@@ -429,14 +429,19 @@ class TestOracleSweep:
             if not plan.m:  # the scan verifies every pair; a repeat would lengthen the rows above
                 assert work["pairs_verified"] == k * (k - 1) // 2
                 continue
-            # no pair of rows reaches verification twice, and no row meets itself
-            by_row = np.stack([_block_keys(words, s, w) for s, w in plan.ranges], axis=1)
-            reached = [(np.zeros(0, dtype=np.int64),) * 2, *(
-                pair for t in range(plan.m) for pair in _block_pairs(by_row, plan, t, lsh._PAIR_CHUNK, {"probes": 0}))]
-            I, J = map(np.concatenate, zip(*reached))
-            assert (I != J).all(), plan
-            assert len(np.unique(np.minimum(I, J) * k + np.maximum(I, J))) == len(I), plan
-            assert len(I) == work["pairs_verified"] <= k * (k - 1) // 2
+            # the pairs verified are exactly the pairs of rows some block holds within its radius:
+            # each once, and no row with itself
+            I, J = np.triu_indices(k, 1)
+            held = np.zeros(len(I), dtype=bool)
+            for (s, w), r in zip(plan.ranges, plan.radii):
+                key = _block_keys(words, s, w)
+                held |= np.bitwise_count(key[I] ^ key[J]) <= r
+            assert work["pairs_verified"] == held.sum() <= k * (k - 1) // 2, plan
+            # at d = b every pair verified is returned, so the blocks show which they were
+            reached = [pair for t in range(plan.m) for pair in _block_pairs(words, plan, b, lsh._PAIR_CHUNK, t)[0]]
+            assert sorted(zip(*(np.concatenate(x).tolist() for x in zip(*reached)))) == sorted(
+                zip(I[held].tolist(), J[held].tolist(),
+                    np.bitwise_count(words[I[held]] ^ words[J[held]]).sum(axis=1).tolist())), plan
 
 
 def _groups(counts: list[list[int]]) -> list[tuple[np.ndarray, ...]]:
@@ -507,7 +512,7 @@ class TestThreads:
 
         def counted(*args):
             threads.append(threading.active_count())
-            yield from block_pairs(*args)
+            return block_pairs(*args)
 
         monkeypatch.setattr(lsh, "_block_pairs", counted)
         before = threading.active_count()

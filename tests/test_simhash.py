@@ -7,7 +7,7 @@ import pytest
 import reference
 from sockdetect import simhash as simhash_module
 from sockdetect.errors import ConfigError, InputError
-from sockdetect.features import FeatureMap, FeatureToken
+from sockdetect.features import FeatureMap, FeatureToken, build_feature_maps
 from sockdetect.lsh import brute_force_pairs
 from sockdetect.pipeline import RunConfig
 from sockdetect.simhash import (
@@ -16,6 +16,7 @@ from sockdetect.simhash import (
     read_fingerprints_tsv,
     write_fingerprints_tsv,
 )
+from sockdetect.synth import SynthConfig, generate
 
 CFG = RunConfig(bits=128, seed=0)
 WIDTHS = (32, 64, 128, 256)
@@ -278,6 +279,29 @@ class TestChunks:
             sys.setswitchinterval(switch)
         assert not runner.is_alive() and len(done) == 1
         assert done[0].owners == whole.owners and done[0].words.tolist() == whole.words.tolist()
+
+
+class TestNesting:
+    """A narrower fingerprint is a slice of a wider one, so one vote pass at
+    the widest width could serve a sweep over ``bits``."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 99, 2**64 - 1])
+    @pytest.mark.parametrize("population", ["synth", "mixed"])
+    def test_widths_nest(self, population, seed):
+        if population == "synth":  # feature maps do not depend on the width
+            table = build_feature_maps(generate(SynthConfig(n=800, seed=3))[0], CFG)
+        else:
+            table = reference.feature_maps(_mixed_maps(random.Random(seed % 1000), 160))
+        owners, words = set(), {}
+        for b in WIDTHS:
+            fps, _ = fingerprint_population(table, RunConfig(bits=b, seed=seed))
+            owners.add(tuple(fps.owners))
+            words[b] = fps.words
+        assert len(owners) == 1
+        assert words[128].tolist() == words[256][:, 2:].tolist()  # the two high words
+        assert words[64][:, 0].tolist() == words[128][:, 1].tolist()
+        assert words[32][:, 0].tolist() == (words[64][:, 0] & 0xFFFFFFFF).tolist()  # the low half
+        assert len(set(words[32][:, 0].tolist())) > 1
 
 
 class TestHamming:
