@@ -127,6 +127,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
                 document = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise InputError(f"export is not valid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+            except UnicodeDecodeError:
+                raise  # open_text names the file
+            except (ValueError, RecursionError) as exc:  # too many digits, or too deep
+                raise InputError(f"export is not valid JSON: {exc}") from exc
         records = convert_telegram_export(document, dropped=dropped)
     else:
         records = parse_messages_path(args.input)

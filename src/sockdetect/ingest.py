@@ -9,10 +9,15 @@ Input is line-delimited JSON, one message per line:
 Telegram desktop chat exports produces the same messages, reading each entry's
 ``id``, ``from_id`` and ``reply_to_message_id`` (or the JSONL keys).  Both give
 a ``MessageLog`` of three columns.  JSONL lines are decoded once and checked
-as whole columns; only a failed check re-runs them one at a time through the
-per-record pass, which checks export entries too and reports the first bad
-record by its key and place (``line N``, or ``entry N`` in an export).  The
-graph is interned: sorted node ids plus int64 edge arrays.
+as whole columns, first with orjson; a failed check runs the column pass
+again with json, then the lines one at a time through the per-record pass,
+which checks export entries too and reports the first bad record by its key
+and place (``line N``, or ``entry N`` in an export).  The order is exact:
+orjson reads a strict subset of what json reads, to the same values, save
+integers outside [-2**63, 2**64), which it reads as floats that the column
+checks reject, so every log orjson's pass accepts gives json's columns, and
+every error text comes from json.  The graph is interned: sorted node ids
+plus int64 edge arrays.
 """
 
 from __future__ import annotations
@@ -24,9 +29,10 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
+import orjson
 
 from .errors import InputError
 
@@ -203,26 +209,46 @@ def parse_messages(lines: Iterable[str]) -> MessageLog:
     Blank lines are skipped.  Raises InputError with a 1-based line number
     for malformed lines, and names both lines on duplicate message ids.
     """
-    lines = list(lines)
-    try:
-        return _parse_columns(lines)
-    except Exception:
-        # whatever the fast pass tripped on, the per-line pass decides again:
-        # it raises the first real error, or returns the same columns
-        return _checked_records(_decoded_lines(lines), _JSONL_KEYS)
+    return _parse_passes(list(lines), lambda: None)
 
 
-def _parse_columns(lines: Iterable[str]) -> MessageLog:
-    """Decode each line once and check whole columns; raises on anything
-    the per-line pass must look at."""
+def _parse_passes(lines: Iterable[str], rewind: Callable[[], object]) -> MessageLog:
+    """The column pass with orjson, then with json, then the per-line pass,
+    each reading ``lines`` from the first after ``rewind()``; the per-line
+    pass raises the first real error, or returns the same columns."""
+    for loads in (_orjson_value, _json_value):
+        try:
+            return _parse_columns(lines, loads)
+        except Exception:  # whatever a pass tripped on, the next decides again
+            rewind()
+    return _checked_records(_decoded_lines(lines), _JSONL_KEYS)
+
+
+def _json_value(text: str) -> object:
+    """The one JSON value ``text`` holds, as json.loads reads it."""
+    obj, end = _scan_json(text, 0)
+    if end != len(text):
+        raise ValueError("more than one value on a line")
+    return obj
+
+
+def _orjson_value(text: str) -> object:
+    """``text`` decoded by orjson if it has at most 1,000 characters, else
+    by json.  orjson has no depth limit, and about 150,000 levels deep its
+    recursion overflows an 8 MB stack; a line this short nests at most 500
+    deep, short of json's recursion limit too, so both read it alike."""
+    return orjson.loads(text) if len(text) <= 1000 else _json_value(text)
+
+
+def _parse_columns(lines: Iterable[str], loads: Callable[[str], object] = _json_value) -> MessageLog:
+    """Decode each line once with ``loads`` and check whole columns; raises
+    on anything the per-line pass must look at."""
     ids, senders, replies = [], [], []
     same: dict[str, str] = {}  # one string per sender, however many messages it sent
     for raw in lines:
         text = raw.strip(_JSON_SPACE)
         if text:
-            obj, end = _scan_json(text, 0)
-            if end != len(text):
-                raise ValueError("more than one value on a line")
+            obj = loads(text)
             ids.append(obj["message_id"])
             sender = obj["sender"]
             if type(sender) is str:  # True == 1, so only strings share a key
@@ -252,6 +278,8 @@ def _decoded_lines(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON at line {lineno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:  # too many digits, or too deep
+            raise InputError(f"invalid JSON at line {lineno}: {exc}") from exc
         if not isinstance(obj, dict):
             raise InputError(f"expected an object at line {lineno}")
         yield f"line {lineno}", obj
@@ -292,15 +320,11 @@ def parse_messages_path(path: str | Path) -> MessageLog:
     # a text file splits into lines on "\n" only, never on the other breaks
     # str.splitlines knows, which JSON strings may hold raw.  The lines are
     # decoded as they are read and never held in a list, unless the input
-    # is a pipe, which the per-line pass could not read again.
+    # is a pipe, which a later pass could not read again.
     with open_text(path) as fh:
         if not fh.seekable():
             return parse_messages(fh)
-        try:
-            return _parse_columns(fh)
-        except Exception:
-            fh.seek(0)  # the per-line pass reads the file again from line 1
-            return _checked_records(_decoded_lines(fh), _JSONL_KEYS)
+        return _parse_passes(fh, lambda: fh.seek(0))
 
 
 def convert_telegram_export(

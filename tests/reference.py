@@ -93,6 +93,8 @@ def parse_messages(lines: Iterable[str]) -> list[MessageRecord]:
             obj = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise InputError(f"invalid JSON at line {lineno}: {exc.msg}") from exc
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"invalid JSON at line {lineno}: {exc}") from exc
         if not isinstance(obj, dict):
             raise InputError(f"expected an object at line {lineno}")
         if "message_id" not in obj:

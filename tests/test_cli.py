@@ -174,6 +174,26 @@ class TestIngest:
             " Expecting property name enclosed in double quotes\n"
         )
 
+    @pytest.mark.parametrize("telegram", [False, True], ids=["jsonl", "telegram"])
+    @pytest.mark.parametrize("value, reason", [
+        ("1" * 5000, "Exceeds the limit (4300 digits) for integer string conversion"),
+        ("[" * 100_000, "maximum recursion depth exceeded"),
+    ], ids=["5000_digits", "100k_deep"])
+    def test_hostile_json_exits_1_without_a_traceback(self, tmp_path, capsys, telegram, value, reason):
+        # json reads both as a ValueError or RecursionError, not as a JSONDecodeError
+        src = tmp_path / "input"
+        if telegram:
+            src.write_text('{"messages": [{"id": 1, "from_id": "a", "x": ' + value)
+            prefix = "export is not valid JSON: "
+        else:
+            src.write_text('{"message_id": 1, "sender": "a"}\n{"message_id": 2, "sender": "b", "x": ' + value + "\n")
+            prefix = "invalid JSON at line 2: "
+        argv = ["ingest", "--input", str(src), "--output-dir", str(tmp_path / "out")]
+        assert main(argv + ["--telegram"] * telegram) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {prefix}{reason}") and err.count("\n") == 1
+        assert not (tmp_path / "out" / "edges.tsv").exists()
+
 
 class TestDetect:
     def test_zero_flag_header_is_the_default_operating_point(self, synth_corpus, tmp_path):

@@ -7,9 +7,11 @@ import tracemalloc
 from collections import Counter
 
 import numpy as np
+import orjson
 import pytest
 
 import reference
+from sockdetect import ingest
 from sockdetect.errors import InputError
 from sockdetect.features import build_feature_maps
 from sockdetect.lsh import CandidatePairs
@@ -491,10 +493,11 @@ class TestSharedTsvRules:
 ODD_SENDERS = ["a", "b", 0, 1, 5, "5", -3, "in ner", "\u00fc", "x\u2028y", "p\x85q", "f\x0cg", "v\x1dw"]
 
 
-def _log_lines(rng: random.Random, count: int) -> list[str]:
-    """A random valid JSONL log, each line ending in a line break."""
+def _log_lines(rng: random.Random, count: int, wide: float = 0.15) -> list[str]:
+    """A random valid JSONL log, each line ending in a line break; a share
+    ``wide`` of the message ids lie beyond 64 bits."""
     ids = rng.sample(range(-40, 200), count)
-    ids = [mid + 2**64 if rng.random() < 0.15 else mid for mid in ids]
+    ids = [mid + 2**64 if rng.random() < wide else mid for mid in ids]
     lines = []
     for mid in ids:
         obj = {"message_id": mid, "sender": rng.choice(ODD_SENDERS)}
@@ -550,6 +553,25 @@ def _mutate(rng: random.Random, lines: list[str], kind: str) -> list[str]:
         lines[i] = lines[i].rstrip("\r\n").rsplit('"', 1)[0] + "\n"
     elif kind == "not_object":
         lines[i] = rng.choice(["[1, 2]\n", '"m"\n', "3\n", "null\n"])
+    # valid lines that json reads but orjson rejects or misreads
+    elif kind == "nan":
+        obj["score"] = rng.choice([float("nan"), float("inf"), float("-inf")])
+        lines[i] = json.dumps(obj) + "\n"
+    elif kind == "surrogate":
+        obj["text"] = "\udc00"
+        lines[i] = json.dumps(obj) + "\n"
+    elif kind in ("wide_field", "huge_field"):
+        # orjson reads an integer outside [-2**63, 2**64) as a float, and
+        # rejects one beyond the float range
+        obj["views"] = rng.choice([2**64, -(2**63) - 1, 10**30]) if kind == "wide_field" else 10**400
+        lines[i] = json.dumps(obj) + "\n"
+    elif kind == "wide_sender":
+        obj["sender"] = rng.choice([2**64, 2**64 + 5, -(2**63) - 1])
+        lines[i] = json.dumps(obj) + "\n"
+    elif kind == "deep":
+        # orjson reads any depth; json stops near its recursion limit
+        depth = rng.choice([300, 600, 2000])
+        lines[i] = json.dumps(obj)[:-1] + ', "x": ' + "[" * depth + "]" * depth + "}\n"
     return lines
 
 
@@ -568,6 +590,36 @@ MUTATIONS = [
 
 class TestColumnarParser:
     """The columnar parser against the per-line reference in tests/reference.py."""
+
+    @pytest.mark.parametrize("kind", ["nan", "surrogate", "wide_field", "huge_field", "wide_sender", "deep"])
+    def test_lines_orjson_cannot_read_exactly_match_reference(self, tmp_path, kind):
+        path = tmp_path / "log.jsonl"
+        for seed in range(10):
+            rng = random.Random(f"orjson-{kind}-{seed}")
+            lines = _mutate(rng, _log_lines(rng, rng.randrange(2, 30), wide=0), kind)
+            expected = _outcome(reference.parse_messages, lines)
+            assert _outcome(parse_messages, lines) == expected, (seed, lines)
+            path.write_text("".join(lines), encoding="utf-8", newline="")
+            assert _outcome(parse_messages_path, path) == expected, (seed, lines)
+            if kind == "wide_field":
+                # the float lands in a field no column reads
+                assert _parse_columns(lines, orjson.loads) == reference.message_log(expected)
+            elif kind != "deep":
+                with pytest.raises(Exception):
+                    _parse_columns(lines, orjson.loads)
+
+    def test_log_within_64_bits_is_read_by_orjson_alone(self, tmp_path, monkeypatch):
+        def fail(*args):
+            raise AssertionError("only the orjson column pass may run")
+
+        rng = random.Random("orjson-alone")
+        lines = _mutate(rng, _log_lines(rng, 200, wide=0), "crlf")
+        expected = reference.parse_messages(lines)
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        monkeypatch.setattr(ingest, "_json_value", fail)
+        monkeypatch.setattr(ingest, "_checked_records", fail)
+        assert list(parse_messages_path(path)) == expected
 
     @pytest.mark.parametrize("kind", MUTATIONS)
     def test_same_records_or_same_error_as_reference(self, kind):
