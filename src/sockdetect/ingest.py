@@ -8,16 +8,21 @@ Input is line-delimited JSON, one message per line:
 (integer) is optional, unknown fields are ignored.  A one-way adapter for
 Telegram desktop chat exports produces the same messages, reading each entry's
 ``id``, ``from_id`` and ``reply_to_message_id`` (or the JSONL keys).  Both give
-a ``MessageLog`` of three columns.  JSONL lines are decoded once and checked
-as whole columns, first with orjson; a failed check runs the column pass
-again with json, then the lines one at a time through the per-record pass,
-which checks export entries too and reports the first bad record by its key
-and place (``line N``, or ``entry N`` in an export).  The order is exact:
-orjson reads a strict subset of what json reads, to the same values, save
-integers outside [-2**63, 2**64), which it reads as floats that the column
-checks reject, so every log orjson's pass accepts gives json's columns, and
-every error text comes from json.  The graph is interned: sorted node ids
-plus int64 edge arrays.
+a ``MessageLog`` of three columns.  The JSONL log splits into lines on "\n"
+alone.  Each raw line goes to the decoder once, as it is read, and the
+columns are checked whole, first with orjson; a failed check runs the
+column pass again with json, then the lines one at a time through the
+per-record pass, which checks export entries too and reports the first bad
+record by its key and place (``line N``, or ``entry N`` in an export).  A
+blank line is found when the decoder raises on it: both decoders skip the
+same four whitespace characters around a value.  A raw line of more than
+1,000 characters, its line break counted, goes to json even in the first
+pass, as orjson has no depth limit.  The order is exact: orjson reads a
+strict subset of what json reads, to the same values, save integers outside
+[-2**63, 2**64), which it reads as floats that the column checks reject, so
+every log orjson's pass accepts gives json's columns, and every error text
+comes from json.  The graph is interned: sorted node ids plus int64 edge
+arrays.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import orjson
 
 from .errors import InputError
 
-# json.loads skips exactly these characters around a value
+# json.loads and orjson.loads skip exactly these characters around a value
 _JSON_SPACE = " \t\n\r"
 _scan_json = json.JSONDecoder().scan_once
 _WRITE_CHUNK = 1 << 18  # TSV rows joined per write
@@ -133,11 +138,12 @@ def _padded(uid: str) -> bool:
 
 
 @contextmanager
-def open_text(path: str | Path) -> Iterator[TextIO]:
-    """``path`` opened to read as UTF-8; bytes that are not UTF-8 raise an
-    InputError naming the file, wherever the reading meets them."""
+def open_text(path: str | Path, newline: str | None = None) -> Iterator[TextIO]:
+    """``path`` opened to read as UTF-8, its lines split as ``open`` splits
+    them for ``newline``; bytes that are not UTF-8 raise an InputError
+    naming the file, wherever the reading meets them."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", newline=newline) as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise InputError(f"{path} is not UTF-8 text: {exc.reason}") from None
@@ -216,7 +222,7 @@ def _parse_passes(lines: Iterable[str], rewind: Callable[[], object]) -> Message
     """The column pass with orjson, then with json, then the per-line pass,
     each reading ``lines`` from the first after ``rewind()``; the per-line
     pass raises the first real error, or returns the same columns."""
-    for loads in (_orjson_value, _json_value):
+    for loads in (orjson.loads, _json_value):
         try:
             return _parse_columns(lines, loads)
         except Exception:  # whatever a pass tripped on, the next decides again
@@ -226,46 +232,54 @@ def _parse_passes(lines: Iterable[str], rewind: Callable[[], object]) -> Message
 
 def _json_value(text: str) -> object:
     """The one JSON value ``text`` holds, as json.loads reads it."""
+    text = text.strip(_JSON_SPACE)
     obj, end = _scan_json(text, 0)
     if end != len(text):
         raise ValueError("more than one value on a line")
     return obj
 
 
-def _orjson_value(text: str) -> object:
-    """``text`` decoded by orjson if it has at most 1,000 characters, else
-    by json.  orjson has no depth limit, and about 150,000 levels deep its
-    recursion overflows an 8 MB stack; a line this short nests at most 500
-    deep, short of json's recursion limit too, so both read it alike."""
-    return orjson.loads(text) if len(text) <= 1000 else _json_value(text)
-
-
 def _parse_columns(lines: Iterable[str], loads: Callable[[str], object] = _json_value) -> MessageLog:
-    """Decode each line once with ``loads`` and check whole columns; raises
-    on anything the per-line pass must look at."""
-    ids, senders, replies = [], [], []
+    """Decode each raw line once with ``loads`` and check whole columns;
+    raises on anything the per-line pass must look at.  A line the decoder
+    rejects is blank if it holds nothing but the JSON whitespace both
+    decoders skip, and is raised again otherwise."""
+    ids, senders, replies, others = [], [], [], []
+    add_id, add_sender, add_reply = ids.append, senders.append, replies.append
     same: dict[str, str] = {}  # one string per sender, however many messages it sent
+    intern = same.setdefault
     for raw in lines:
-        text = raw.strip(_JSON_SPACE)
-        if text:
-            obj = loads(text)
-            ids.append(obj["message_id"])
-            sender = obj["sender"]
-            if type(sender) is str:  # True == 1, so only strings share a key
-                sender = same.setdefault(sender, sender)
-            senders.append(sender)
-            replies.append(obj.get("reply_to"))
+        # orjson has no depth limit, and about 150,000 levels deep its
+        # recursion overflows an 8 MB stack; a line of at most 1,000
+        # characters nests at most 500 deep, short of json's recursion
+        # limit too, so both read it alike.  A longer one goes to json.
+        try:
+            obj = loads(raw) if len(raw) <= 1000 else _json_value(raw)
+        except (ValueError, StopIteration):  # what either raises on a blank line
+            if raw.strip(_JSON_SPACE):
+                raise
+            continue
+        add_id(obj["message_id"])
+        sender = obj["sender"]
+        if type(sender) is str:  # True == 1, so only strings share a key
+            sender = intern(sender, sender)
+        else:
+            others.append(sender)
+        add_sender(sender)
+        add_reply(obj.get("reply_to"))
     # type sets, not values: True == 1, so bools must not hide among ints
-    sender_types = set(map(type, senders))
     if (
-        set(map(type, ids)) - {int} or sender_types - {int, str}
+        set(map(type, ids)) - {int} or set(map(type, others)) - {int}
         or set(map(type, replies)) - {int, type(None)} or len(set(ids)) < len(ids)
     ):
         raise ValueError("a column check failed")
-    # each distinct sender is checked once; 5 and "5" are one user
-    names = {s: _normalize_id(s, "sender") for s in set(senders)}
-    if int in sender_types:
-        senders = list(map(names.__getitem__, senders))
+    # each distinct sender is checked once: the strings are the keys of
+    # ``same``, and an integer needs no check
+    for name in same:
+        _normalize_id(name, "sender")
+    if others:  # 5 and "5" are one user
+        number = {s: str(s) for s in set(others)}
+        senders = list(map(number.get, senders, senders))
     return MessageLog(ids, senders, replies)
 
 
@@ -317,11 +331,11 @@ def _checked_records(records: Iterable[tuple[str, dict]], keys: tuple[tuple[str,
 
 
 def parse_messages_path(path: str | Path) -> MessageLog:
-    # a text file splits into lines on "\n" only, never on the other breaks
-    # str.splitlines knows, which JSON strings may hold raw.  The lines are
-    # decoded as they are read and never held in a list, unless the input
-    # is a pipe, which a later pass could not read again.
-    with open_text(path) as fh:
+    # the log splits into lines on "\n" only, as parse_messages reads them:
+    # a lone "\r" is JSON whitespace, and a CRLF line ends in two of it.
+    # The lines are decoded as they are read and never held in a list,
+    # unless the input is a pipe, which a later pass could not read again.
+    with open_text(path, newline="\n") as fh:
         if not fh.seekable():
             return parse_messages(fh)
         return _parse_passes(fh, lambda: fh.seek(0))
@@ -398,15 +412,17 @@ def write_edges_tsv(graph: InteractionGraph, path: str | Path) -> None:
 def read_edges_tsv(path: str | Path) -> InteractionGraph:
     """Read an edge-list TSV.  Nodes are the edge endpoints."""
     with open_text(path) as fh:
-        rows = fh.read().split("\n")
-    if rows[-1] == "":
-        rows.pop()  # the final line break
+        text = fh.read()
     try:
-        return _edges_from_columns(rows)
+        return _edges_from_columns(text)
     except ValueError:
         pass
+    rows = text.split("\n")
+    if rows[-1] == "":
+        rows.pop()  # the final line break
     # the per-line pass raises the error of the first bad line; a file it
     # passes differs from one the column pass takes only by blank lines
+    # and the final line break
     seen: set[tuple[str, str]] = set()
     for lineno, (src, dst, weight_s) in read_rows(rows, "edge", 3):
         try:
@@ -424,19 +440,23 @@ def read_edges_tsv(path: str | Path) -> InteractionGraph:
         if (src, dst) in seen:
             raise InputError(f"duplicate edge ({src}, {dst})")
         seen.add((src, dst))
-    return _edges_from_columns([row for row in rows if row.strip()])
+    return _edges_from_columns("".join(row + "\n" for row in rows if row.strip()))
 
 
-def _edges_from_columns(rows: list[str]) -> InteractionGraph:
-    """Split the rows into columns and check them whole; raises ValueError
+def _edges_from_columns(text: str) -> InteractionGraph:
+    """Split the text into columns and check them whole; raises ValueError
     on anything the per-line pass must look at."""
-    if set(map(str.count, rows, repeat("\t"))) - {2}:
+    # every row is three fields, its separators tab, tab and line break;
+    # neither byte occurs inside a multi-byte UTF-8 character
+    codes = np.frombuffer(text.encode(), np.uint8)
+    breaks = codes[(codes == 9) | (codes == 10)]
+    if len(breaks) % 3 or text[-1:] not in ("", "\n") or (breaks.reshape(-1, 3) != (9, 9, 10)).any():
         raise ValueError("a row without three fields")
-    fields = "\t".join(rows).split("\t") if rows else []
+    fields = text.replace("\n", "\t").split("\t")[:-1]  # the text ends in a separator
     sources, targets = fields[0::3], fields[1::3]
     ids = sorted(set(sources).union(targets))
     weights = fields[2::3]
-    value = {text: int(text) for text in set(weights)}  # each distinct weight parsed once
+    value = {w: int(w) for w in set(weights)}  # each distinct weight parsed once
     graph = InteractionGraph(arrays=_intern(ids, sources, targets, list(map(value.__getitem__, weights))))
     src, dst = graph.src, graph.dst
     repeated = (np.diff(src) == 0) & (np.diff(dst) == 0)

@@ -418,6 +418,36 @@ class TestEdgeTsv:
         for name in ("src", "dst", "weight"):
             assert getattr(spaced, name).tolist() == getattr(plain, name).tolist()
 
+    @pytest.mark.parametrize("text, error", [
+        ("a\tb\t2\n\nb\ta\t3\n", None),
+        ("a\tb\t2\nc\td\n", "edge line 2: expected 3 tab-separated fields"),
+        ("a\tb\t2\nc\td\t1\t5\n", "edge line 2: expected 3 tab-separated fields"),
+        ("a\tb\t2\nb\ta\t3", None),
+        ("a\tb\t2\nb", "edge line 2: expected 3 tab-separated fields"),
+    ], ids=["blank_line", "two_fields", "four_fields", "no_final_break", "last_row_one_field"])
+    def test_rows_off_the_column_shape_get_the_per_line_texts(self, tmp_path, text, error):
+        # the column pass takes only rows of tab, tab, line break; the
+        # per-line pass reads the rest, or names the first bad line
+        path = tmp_path / "edges.tsv"
+        path.write_text(text, encoding="utf-8", newline="")
+        if error is not None:
+            with pytest.raises(InputError, match=f"^{re.escape(error)}$"):
+                read_edges_tsv(path)
+            return
+        graph = read_edges_tsv(path)
+        assert graph.ids == ["a", "b"]
+        assert (graph.src.tolist(), graph.dst.tolist(), graph.weight.tolist()) == ([0, 1], [1, 0], [2, 3])
+
+    def test_crlf_rows_read_as_lf_rows(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_text("a\tb\t2\nb\ta\t3\nc\ta\t1\n", encoding="utf-8", newline="")
+        plain = read_edges_tsv(path)
+        path.write_text("a\tb\t2\r\nb\ta\t3\r\nc\ta\t1\r\n", encoding="utf-8", newline="")
+        crlf = read_edges_tsv(path)
+        assert crlf.ids == plain.ids == ["a", "b", "c"]
+        for name in ("src", "dst", "weight"):
+            assert getattr(crlf, name).tolist() == getattr(plain, name).tolist()
+
 
 def _read_edges(path, row):
     path.write_text(f"{row}\n")
@@ -513,20 +543,24 @@ def _log_lines(rng: random.Random, count: int, wide: float = 0.15) -> list[str]:
     return lines
 
 
-def _mutate(rng: random.Random, lines: list[str], kind: str) -> list[str]:
+def _mutate(rng: random.Random, lines: list[str], kind: str, json_space: bool = False) -> list[str]:
+    """``lines`` with one mutation of ``kind``; with ``json_space`` a blank
+    line or pad holds only the JSON whitespace both decoders skip."""
     lines = lines[:]
     i = rng.randrange(len(lines))
     j = rng.randrange(i, len(lines))
     obj = json.loads(lines[i])
     if kind == "blank":
-        lines.insert(i, rng.choice(["\n", "   \n", "\x0c\n", "\t\x0c \n", "\u2028\n"]))
+        blanks = ["\n", "   \n", "\x0c\n", "\t\x0c \n", "\u2028\n"]
+        lines.insert(i, rng.choice(blanks[:2] if json_space else blanks))
     elif kind == "crlf":
         lines = [line[:-1] + "\r\n" for line in lines]
     elif kind == "bom":
         lines[i] = "\ufeff" + lines[i]
     elif kind == "padded":
         # json.loads skips only " \t\n\r"; str.strip would also take the rest
-        pad = [" \t", "\r ", "\x0c", "\xa0", "\u2028", "\x1c"]
+        pads = [" \t", "\r ", "\x0c", "\xa0", "\u2028", "\x1c"]
+        pad = pads[:2] if json_space else pads
         lines[i] = rng.choice(pad) + lines[i][:-1] + rng.choice(pad) + "\n"
     elif kind == "two_values" and i + 1 < len(lines):
         lines[i : i + 2] = [lines[i][:-1] + " " + lines[i + 1]]
@@ -620,6 +654,79 @@ class TestColumnarParser:
         monkeypatch.setattr(ingest, "_json_value", fail)
         monkeypatch.setattr(ingest, "_checked_records", fail)
         assert list(parse_messages_path(path)) == expected
+
+    @pytest.mark.parametrize("kind", ["none", "blank", "padded", "crlf", "int_senders"])
+    def test_mutated_log_within_64_bits_is_read_by_orjson_alone(self, tmp_path, monkeypatch, kind):
+        # a blank line or a pad of JSON whitespace must not send the log to
+        # the json column pass, nor integer senders to the per-line pass
+        def fail(*args):
+            raise AssertionError("only the orjson column pass may run")
+
+        path = tmp_path / "log.jsonl"
+        for seed in range(5):
+            rng = random.Random(f"orjson-alone-{seed}")
+            if kind == "int_senders":
+                lines = [json.dumps({"message_id": k, "sender": rng.randrange(-3, 9), "reply_to": k // 2}) + "\n"
+                         for k in range(200)]
+                lines.append('{"message_id": 200, "sender": "5", "reply_to": 5}\n')
+            else:
+                lines = _mutate(rng, _log_lines(rng, 200, wide=0), kind, json_space=True)
+            expected = reference.parse_messages(lines)
+            path.write_text("".join(lines), encoding="utf-8", newline="")
+            with monkeypatch.context() as patch:
+                patch.setattr(ingest, "_json_value", fail)
+                patch.setattr(ingest, "_checked_records", fail)
+                assert list(parse_messages(lines)) == expected, (seed, lines)
+                assert list(parse_messages_path(path)) == expected, (seed, lines)
+
+    @pytest.mark.parametrize("length", [1000, 1001])
+    def test_depth_guard_counts_the_raw_line(self, tmp_path, monkeypatch, length):
+        # orjson reads a line of at most 1,000 characters, line break
+        # included; a longer one goes to json, though its value alone is short
+        head = '{"message_id": 2, "sender": "b", "reply_to": 1, "text": "'
+        line = head + "x" * (length - len(head) - 3) + '"}\n'
+        lines = ['{"message_id": 1, "sender": "a"}\n', line]
+        assert len(line) == length
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(lines), encoding="utf-8", newline="")
+        calls = []
+
+        def spy(text):
+            calls.append(text)
+            return json_value(text)
+
+        json_value = ingest._json_value
+        monkeypatch.setattr(ingest, "_json_value", spy)
+        expected = reference.parse_messages(lines)
+        assert list(parse_messages(lines)) == expected
+        assert list(parse_messages_path(path)) == expected
+        assert calls == ([] if length == 1000 else [line, line])
+
+    @pytest.mark.parametrize("log, bad_line", [
+        ('{"message_id": 1,\r"sender": "a"}\n{"message_id": 2, "sender": "b", "reply_to": 1}\n', None),
+        ('{"message_id": 1,\r"sender": "a"}\n{"message_id": 2, "sender"\n', 2),
+    ], ids=["valid", "bad_line_after"])
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    def test_lone_cr_does_not_split_a_line(self, tmp_path, log, bad_line, source):
+        # "\r" is JSON whitespace; the log splits on "\n" alone, as the list
+        # API reads it, so both give the same records or the same line number
+        expected = _outcome(parse_messages, log.split("\n"))
+        if bad_line is None:
+            assert len(expected) == 2
+        else:
+            assert expected[0] is InputError and f"at line {bad_line}:" in expected[1]
+        path = tmp_path / "log.jsonl"
+        if source == "file":
+            path.write_text(log, encoding="utf-8", newline="")
+            assert _outcome(parse_messages_path, path) == expected
+            return
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=(log,), kwargs={"encoding": "utf-8", "newline": ""})
+        writer.start()
+        try:
+            assert _outcome(parse_messages_path, path) == expected
+        finally:
+            writer.join()
 
     @pytest.mark.parametrize("kind", MUTATIONS)
     def test_same_records_or_same_error_as_reference(self, kind):
