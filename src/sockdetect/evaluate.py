@@ -59,17 +59,21 @@ def pairwise_metrics(pairs: CandidatePairs, truth: GroundTruth) -> EvalReport:
     """Score predicted pairs over unordered labeled pairs.
 
     Predictions touching unlabeled users are discarded before counting:
-    with a partial oracle they are neither right nor wrong.  Truth ids are
-    mapped to the pairs' rows once; each unordered pair counts once,
-    whatever its distances.
+    with a partial oracle they are neither right nor wrong.  Each unordered
+    pair counts once, whatever its distances, and truth labels are looked
+    up only for the users the distinct pairs touch.
     """
     n = len(pairs.users)
-    label = {uid: k for k, members in enumerate(truth.clusters) for uid in members}
-    cluster = np.array([label.get(uid, -1) for uid in pairs.users], dtype=np.int64)
     # sort and drop repeats rather than np.unique, whose first call on 1-D
     # input imports numpy.ma (about 15 ms)
     ends = np.sort(pairs.a * n + pairs.b)
     a, b = np.divmod(ends[np.diff(ends, prepend=-1) != 0], n)
+    paired = np.zeros(n, dtype=bool)
+    paired[a] = paired[b] = True
+    rows = np.flatnonzero(paired).tolist()
+    label = {uid: k for k, members in enumerate(truth.clusters) for uid in members}
+    cluster = np.full(n, -1, dtype=np.int64)
+    cluster[rows] = [label.get(pairs.users[r], -1) for r in rows]
     scored = (cluster[a] >= 0) & (cluster[b] >= 0)
     tp = int(np.count_nonzero(scored & (cluster[a] == cluster[b])))
     fp = int(np.count_nonzero(scored)) - tp

@@ -6,9 +6,13 @@ dropped, and the survivors become direction-tagged feature tokens.
 
 ``build_feature_maps`` does this for the whole population at once, on the
 graph's interned arrays (sorted node ids, int edge endpoints and weights):
-each direction's edges become per-owner segments, and normalization and the threshold are segment reductions and a
-mask over flat arrays, which a ``FeatureMaps`` holds.  The per-user
-reference it must equal entry for entry is in the test suite.
+each direction's edges become per-owner segments, and normalization is a
+segment reduction over flat arrays.  Only the threshold and the weighting
+depend on more than the (direction, mode) of a run, so the normalized rows,
+their distinct tokens and a ``TokenVotes`` cache over those tokens are
+built once per (direction, mode) and kept on the graph; each call applies
+its threshold and weighting to them as a mask, into a ``FeatureMaps``.  The
+per-user reference it must equal entry for entry is in the test suite.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, NamedTuple
 
@@ -62,6 +67,16 @@ def check_feature_params(mode: str, theta: float, direction: str, weighting: str
         raise ConfigError(f"weighting must be one of {WEIGHTINGS}, got {weighting!r}")
 
 
+@dataclass(eq=False)
+class TokenVotes:
+    """Sorted distinct token ids, and their ``[T, b]`` int8 vote rows per
+    (seed, width), which ``fingerprint_population`` builds on first use and
+    keeps in ``rows``."""
+
+    tokens: np.ndarray
+    rows: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
+
+
 class FeatureMaps(Mapping[str, FeatureMap]):
     """Read-only ``owner -> FeatureMap`` mapping stored as flat arrays, one
     row per (owner, token); a FeatureMap is built only when looked up.
@@ -72,6 +87,11 @@ class FeatureMaps(Mapping[str, FeatureMap]):
     weight[r].  Rows are in canonical order, by owner and then token, which
     is the order ``sorted`` gives FeatureTokens: "in" before "out", then
     neighbor.  Owner i's rows are ``indptr[i]:indptr[i+1]``.
+
+    ``votes`` caches the vote rows of the tokens, and row r's token is
+    ``votes.tokens[token_index[r]]``.  A table ``build_feature_maps`` returns
+    shares the cache of its graph's (direction, mode); a table built
+    directly gets one of its own on first use.
     """
 
     def __init__(
@@ -81,6 +101,14 @@ class FeatureMaps(Mapping[str, FeatureMap]):
         self.owners, self.names = owners, names
         self.owner, self.token, self.weight = owner, token, weight
         self.indptr = np.searchsorted(owner, np.arange(len(owners) + 1))
+
+    @cached_property
+    def votes(self) -> TokenVotes:
+        return TokenVotes(np.unique(self.token))
+
+    @cached_property
+    def token_index(self) -> np.ndarray:
+        return np.searchsorted(self.votes.tokens, self.token)
 
     def tokens(self, token_ids: np.ndarray) -> Iterator[FeatureToken]:
         """The FeatureToken of each token id."""
@@ -111,6 +139,23 @@ def build_feature_maps(graph: InteractionGraph, cfg: RunConfig) -> FeatureMaps:
     "in" repliers, "both" the tagged union.  Every node gets a map, possibly
     empty; every weight is 1.0 when weighting is "binary".
     """
+    rows = _normalized(graph, cfg.direction, cfg.mode)
+    keep = rows.weight >= cfg.theta
+    weight = rows.weight[keep]
+    if cfg.weighting == "binary":
+        weight = np.ones_like(weight)
+    table = FeatureMaps(rows.owners, rows.names, rows.owner[keep], rows.token[keep], weight)
+    table.token_index, table.votes = rows.token_index[keep], rows.votes
+    return table
+
+
+def _normalized(graph: InteractionGraph, direction: str, mode: str) -> FeatureMaps:
+    """The graph's rows for (direction, mode) at threshold 0, weighted, with
+    their vote cache: built on first use and kept in ``graph.feature_rows``,
+    read-only; a build that raises keeps nothing."""
+    cached = graph.feature_rows.get((direction, mode))
+    if cached is not None:
+        return cached
     ids, src, dst, raw = graph.ids, graph.src, graph.dst, graph.weight
     # the total is at most max * count, so only a graph near the limit pays
     # for the exact sum over Python ints
@@ -123,7 +168,7 @@ def build_feature_maps(graph: InteractionGraph, cfg: RunConfig) -> FeatureMaps:
     # and the token (in, u) of v, each coded as direction * n + neighbor
     ends = {"in": (dst, src), "out": (src, dst)}
     sides = [(code, *ends[name]) for code, name in enumerate(TOKEN_DIRECTIONS)
-             if cfg.direction in (name, "both")]
+             if direction in (name, "both")]
     owner = np.concatenate([o for _, o, _ in sides])
     token = np.concatenate([code * n + v for code, _, v in sides])
     order = np.argsort(owner * 2 * n + token)
@@ -131,15 +176,18 @@ def build_feature_maps(graph: InteractionGraph, cfg: RunConfig) -> FeatureMaps:
     raw = np.tile(raw, len(sides))[order]
     # each (owner, direction) run is one slice to normalize
     starts = np.flatnonzero(np.diff(owner * 2 + token // max(n, 1), prepend=-1))
-    reduce = np.maximum if cfg.mode == "max" else np.add
+    reduce = np.maximum if mode == "max" else np.add
     denom = np.repeat(reduce.reduceat(raw, starts), np.diff(np.append(starts, len(raw))))
     # both operands are integers below 2**53, so each quotient is the
     # correctly rounded one Python's int / int gives
     weight = raw.astype(np.float64) / denom.astype(np.float64)
-    keep = weight >= cfg.theta
-    if cfg.weighting == "binary":
-        weight = np.ones_like(weight)
-    return FeatureMaps(ids, ids, owner[keep], token[keep], weight[keep])
+    rows = FeatureMaps(ids, ids, owner, token, weight)
+    tokens, rows.token_index = np.unique(token, return_inverse=True)
+    rows.votes = TokenVotes(tokens)
+    for shared in (owner, token, weight, rows.token_index, tokens):
+        shared.setflags(write=False)
+    # concurrent first calls may each build the rows; all then use one copy
+    return graph.feature_rows.setdefault((direction, mode), rows)
 
 
 def write_features_tsv(table: FeatureMaps, cfg: RunConfig, path: str | Path) -> None:

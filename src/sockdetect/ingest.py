@@ -32,7 +32,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -80,6 +80,10 @@ class InteractionGraph:
     ``weight[k]``.  ``ids`` are sorted and the int64 arrays sorted by (src,
     dst), which is (source, target) string order.  Immutable by convention
     once built; weights are always >= 1 and no self-loop edges exist.
+
+    ``feature_rows`` holds what feature building shares across thresholds,
+    one entry per (direction, mode), built on first use and kept for the
+    graph's lifetime; it reads the arrays and never writes them.
     """
 
     def __init__(
@@ -96,6 +100,7 @@ class InteractionGraph:
             ends = [s for s, _ in edges], [t for _, t in edges]
             arrays = _intern(sorted(set(nodes)), *ends, list(edges.values()))
         self.ids, self.src, self.dst, self.weight = arrays
+        self.feature_rows: dict[tuple[str, str], object] = {}
 
     @cached_property
     def nodes(self) -> set[str]:
@@ -153,11 +158,17 @@ def write_rows(path: str | Path, header: Iterable[str], columns: Sequence[tuple[
     """Write the header lines, then row k as ``texts[codes[k]]`` of each
     ``(texts, codes)`` column, one join per chunk of rows; each text
     carries its own tab or line break."""
+    texts = [np.array(column, dtype=object) for column, _ in columns]
+    rows = len(columns[0][1])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(line + "\n" for line in header)
-        for s in range(0, len(columns[0][1]), _WRITE_CHUNK):
-            fh.write("".join(chain.from_iterable(zip(*(
-                map(texts.__getitem__, codes[s : s + _WRITE_CHUNK].tolist()) for texts, codes in columns)))))
+        for s in range(0, rows, _WRITE_CHUNK):
+            # each column's cells gathered by code into one (rows, columns)
+            # array, which reads row by row when raveled
+            cells = np.empty((min(_WRITE_CHUNK, rows - s), len(columns)), dtype=object)
+            for j, (_, codes) in enumerate(columns):
+                cells[:, j] = texts[j][codes[s : s + _WRITE_CHUNK]]
+            fh.write("".join(cells.ravel().tolist()))
 
 
 def read_rows(lines: Iterable[str], what: str, count: int, start: int = 1) -> Iterator[tuple[int, list[str]]]:

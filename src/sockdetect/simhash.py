@@ -17,7 +17,9 @@ The conventions that pin this down:
 
 ``fingerprint_population`` computes every fingerprint in one pass: each
 distinct token is hashed once, by FNV-1a vectorized across tokens, into a
-T x b matrix of +/-1 votes.  The users are then taken in chunks whose
+T x b matrix of +/-1 votes, which the table's ``TokenVotes`` keeps per
+(seed, b), so the tables of one graph's (direction, mode) hash their tokens
+once between them.  The users are then taken in chunks whose
 float64 accumulators hold about _CHUNK_FLOATS entries (512 KB, 512 users at
 b=128), so a chunk's accumulator and its temporaries stay in cache; the
 chunks go to one thread per CPU the process may use, at most one per chunk,
@@ -179,15 +181,15 @@ def _token_words(messages: list[bytes], nwords: int) -> np.ndarray:
     return words
 
 
-def _vote_matrix(table: FeatureMaps, token_ids: np.ndarray, cfg: RunConfig) -> np.ndarray:
-    """``[T, b]`` int8 vote rows of the given tokens: +1 where the token's
-    hash bit is 1, else -1."""
+def _vote_matrix(names: list[str], token_ids: np.ndarray, cfg: RunConfig) -> np.ndarray:
+    """``[T, b]`` int8 vote rows of the given tokens over ``names``: +1 where
+    the token's hash bit is 1, else -1."""
     seed = cfg.seed.to_bytes(8, "big")
     payload: dict[int, bytes] = {}
     messages = []
-    for d, v in zip(*(part.tolist() for part in np.divmod(token_ids, max(len(table.names), 1)))):
+    for d, v in zip(*(part.tolist() for part in np.divmod(token_ids, max(len(names), 1)))):
         if v not in payload:
-            raw = table.names[v].encode("utf-8")
+            raw = names[v].encode("utf-8")
             payload[v] = len(raw).to_bytes(4, "big") + raw + seed
         messages.append(_TAGS[TOKEN_DIRECTIONS[d]] + payload[v])
     nwords = (cfg.bits + 63) // 64
@@ -197,6 +199,19 @@ def _vote_matrix(table: FeatureMaps, token_ids: np.ndarray, cfg: RunConfig) -> n
     little = np.ascontiguousarray(words[:, ::-1]).astype("<u8").view(np.uint8)
     bits = np.unpackbits(little, axis=1, bitorder="little")[:, : cfg.bits]
     return bits.astype(np.int8) * 2 - 1
+
+
+def _votes(table: FeatureMaps, cfg: RunConfig) -> np.ndarray:
+    """The vote rows of ``table.votes.tokens`` at the run's seed and width,
+    built on first use and kept in the table's vote cache."""
+    key = cfg.seed, cfg.bits
+    votes = table.votes.rows.get(key)
+    if votes is None:
+        votes = _vote_matrix(table.names, table.votes.tokens, cfg)
+        votes.setflags(write=False)
+        # concurrent first calls may each build the rows; all then use one copy
+        votes = table.votes.rows.setdefault(key, votes)
+    return votes
 
 
 def fingerprint_population(table: FeatureMaps, cfg: RunConfig) -> tuple[Fingerprints, list[str]]:
@@ -210,8 +225,7 @@ def fingerprint_population(table: FeatureMaps, cfg: RunConfig) -> tuple[Fingerpr
     indptr = table.indptr
     sizes = np.diff(indptr)
     skipped = [table.owners[i] for i in np.flatnonzero(sizes == 0).tolist()]
-    tokens, token_index = np.unique(table.token, return_inverse=True)
-    votes = _vote_matrix(table, tokens, cfg)
+    votes, token_index = _votes(table, cfg), table.token_index
     users = np.argsort(-sizes, kind="stable")[: len(sizes) - len(skipped)]
     # whole little-endian words: b=32 fills half of one
     packed = np.zeros((len(sizes), 8 * -(-cfg.bits // 64)), dtype=np.uint8)

@@ -22,9 +22,14 @@ lists; ``detect.build_match_report`` must give the same report.
 ``candidates.tsv`` hold for a set of pairs, written as
 ``json.dumps(..., indent=2, sort_keys=True)`` and one row per sorted pair.
 
+``pair_counts`` scores pairs one ``CandidatePair`` at a time against a
+ground truth; ``evaluate.pairwise_metrics`` must give the same counts.
+
 ``message_log``, ``feature_maps``, ``fingerprints`` and ``candidate_pairs``
 build the array container a stage takes from records, dicts of maps or
 fingerprints, and pairs, the forms the fixtures here are written in.
+``copied_graph`` rebuilds a graph from copies of its arrays, so it shares
+nothing a run keeps on the original.
 """
 
 from __future__ import annotations
@@ -269,6 +274,22 @@ def candidate_pairs(pairs: Iterable[CandidatePair]) -> CandidatePairs:
     row = {uid: i for i, uid in enumerate(users)}
     rows = np.array([(row[p.a], row[p.b], p.distance) for p in pairs], dtype=np.int64)
     return CandidatePairs.canonical(users, *rows.reshape(-1, 3).T)
+
+
+def copied_graph(graph: InteractionGraph) -> InteractionGraph:
+    """A new graph over copies of ``graph``'s arrays."""
+    return InteractionGraph(arrays=(list(graph.ids), graph.src.copy(), graph.dst.copy(), graph.weight.copy()))
+
+
+def pair_counts(pairs: Iterable[CandidatePair], truth_clusters: Iterable[set[str]]) -> tuple[int, int, int]:
+    """(tp, fp, fn) over unordered pairs whose users both carry a label; a
+    pair listed at several distances counts once."""
+    clusters = list(truth_clusters)
+    label = {uid: k for k, members in enumerate(clusters) for uid in members}
+    scored = {(p.a, p.b) for p in pairs if p.a in label and p.b in label}
+    tp = sum(1 for a, b in scored if label[a] == label[b])
+    positives = sum(len(m) * (len(m) - 1) // 2 for m in clusters)
+    return tp, len(scored) - tp, positives - tp
 
 
 def encode_token(token: FeatureToken) -> bytes:

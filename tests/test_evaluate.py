@@ -1,6 +1,7 @@
 import random
 import re
 
+import numpy as np
 import pytest
 
 import reference
@@ -79,6 +80,74 @@ class TestPairwiseMetrics:
             predicted = _pairs(*(rng.sample(users, 2) for _ in range(15)))
             report = pairwise_metrics(predicted, truth)
             assert report.tp + report.fn == n_positive
+
+    @staticmethod
+    def _checked(pairs: CandidatePairs, truth: GroundTruth) -> EvalReport:
+        """``pairwise_metrics``, checked against the plain per-pair count."""
+        report = pairwise_metrics(pairs, truth)
+        assert (report.tp, report.fp, report.fn) == reference.pair_counts(pairs, truth.clusters)
+        assert report == EvalReport.from_counts(report.tp, report.fp, report.fn)
+        return report
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_pairs_match_plain_count(self, seed):
+        # 60 users, a third unlabeled; some pairs repeat at another distance
+        rng = random.Random(seed)
+        users = [f"u{i:02d}" for i in range(60)]
+        pool = rng.sample(users, 40)
+        clusters = []
+        while pool:
+            size = rng.randint(1, 5)
+            clusters.append(set(pool[:size]))
+            pool = pool[size:]
+        truth = GroundTruth(clusters)
+        ends = [sorted(rng.sample(range(60), 2)) for _ in range(rng.randint(1, 120))]
+        ends += rng.sample(ends, len(ends) // 4)
+        a, b = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+        distance = np.array([rng.randint(0, 12) for _ in ends], dtype=np.int64)
+        pairs = CandidatePairs.canonical(users, a, b, distance)
+        labeled = set().union(*clusters)
+        assert any(p.a not in labeled or p.b not in labeled for p in pairs)
+        for d in (0, 6, 12):
+            self._checked(pairs.within(d), truth)
+
+    @pytest.mark.parametrize("users", [[], ["a", "b", "x"]])
+    def test_no_pairs_at_all(self, users):
+        none = np.zeros(0, dtype=np.int64)
+        report = self._checked(CandidatePairs(users, none, none, none), GroundTruth([{"a", "b"}, {"c", "d", "e"}]))
+        assert (report.tp, report.fp, report.fn) == (0, 0, 4)
+
+    def test_pairs_on_the_first_and_last_rows(self):
+        users = [f"u{i}" for i in range(10)]
+        truth = GroundTruth([{"u0", "u9"}, {"u1", "u8"}])
+        pairs = CandidatePairs.canonical(
+            users, np.array([0, 0, 8]), np.array([9, 1, 9]), np.array([3, 1, 2]))
+        report = self._checked(pairs, truth)
+        assert (report.tp, report.fp, report.fn) == (1, 2, 1)
+
+    def test_repeated_rows_at_different_distances_match_plain_count(self):
+        users = ["a", "b", "c", "d", "e"]
+        truth = GroundTruth([{"a", "b"}, {"c", "d"}])
+        pairs = CandidatePairs.canonical(
+            users, np.array([0, 0, 0, 0, 2, 3, 3]), np.array([1, 1, 2, 2, 3, 4, 4]),
+            np.array([4, 1, 2, 7, 0, 5, 6]))
+        report = self._checked(pairs, truth)
+        assert (report.tp, report.fp, report.fn) == (2, 1, 0)
+
+    def test_a_90_member_duplicate_class(self):
+        # as in the hub-90 benchmark: 90 lurkers reply only to one admin, so
+        # they share one fingerprint, and the truth holds them as one class
+        background, planted = generate(SynthConfig(n=400, clones=6, perturbation=0.1, seed=4))
+        edges = dict(background.edges)
+        leaves = [f"lurker{i:04d}" for i in range(90)]
+        edges.update({(leaf, "admin"): 1 + i % 3 for i, leaf in enumerate(leaves)})
+        graph = InteractionGraph(nodes=background.nodes | {"admin", *leaves}, edges=edges)
+        truth = GroundTruth([*planted.clusters, set(leaves)])
+        result = run_detection(graph, RunConfig(max_distance=10))
+        assert result.stats["largest_duplicate_class"] == 90
+        for d in (0, 4, 10):
+            report = self._checked(result.candidates.within(d), truth)
+            assert report.tp >= 90 * 89 // 2
 
     def test_overlapping_truth_rejected(self):
         with pytest.raises(InputError, match="overlapping"):
@@ -206,6 +275,11 @@ class TestSweep:
             assert row.status == "ok"
             assert row.candidates == len(result.candidates)
             assert row.report == pairwise_metrics(result.candidates, truth)
+            # the same graph object serves the sweep and the run above, so
+            # both read its feature cache; a rebuilt graph has none yet
+            fresh = run_detection(reference.copied_graph(graph), RunConfig(**row.point))
+            assert row.candidates == len(fresh.candidates)
+            assert row.report == pairwise_metrics(fresh.candidates, truth)
 
     def test_invalid_radius_fails_in_place_within_a_key(self, corpus, monkeypatch):
         graph, truth = corpus

@@ -4,25 +4,29 @@
 once over flat arrays; ``normalize_weights`` -> ``filter_edges`` ->
 ``extract_features`` and ``simhash`` (in tests/reference.py) compute one user
 at a time and are kept as the reference.  Both must give the same ``features.tsv`` rows and
-the same fingerprint bits.
+the same fingerprint bits.  A graph keeps what its runs share, so runs on one
+graph object are also compared with runs on a graph that never ran.
 """
 
+import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from reference import binarize, extract_features, filter_edges, normalize_weights, simhash, token_hash
+from reference import binarize, copied_graph, extract_features, filter_edges, normalize_weights, simhash, token_hash
 from sockdetect.errors import InputError
 from sockdetect.features import (
     DIRECTIONS,
     MODES,
+    WEIGHTINGS,
     FeatureToken,
     build_feature_maps,
     write_features_tsv,
 )
 from sockdetect.ingest import InteractionGraph
-from sockdetect.pipeline import RunConfig
-from sockdetect.simhash import fingerprint_population
+from sockdetect.pipeline import RunConfig, run_detection
+from sockdetect.simhash import SUPPORTED_WIDTHS, fingerprint_population
 from sockdetect.synth import SynthConfig, generate
 
 
@@ -106,3 +110,57 @@ def test_edge_endpoint_outside_nodes_rejected():
     # the graph interns its edges, so it cannot hold an unknown endpoint
     with pytest.raises(InputError, match="'ghost' is not a graph node"):
         InteractionGraph(nodes={"u"}, edges={("u", "ghost"): 1})
+
+
+def test_graph_cache_equals_fresh_graphs(graph, tmp_path):
+    # one graph object serves a seeded mix of configs, revisiting earlier
+    # keys; each run must equal the same config on a graph rebuilt from
+    # copies of the arrays
+    rng = random.Random(26)
+    axes = {
+        "direction": DIRECTIONS, "mode": MODES, "weighting": WEIGHTINGS,
+        "theta": (0.0, 0.3, 0.5, 1.0), "bits": SUPPORTED_WIDTHS, "seed": (0, 2**64 - 1),
+    }
+    configs = []
+    for _ in range(24):
+        point = {name: rng.choice(values) for name, values in axes.items()}
+        configs.append(RunConfig(max_distance=point["bits"] // 8, **point))
+    configs += rng.sample(configs, 12)
+    for name, values in axes.items():
+        assert {getattr(cfg, name) for cfg in configs} == set(values)
+    shared = copied_graph(graph)
+    arrays = list(shared.ids), shared.src.copy(), shared.dst.copy(), shared.weight.copy()
+    for cfg in configs:
+        fresh = copied_graph(shared)
+        got, want = run_detection(shared, cfg), run_detection(fresh, cfg)
+        assert got.fingerprints.owners == want.fingerprints.owners
+        assert np.array_equal(got.fingerprints.words, want.fingerprints.words)
+        assert got.unfingerprintable == want.unfingerprintable
+        assert got.candidates.users == want.candidates.users
+        for name in ("a", "b", "distance"):
+            assert np.array_equal(getattr(got.candidates, name), getattr(want.candidates, name))
+        texts = []
+        for result in (got, want):
+            write_features_tsv(result.feature_maps, cfg, tmp_path / "features.tsv")
+            texts.append((tmp_path / "features.tsv").read_text())
+        assert texts[0] == texts[1]
+        # the tables of one graph share its vote cache; two graphs share none
+        assert got.feature_maps.votes is shared.feature_rows[cfg.direction, cfg.mode].votes
+        assert got.feature_maps.votes is not want.feature_maps.votes
+        assert fresh.feature_rows is not shared.feature_rows
+    # one entry per (direction, mode) run, each with one vote table per (seed, width)
+    assert set(shared.feature_rows) == {(cfg.direction, cfg.mode) for cfg in configs}
+    for key, rows in shared.feature_rows.items():
+        assert set(rows.votes.rows) == {(cfg.seed, cfg.bits) for cfg in configs if (cfg.direction, cfg.mode) == key}
+    # and the graph's arrays are as they were
+    assert shared.ids == arrays[0]
+    for name, copy in zip(("src", "dst", "weight"), arrays[1:]):
+        assert np.array_equal(getattr(shared, name), copy)
+
+
+def test_failed_feature_build_keeps_nothing():
+    graph = InteractionGraph(nodes={"u", "x", "y"}, edges={("u", "x"): 2**53, ("u", "y"): 1})
+    for cfg in (RunConfig(), RunConfig(), RunConfig(theta=0.3)):
+        with pytest.raises(InputError, match="exact float64"):
+            build_feature_maps(graph, cfg)
+    assert graph.feature_rows == {}
