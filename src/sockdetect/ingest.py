@@ -123,6 +123,8 @@ class InteractionGraph:
 
 def _intern(ids: list[str], sources: list[str], targets: list[str], weights: list[int]) -> tuple:
     """(ids, src, dst, weight) over sorted ``ids``, edges sorted by (src, dst)."""
+    from .lsh import stable_order  # lsh imports this module through simhash
+
     index = dict(zip(ids, range(len(ids))))
     try:
         src, dst = (np.fromiter(map(index.__getitem__, e), np.int64, len(e)) for e in (sources, targets))
@@ -132,9 +134,14 @@ def _intern(ids: list[str], sources: list[str], targets: list[str], weights: lis
         weight = np.array(weights, dtype=np.int64)
     except OverflowError:
         raise InputError("edge weight does not fit in 64 bits") from None
-    # a stable sort of one key, which passes once over rows already in order
-    order = np.argsort(src * max(len(ids), 1) + dst, kind="stable")
-    return ids, src[order], dst[order], weight[order]
+    n = max(len(ids), 1)
+    key = src * n + dst
+    # a file write_edges_tsv wrote is in order already: checking that takes
+    # 17 us at 43k edges, sorting them 0.46 ms (x86)
+    if (key[1:] < key[:-1]).any():
+        order = stable_order(key, n * n)
+        src, dst, weight = src[order], dst[order], weight[order]
+    return ids, src, dst, weight
 
 
 def _padded(uid: str) -> bool:

@@ -24,6 +24,10 @@ PARALLEL_COST, through the thread map ``simhash._mapped`` that
 fingerprinting uses too; the result does not depend on the thread count.
 The pairs come back as ``CandidatePairs``, row-index arrays in canonical
 order, with each class of equal fingerprints expanded into its member pairs.
+Each block's rows by key, and each class's members, are ordered by
+``stable_order``, one in-place sort of key and position packed into an
+int64, which NumPy runs as a SIMD sort where its stable argsort runs
+timsort; fingerprinting and the edge reader order their rows by it too.
 """
 
 from __future__ import annotations
@@ -62,7 +66,11 @@ SCAN_COST = 5
 _KEY_BITS = 62  # widest block key, so every key is one int64
 _DENSE_BITS = 22  # widest block searched at a positive radius: its tables have 2^w entries
 _PROBE_CHUNK = 1 << 18  # probe keys looked up per step
-_PAIR_CHUNK = 1 << 20  # row pairs expanded and verified per step
+# Row pairs expanded and verified per step, about 60 bytes each in flight.  At
+# synth 50k (5 M pairs verified) 1 << 18 held a tracemalloc peak of 38 MB on
+# one worker and 42-44 MB on two, against 69 and 79-88 MB at 1 << 20, and was
+# no slower at 20k or 50k rows on either (medians of 3 and 7, 2-core x86 VM).
+_PAIR_CHUNK = 1 << 18
 # Two threads take turns at a plan's Python-level steps, so a small plan runs
 # on the calling thread.  Fitted on first calls in fresh processes, one thread
 # and two interleaved, 9 of each (2-core x86 VM, b=128): hub-90 at d=20
@@ -116,6 +124,22 @@ def sort_rows(columns: list[np.ndarray], bounds: list[int]) -> list[np.ndarray]:
     key = pack_rows(columns, bounds)
     key.sort()
     return unpack_rows(key, bounds)
+
+
+def stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for integer keys in [0, bound):
+    one in-place sort of ``key << s | position``, s the bits of a position,
+    then the positions masked back out.  NumPy sorts int64 values with its
+    SIMD sort but runs timsort for a stable argsort, 6-9x slower (5k-100k
+    keys, AVX-512 x86).  Keys that do not pack into int64 take the argsort."""
+    s = (len(key) - 1).bit_length() if len(key) else 0
+    if bound << s > 2**63:
+        return np.argsort(key, kind="stable")
+    packed = np.left_shift(key, s, dtype=np.int64)
+    packed |= np.arange(len(key))
+    packed.sort()
+    packed &= (1 << s) - 1
+    return packed
 
 
 @cache
@@ -443,7 +467,7 @@ def _block_pairs(words: np.ndarray, plan: BlockPlan, d: int, budget: int, t: int
     distance d, and the work, the lookups made and those pairs verified."""
     (start, width), work = plan.ranges[t], {"probes": 0, "pairs_verified": 0}
     key, found = _block_keys(words, start, width), []
-    order = np.argsort(key, kind="stable")
+    order = stable_order(key, 1 << width)
     runs = _runs(key, order, width, plan.radii[t], work)
     # a piece is passed over t + 1 times, by the XOR and by each lower block, so it holds budget / (t + 1)
     # pairs; joined to the budget, most blocks probe all before they verify (7% faster at 20k rows, 2-core x86 VM)
@@ -501,7 +525,7 @@ def _expand(classes: np.ndarray, I: np.ndarray, J: np.ndarray, dist: np.ndarray
             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """User row pairs u < v and their distances: every pair inside a class
     at 0, and for each pair (I, J) of classes every pair of their members."""
-    members = np.argsort(classes, kind="stable")  # each class's rows, ascending
+    members = stable_order(classes, bound(classes))  # each class's rows, ascending
     size = np.bincount(classes)
     start = np.cumsum(size) - size
     # the member at position p of its class pairs with positions p+1 .. size-1

@@ -155,6 +155,15 @@ class Fingerprints(Mapping[str, Fingerprint]):
         return len(self.owners)
 
 
+def _longest_first(lengths: np.ndarray) -> np.ndarray:
+    """The positions of non-negative ``lengths``, longest first and equal
+    lengths in position order: ``np.argsort(-lengths, kind="stable")``."""
+    from .lsh import stable_order  # lsh imports this module
+
+    top = int(lengths.max(initial=0))
+    return stable_order(top - lengths, top + 1)
+
+
 def _longer_than(lengths: np.ndarray) -> list[int]:
     """For lengths sorted longest first, entry p counts the lengths above p,
     for every p below the longest."""
@@ -167,7 +176,7 @@ def _token_words(messages: list[bytes], nwords: int) -> np.ndarray:
     ``messages[t] ++ 1-byte j``, computed one byte position at a time
     across all messages (uint64 products wrap mod 2**64 as FNV needs)."""
     lengths = np.array([len(msg) for msg in messages], dtype=np.int64)
-    order = np.argsort(-lengths, kind="stable")
+    order = _longest_first(lengths)
     flat = np.frombuffer(b"".join([messages[t] for t in order.tolist()]), dtype=np.uint8)
     lengths = lengths[order]
     offsets = np.cumsum(lengths) - lengths
@@ -226,7 +235,7 @@ def fingerprint_population(table: FeatureMaps, cfg: RunConfig) -> tuple[Fingerpr
     sizes = np.diff(indptr)
     skipped = [table.owners[i] for i in np.flatnonzero(sizes == 0).tolist()]
     votes, token_index = _votes(table, cfg), table.token_index
-    users = np.argsort(-sizes, kind="stable")[: len(sizes) - len(skipped)]
+    users = _longest_first(sizes)[: len(sizes) - len(skipped)]
     # whole little-endian words: b=32 fills half of one
     packed = np.zeros((len(sizes), 8 * -(-cfg.bits // 64)), dtype=np.uint8)
 

@@ -29,9 +29,10 @@ from sockdetect.lsh import (
     candidate_pairs,
     check_radius,
     choose_plan,
+    stable_order,
 )
 from sockdetect.pipeline import read_candidates_tsv
-from sockdetect.simhash import Fingerprint, Fingerprints
+from sockdetect.simhash import Fingerprint, Fingerprints, _longest_first
 
 
 def _population(
@@ -284,6 +285,18 @@ class TestCandidatePairs:
         for plan in _forced_plans(128, 20):
             assert _rows(_forced(index, plan)) == _rows(want), plan.m
 
+    def test_a_radius_0_block_too_wide_to_pack_keeps_the_stable_argsort(self):
+        # the 62-bit radius-0 block's keys and 9-bit positions need 71 bits,
+        # so it takes the stable argsort while the 22-bit blocks pack
+        fps = _population(seed=19, n=300, planted=150, max_flips=8)
+        index = _index(fps, 6)
+        plan = BlockPlan(ranges=[(0, 62), (62, 22), (84, 22), (106, 22)], radii=[0, 1, 1, 1])
+        s = (len(index.reps) - 1).bit_length()
+        assert (1 << 62) << s > 2**63 >= (1 << 22) << s
+        want = _brute(fps, 6)
+        assert _rows(_forced(index, plan)) == _rows(want)
+        assert (want.distance > 0).any() and (want.distance == 0).any()
+
     def test_duplicate_heavy_population(self):
         # an 80-member class of identical fingerprints is searched as one row
         rng = random.Random(11)
@@ -442,6 +455,59 @@ class TestOracleSweep:
             assert sorted(zip(*(np.concatenate(x).tolist() for x in zip(*reached)))) == sorted(
                 zip(I[held].tolist(), J[held].tolist(),
                     np.bitwise_count(words[I[held]] ^ words[J[held]]).sum(axis=1).tolist())), plan
+
+
+class TestStableOrder:
+    """``stable_order`` is the stable argsort, packed or not."""
+
+    @staticmethod
+    def _check(key: np.ndarray, bound: int) -> None:
+        want = np.argsort(key, kind="stable")
+        got = stable_order(key, bound)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("n,bound", [(2, 2), (1000, 3), (5072, 1 << 17), (3000, 40_000)])
+    def test_seeded_keys_with_ties(self, seed, n, bound):
+        key = np.random.default_rng(seed).integers(0, bound, n)
+        self._check(key, bound)
+        self._check(np.sort(key), bound)  # already in order
+        self._check(np.sort(key)[::-1].copy(), bound)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 500, 1024, 1025])
+    def test_all_keys_equal(self, n):
+        self._check(np.full(n, 6), 7)
+        self._check(np.zeros(n, dtype=np.int64), 1)
+
+    @pytest.mark.parametrize("bound", [1, 2, 1 << 62, 2**63])
+    def test_empty_and_one_key(self, bound):
+        self._check(np.zeros(0, dtype=np.int64), bound)
+        self._check(np.array([bound - 1]), bound)
+
+    def test_keys_at_the_bound_that_just_packs(self, monkeypatch):
+        # 1024 positions take 10 bits, so keys below 2^53 fill the int64 exactly
+        key = np.random.default_rng(5).integers(0, 4, 1024) + (2**53 - 4)
+        key[::7] = 2**53 - 1
+        want = np.argsort(key, kind="stable")
+        monkeypatch.setattr(np, "argsort", None)  # the packed sort calls no argsort
+        assert np.array_equal(stable_order(key, 2**53), want)
+
+    @pytest.mark.parametrize("n,bound", [(1024, 2**53 + 1), (3, 1 << 62), (100, 2**63)])
+    def test_a_bound_that_does_not_pack_takes_the_argsort(self, monkeypatch, n, bound):
+        key = np.random.default_rng(6).integers(bound - 5, bound, n)
+        key[:: n // 3] = 0
+        want = np.argsort(key, kind="stable")
+        calls = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *args, **kw: calls.append(kw) or argsort(*args, **kw))
+        assert np.array_equal(stable_order(key, bound), want)
+        assert calls == [{"kind": "stable"}]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_longest_first(self, seed):
+        lengths = np.random.default_rng(seed).integers(0, 9, 700)
+        assert np.array_equal(_longest_first(lengths), np.argsort(-lengths, kind="stable"))
+        assert len(_longest_first(lengths[:0])) == 0
 
 
 def _groups(counts: list[list[int]]) -> list[tuple[np.ndarray, ...]]:
@@ -733,8 +799,9 @@ class TestBruteForce:
     # besides 85 rows at b=128, 40 rows of one word at b=32 (half of it
     # used) and of four at b=256; a chunk of c words takes
     # max(1, c // (words * rows left)) rows, so c = 1, 64 and 256 give 40,
-    # 19 and 5 chunks at b=32 and 40, 35 and 19 at b=256
-    @pytest.mark.parametrize("chunk", [1, 64, 256, lsh._PAIR_CHUNK])
+    # 19 and 5 chunks at b=32 and 40, 35 and 19 at b=256; the default chunk
+    # and 1 << 20 take every row in one
+    @pytest.mark.parametrize("chunk", [1, 64, 256, lsh._PAIR_CHUNK, 1 << 20])
     @pytest.mark.parametrize("b,d,n,planted", [(128, 20, 60, 25), (32, 12, 25, 15), (256, 20, 25, 15)])
     def test_matches_pairwise_int_hamming(self, monkeypatch, b, d, n, planted, chunk):
         fps = _population(seed=47, n=n, b=b, planted=planted, max_flips=24)
