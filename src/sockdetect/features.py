@@ -156,6 +156,8 @@ def _normalized(graph: InteractionGraph, direction: str, mode: str) -> FeatureMa
     cached = graph.feature_rows.get((direction, mode))
     if cached is not None:
         return cached
+    from .lsh import stable_order  # lsh imports this module through simhash
+
     ids, src, dst, raw = graph.ids, graph.src, graph.dst, graph.weight
     # the total is at most max * count, so only a graph near the limit pays
     # for the exact sum over Python ints
@@ -171,7 +173,7 @@ def _normalized(graph: InteractionGraph, direction: str, mode: str) -> FeatureMa
              if direction in (name, "both")]
     owner = np.concatenate([o for _, o, _ in sides])
     token = np.concatenate([code * n + v for code, _, v in sides])
-    order = np.argsort(owner * 2 * n + token)
+    order = stable_order(owner * 2 * n + token, 2 * n * n)  # the keys are distinct
     owner, token = owner[order], token[order]
     raw = np.tile(raw, len(sides))[order]
     # each (owner, direction) run is one slice to normalize

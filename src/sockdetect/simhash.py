@@ -16,14 +16,19 @@ The conventions that pin this down:
   accumulator (exactly 0.0) yields bit 0.
 
 ``fingerprint_population`` computes every fingerprint in one pass: each
-distinct token is hashed once, by FNV-1a vectorized across tokens, into a
-T x b matrix of +/-1 votes, which the table's ``TokenVotes`` keeps per
-(seed, b), so the tables of one graph's (direction, mode) hash their tokens
-once between them.  The users are then taken in chunks whose
-float64 accumulators hold about _CHUNK_FLOATS entries (512 KB, 512 users at
-b=128), so a chunk's accumulator and its temporaries stay in cache; the
-chunks go to one thread per CPU the process may use, at most one per chunk,
-through ``_mapped``, the thread map retrieval shares.  A chunk writes only
+distinct token is hashed once into a T x b matrix of +/-1 votes.  The
+hashes come from ``ingest.fnv1a64``, the NumPy FNV-1a kernel that also
+hashes the ids of an edge file: one state per token runs on through the
+token's encoding, its id's bytes read from one flat buffer of the names,
+and the seed, one byte position at a time across the tokens, longest id
+first, with no Python object built per token.  The table's
+``TokenVotes`` keeps the matrix per (seed, b), so the tables of one
+graph's (direction, mode) hash their tokens once between them.  The users
+are then taken in chunks whose float64 accumulators hold about
+_CHUNK_FLOATS entries (512 KB, 512 users at b=128), so a chunk's
+accumulator and its temporaries stay in cache; the chunks go to one thread
+per CPU the process may use, at most one per chunk, through ``_mapped``,
+the thread map retrieval shares.  A chunk writes only
 its own rows, and its accumulators advance one token position at a time,
 so each user still sums its votes sequentially in float64, in token order,
 and the fingerprints are bit-identical at any chunk size and thread count.
@@ -48,16 +53,23 @@ import numpy as np
 
 from .errors import ConfigError, InputError
 from .features import TOKEN_DIRECTIONS, FeatureMaps
-from .ingest import check_id, open_text, read_rows, write_rows
+from .ingest import (
+    FNV_OFFSET,
+    FNV_PRIME,
+    _longer_than,
+    _longest_first,
+    check_id,
+    fnv1a64,
+    open_text,
+    read_rows,
+    write_rows,
+)
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
 
 SUPPORTED_WIDTHS = (32, 64, 128, 256)
 
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_TAGS = {"out": b"\x00", "in": b"\x01"}
 # float64 accumulator entries of one chunk of users: 512 KB, 512 users at
 # b=128.  On random-5k's 5,000 users, fingerprinting less the vote matrix took
 # 16.7 ms in one chunk (a 5 MB accumulator, and a 5 MB temporary at every
@@ -155,54 +167,34 @@ class Fingerprints(Mapping[str, Fingerprint]):
         return len(self.owners)
 
 
-def _longest_first(lengths: np.ndarray) -> np.ndarray:
-    """The positions of non-negative ``lengths``, longest first and equal
-    lengths in position order: ``np.argsort(-lengths, kind="stable")``."""
-    from .lsh import stable_order  # lsh imports this module
-
-    top = int(lengths.max(initial=0))
-    return stable_order(top - lengths, top + 1)
-
-
-def _longer_than(lengths: np.ndarray) -> list[int]:
-    """For lengths sorted longest first, entry p counts the lengths above p,
-    for every p below the longest."""
-    top = int(lengths[0]) if len(lengths) else 0
-    return np.searchsorted(-lengths, -np.arange(top), side="left").tolist()
-
-
-def _token_words(messages: list[bytes], nwords: int) -> np.ndarray:
-    """``[T, nwords]`` uint64: word j of message t is FNV-1a-64 over
-    ``messages[t] ++ 1-byte j``, computed one byte position at a time
-    across all messages (uint64 products wrap mod 2**64 as FNV needs)."""
-    lengths = np.array([len(msg) for msg in messages], dtype=np.int64)
-    order = _longest_first(lengths)
-    flat = np.frombuffer(b"".join([messages[t] for t in order.tolist()]), dtype=np.uint8)
-    lengths = lengths[order]
-    offsets = np.cumsum(lengths) - lengths
-    h = np.full(len(messages), _FNV_OFFSET, dtype=np.uint64)
-    prime = np.uint64(_FNV_PRIME)
-    for p, k in enumerate(_longer_than(lengths)):
-        h[:k] ^= flat[offsets[:k] + p]
-        h[:k] *= prime
-    words = np.empty((len(messages), nwords), dtype=np.uint64)
-    words[order] = np.stack([(h ^ np.uint64(j)) * prime for j in range(nwords)], axis=1)
-    return words
-
-
 def _vote_matrix(names: list[str], token_ids: np.ndarray, cfg: RunConfig) -> np.ndarray:
     """``[T, b]`` int8 vote rows of the given tokens over ``names``: +1 where
-    the token's hash bit is 1, else -1."""
-    seed = cfg.seed.to_bytes(8, "big")
-    payload: dict[int, bytes] = {}
-    messages = []
-    for d, v in zip(*(part.tolist() for part in np.divmod(token_ids, max(len(names), 1)))):
-        if v not in payload:
-            raw = names[v].encode("utf-8")
-            payload[v] = len(raw).to_bytes(4, "big") + raw + seed
-        messages.append(_TAGS[TOKEN_DIRECTIONS[d]] + payload[v])
+    the token's hash bit is 1, else -1.  One FNV-1a state per token runs on
+    through its direction byte, the 4-byte length, the UTF-8 id read from
+    one flat buffer of the names, and the seed; the tokens are taken
+    longest id first, as ``fnv1a64`` reads them."""
+    direction, neighbor = np.divmod(token_ids, max(len(names), 1))
+    encoded = list(map(str.encode, names))
+    flat = np.frombuffer(b"".join(encoded), dtype=np.uint8)
+    name_size = np.fromiter(map(len, encoded), np.int64, len(encoded))
+    size = name_size[neighbor]
+    order = _longest_first(size)
+    neighbor, size, direction = neighbor[order], size[order], direction[order]
+    at = (np.cumsum(name_size) - name_size)[neighbor]
+    t = len(order)
+    head = np.empty((t, 5), dtype=np.uint8)  # the direction byte and the big-endian length
+    head[:, 0] = direction == TOKEN_DIRECTIONS.index("in")
+    head[:, 1:] = size.astype(">u4").view(np.uint8).reshape(t, 4)
+    seed = np.frombuffer(cfg.seed.to_bytes(8, "big"), dtype=np.uint8)
+    h = np.full(t, FNV_OFFSET, dtype=np.uint64)
+    fnv1a64(h, head.ravel(), np.arange(0, 5 * t, 5), np.full(t, 5))
+    fnv1a64(h, flat, at, size)
+    fnv1a64(h, seed, np.zeros(t, dtype=np.int64), np.full(t, 8))
+    # word j continues over the byte j
     nwords = (cfg.bits + 63) // 64
-    words = _token_words(messages, nwords)
+    prime = np.uint64(FNV_PRIME)
+    words = np.empty((t, nwords), dtype=np.uint64)
+    words[order] = np.stack([(h ^ np.uint64(j)) * prime for j in range(nwords)], axis=1)
     # value = word 0 ... word nwords-1, most significant first; bit i of the
     # value is bit i % 64 of word nwords-1 - i // 64
     little = np.ascontiguousarray(words[:, ::-1]).astype("<u8").view(np.uint8)

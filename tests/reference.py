@@ -281,6 +281,42 @@ def copied_graph(graph: InteractionGraph) -> InteractionGraph:
     return InteractionGraph(arrays=(list(graph.ids), graph.src.copy(), graph.dst.copy(), graph.weight.copy()))
 
 
+def read_edges(path) -> tuple[list[str], list[tuple[str, str, int]]]:
+    """An edge-list TSV read one line at a time: the sorted ids and the
+    sorted (source, target, weight) rows, or the InputError of the first
+    bad line.  Lines are split as text files read them, CRLF and lone CR
+    included, and blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    edges: dict[tuple[str, str], int] = {}
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise InputError(f"edge line {lineno}: expected 3 tab-separated fields")
+        src, dst, text = fields
+        try:
+            weight = int(text)
+        except ValueError:
+            raise InputError(f"edge line {lineno}: weight {text!r} is not an integer") from None
+        if weight < 1:
+            raise InputError(f"edge line {lineno}: weight must be >= 1")
+        if weight >= 2**63:
+            raise InputError(f"edge line {lineno}: weight {weight} does not fit in 64 bits")
+        for uid in (src, dst):
+            if not uid:
+                raise InputError(f"edge line {lineno}: empty id")
+            if uid != uid.strip():
+                raise InputError(f"edge line {lineno}: id {uid!r} must not begin or end with whitespace")
+        if src == dst:
+            raise InputError(f"edge line {lineno}: self-loop edge on {src!r}")
+        if (src, dst) in edges:
+            raise InputError(f"duplicate edge ({src}, {dst})")
+        edges[src, dst] = weight
+    return sorted({uid for edge in edges for uid in edge}), sorted((s, t, w) for (s, t), w in edges.items())
+
+
 def pair_counts(pairs: Iterable[CandidatePair], truth_clusters: Iterable[set[str]]) -> tuple[int, int, int]:
     """(tp, fp, fn) over unordered pairs whose users both carry a label; a
     pair listed at several distances counts once."""

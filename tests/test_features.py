@@ -1,10 +1,14 @@
+import numpy as np
 import pytest
 
 from reference import binarize, extract_features, feature_maps, filter_edges, normalize_weights
+from sockdetect import lsh
 from sockdetect.errors import ConfigError
 from sockdetect.features import (
+    DIRECTIONS,
     FeatureMap,
     FeatureToken,
+    _normalized,
     build_feature_maps,
     write_features_tsv,
 )
@@ -157,3 +161,22 @@ def test_features_tsv_sorted(tmp_path):
         "u1\tout\tb\t0.5",
         "u2\tout\tx\t1.0",
     ]
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS)
+def test_normalized_rows_in_stable_argsort_order(monkeypatch, direction):
+    # the rows are ordered by one packed sort of their (owner, token) keys
+    graph, _ = generate(SynthConfig(n=400, clones=8, perturbation=0.2, seed=4))
+    calls = []
+    stable_order = lsh.stable_order
+
+    def spy(key, bound):
+        calls.append((key.copy(), stable_order(key, bound)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(lsh, "stable_order", spy)
+    rows = _normalized(graph, direction, "max")
+    ((key, order),) = calls
+    assert np.array_equal(order, np.argsort(key, kind="stable"))
+    n = len(graph.ids)
+    assert (np.diff(rows.owner * 2 * n + rows.token) > 0).all()  # distinct keys, ascending

@@ -449,6 +449,161 @@ class TestEdgeTsv:
             assert getattr(crlf, name).tolist() == getattr(plain, name).tolist()
 
 
+# inner spaces, a "#", and characters of two, three and four UTF-8 bytes
+_ID_CHARS = "ab z#09üé中文\U0001f600"
+_WEIGHTS = {
+    "byte": ["1", "2", "3", "17", "007", "0" * 17 + "9", "9" * 18],
+    "line": ["+5", "0", "00", " 4", "1" + "0" * 18, "9" * 19, "x"],
+}
+
+
+def _random_id(rng: random.Random) -> str:
+    """An id of 1 to 2,000 UTF-8 bytes with no space at either end."""
+    size = rng.randint(1, rng.choice([1, 3, 8, 60, 2000]))
+    chars: list[str] = []
+    while size > 0:
+        char = rng.choice(_ID_CHARS if size >= 4 else "abz#09")
+        chars.append(char)
+        size -= len(char.encode())
+    return "x" * (chars[0] == " ") + "".join(chars).strip() + "x" * (chars[-1] == " ")
+
+
+def _random_edge_file(rng: random.Random) -> str:
+    """Rows in (source, target) order, none flawed about half the time; the
+    rest carry one or two flaws: a weight off the digit columns, shuffled
+    rows, a duplicate row, a self-loop, a padded or empty id, CRLF or CR
+    line breaks, no final line break, or blank lines."""
+    ids = sorted({_random_id(rng) for _ in range(rng.randint(2, 12))} | {"#a", "a b"})
+    if rng.random() < 0.3:  # ids that differ in one byte, or only in length
+        ids = sorted(set(ids) | {"u1", "u2", "u12"})
+    pairs = sorted((s, t) for s in ids for t in ids if s != t)
+    picked = rng.sample(pairs, rng.randint(0, min(len(pairs), 25)))
+    rows = sorted([s, t, rng.choice(_WEIGHTS["byte"])] for s, t in picked)
+    end, final, blanks = "\n", True, 0
+    for flaw in rng.sample(range(8), rng.choice([0, 0, 1, 2])):
+        at = rng.randrange(len(rows) + 1)
+        if flaw == 0 and rows:
+            rows[at % len(rows)][2] = rng.choice(_WEIGHTS["line"])
+        elif flaw == 1:
+            rng.shuffle(rows)
+        elif flaw == 2 and rows:
+            rows.insert(at, list(rows[at % len(rows)]))
+        elif flaw == 3:
+            uid = rng.choice(ids)
+            rows.insert(at, [uid, uid, "1"])
+        elif flaw == 4 and rows:
+            rows[at % len(rows)][rng.randrange(2)] = rng.choice([" a", "a ", "a\xa0", "\u2028a", ""])
+        elif flaw == 5:
+            end = rng.choice(["\r\n", "\r"])
+        elif flaw == 6:
+            final = False
+        elif flaw == 7:
+            blanks = rng.randint(1, 3)
+    lines = ["\t".join(row) for row in rows]
+    for _ in range(blanks):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "  ", "\t", "\t\t"]))
+    return end.join(lines) + end * (final and bool(lines))
+
+
+def _named_rows(graph: InteractionGraph) -> list[tuple[str, str, int]]:
+    name = graph.ids.__getitem__
+    return list(zip(map(name, graph.src.tolist()), map(name, graph.dst.tolist()), graph.weight.tolist()))
+
+
+class TestEdgeBytePass:
+    """``read_edges_tsv`` checks a file whole as bytes and hands whatever
+    it declines to the per-line pass, which ``reference.read_edges`` mirrors."""
+
+    @staticmethod
+    def _spied(monkeypatch) -> Counter[str]:
+        calls: Counter[str] = Counter()
+        for name in ("_edges_from_bytes", "_edges_from_rows"):
+            def spy(*args, _real=getattr(ingest, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(ingest, name, spy)
+        return calls
+
+    @staticmethod
+    def _assert_reads_as_reference(path) -> None:
+        try:
+            want = reference.read_edges(path)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                read_edges_tsv(path)
+            assert str(got.value) == str(exc)
+            return
+        graph = read_edges_tsv(path)
+        assert (graph.ids, _named_rows(graph)) == want
+        assert graph.src.dtype == graph.dst.dtype == graph.weight.dtype == np.int64
+
+    def test_seeded_files_read_as_the_per_line_reference(self, tmp_path, monkeypatch):
+        calls = self._spied(monkeypatch)
+        path, taken = tmp_path / "edges.tsv", Counter()
+        for seed in range(200):
+            path.write_bytes(_random_edge_file(random.Random(seed)).encode())
+            calls.clear()
+            self._assert_reads_as_reference(path)
+            # the per-line pass never runs the byte pass again
+            assert calls["_edges_from_bytes"] == 1
+            taken["rows" if calls["_edges_from_rows"] else "bytes"] += 1
+        assert min(taken.values()) >= 60, taken
+
+    def test_written_files_take_the_byte_pass(self, tmp_path, monkeypatch):
+        calls = self._spied(monkeypatch)
+        rng = random.Random(8)
+        ids = sorted({_random_id(rng) for _ in range(40)} | {"#a", "a b", "中文", "x" * 2000})
+        src, dst = np.array([(s, t) for s in range(len(ids)) for t in range(len(ids)) if s != t][::7]).T
+        weight = np.array([rng.choice([1, 2, 10**17, 10**18 - 1]) for _ in src])
+        graphs = [
+            InteractionGraph(arrays=(ids, src, dst, weight)),
+            build_interaction_graph(reference.message_log(_random_messages(seed=19, count=400, users=30))),
+            InteractionGraph(),
+        ]
+        path = tmp_path / "edges.tsv"
+        for graph in graphs:
+            write_edges_tsv(graph, path)
+            # the same rows with CRLF line breaks, as a text file is read
+            for data in (path.read_bytes(), path.read_bytes().replace(b"\n", b"\r\n")):
+                path.write_bytes(data)
+                calls.clear()
+                loaded = read_edges_tsv(path)
+                assert calls == {"_edges_from_bytes": 1}
+                assert loaded.ids == sorted(set(graph.ids[i] for i in np.concatenate([graph.src, graph.dst]).tolist()))
+                assert _named_rows(loaded) == _named_rows(graph)
+
+    @pytest.mark.parametrize("prefix", [0, 1], ids=["every-id", "first-byte"])
+    def test_colliding_hashes_take_the_per_line_pass(self, tmp_path, monkeypatch, prefix):
+        # every id hashed to one value, or by its first byte alone, so that
+        # ids of one length and ids of several share a hash; only the byte
+        # proof tells them apart
+        real = ingest.fnv1a64
+
+        def hashed_prefix(state, data, starts, lengths):
+            real(state, data, starts, np.minimum(lengths, prefix))
+
+        monkeypatch.setattr(ingest, "fnv1a64", hashed_prefix)
+        calls = self._spied(monkeypatch)
+        path = tmp_path / "edges.tsv"
+        edges = {("x1", "y"): 1, ("x2", "z"): 2, ("y", "x33"): 3, ("z", "y"): 4}
+        graph = InteractionGraph({u for edge in edges for u in edge}, edges)
+        write_edges_tsv(graph, path)
+        loaded = read_edges_tsv(path)
+        assert calls == {"_edges_from_bytes": 1, "_edges_from_rows": 1}
+        assert loaded.ids == graph.ids and _named_rows(loaded) == _named_rows(graph)
+
+    @pytest.mark.parametrize("bad", [b"\xff", b"\xe4\xb8", b"\xc0\x80", b"\xed\xa0\x80"])
+    def test_an_id_not_utf8_names_the_file(self, tmp_path, bad):
+        # well-formed rows, so only the decode of the distinct ids declines
+        data = b"a\tb\t1\nb\tc" + bad + b"\t2\n"
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(data)
+        with pytest.raises(UnicodeDecodeError) as exc:
+            data.decode("utf-8")
+        with pytest.raises(InputError, match=f"^{re.escape(f'{path} is not UTF-8 text: {exc.value.reason}')}$"):
+            read_edges_tsv(path)
+
+
 def _read_edges(path, row):
     path.write_text(f"{row}\n")
     read_edges_tsv(path)

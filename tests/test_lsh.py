@@ -509,6 +509,14 @@ class TestStableOrder:
         assert np.array_equal(_longest_first(lengths), np.argsort(-lengths, kind="stable"))
         assert len(_longest_first(lengths[:0])) == 0
 
+    @pytest.mark.parametrize("top", [255, 256, 3000])
+    def test_longest_first_past_one_byte(self, top):
+        # up to 255 the order comes from a radix sort of 8-bit keys, past it
+        # from the packed sort
+        lengths = np.random.default_rng(top).integers(0, 4, 700)
+        lengths[::50] = top
+        assert np.array_equal(_longest_first(lengths), np.argsort(-lengths, kind="stable"))
+
 
 def _groups(counts: list[list[int]]) -> list[tuple[np.ndarray, ...]]:
     """Runs (owner, lo, cnt) in groups as ``_runs`` yields them, with the

@@ -2,12 +2,13 @@ import random
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 import reference
 from sockdetect import simhash as simhash_module
 from sockdetect.errors import ConfigError, InputError
-from sockdetect.features import FeatureMap, FeatureToken, build_feature_maps
+from sockdetect.features import TOKEN_DIRECTIONS, FeatureMap, FeatureToken, build_feature_maps
 from sockdetect.lsh import brute_force_pairs
 from sockdetect.pipeline import RunConfig
 from sockdetect.simhash import (
@@ -118,6 +119,28 @@ class TestHashToken:
                 tokens.append(FeatureToken(rng.choice(("out", "in")), neighbor))
             for token, value in zip(tokens, token_hashes(tokens, cfg)):
                 assert value == reference.token_hash(token, cfg), (token, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("b", WIDTHS)
+    def test_vote_table_equals_per_token_votes(self, b, seed):
+        # ids of 1 to 3,000 UTF-8 bytes, of one to four bytes per character,
+        # as tokens of both directions and as a sparse subset of them
+        rng = random.Random(7)
+        names = {"a", "b c", "#x", "ü", "中文", "\U0001f600", "é" * 1500, "q" * 3000}
+        for size in (2, 7, 8, 9, 63, 64, 65, 255, 256, 700, 2999):
+            text = "x" + "".join(rng.choice("az09 é中\U0001f600") for _ in range(size))
+            names.add(text.encode()[:size].decode(errors="ignore"))  # a character the cut splits dropped
+        names = sorted(names)
+        n = len(names)
+        assert max(len(name.encode()) for name in names) == 3000
+        cfg = RunConfig(bits=b, seed=seed)
+        for token_ids in (np.arange(2 * n), np.arange(1, 2 * n, 3)):
+            votes = simhash_module._vote_matrix(names, token_ids, cfg)
+            assert votes.shape == (len(token_ids), b) and votes.dtype == np.int8
+            for row, token in zip(votes, token_ids.tolist()):
+                direction, neighbor = divmod(token, n)
+                want = reference._token_votes(TOKEN_DIRECTIONS[direction], names[neighbor], b, seed)
+                assert np.array_equal(row, want), (token, b, seed)
 
 
 class TestHashParams:
