@@ -8,8 +8,25 @@ Input is line-delimited JSON, one message per line:
 (integer) is optional, unknown fields are ignored.  A one-way adapter for
 Telegram desktop chat exports produces the same messages, reading each entry's
 ``id``, ``from_id`` and ``reply_to_message_id`` (or the JSONL keys).  Both give
-a ``MessageLog`` of three columns.  The JSONL log splits into lines on "\n"
-alone.  Each raw line goes to the decoder once, as it is read, and the
+a ``MessageLog`` of three columns.
+
+A JSONL file that can be read twice goes to the byte pass first.  It reads
+the file in chunks of about 1 MB, each cut after a line break, and accepts
+only the canonical lines ``json.dumps`` writes, ``{"message_id": N,
+"sender": "S"}`` with an optional ``, "reply_to": M``: keys in that order
+with that spacing, ids of 1 to 18 digits without a leading zero.  Every
+byte of a chunk is proved with NumPy: no backslash and no control byte but
+the line break, the fixed texts at their offsets (8 bytes at a time), the
+digits, and 6 or 8 quotes a line (counted over the chunk, so a sender
+holds none).  Senders are hashed with ``fnv1a64``, grouped and proved
+byte-equal as the ids of ``edges.tsv`` are, and only each chunk's distinct
+senders decoded.  The log keeps int64 arrays (``MessageArrays``) and builds
+its lists only when one is read.  Anything else raises ValueError, and the
+file is read again as text by the passes below, which give every error
+text.
+
+The text passes split the log into lines on "\n" alone.  Each raw line
+goes to the decoder once, as it is read, and the
 columns are checked whole, first with orjson; a failed check runs the
 column pass again with json, then the lines one at a time through the
 per-record pass, which checks export entries too and reports the first bad
@@ -46,7 +63,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 import orjson
@@ -57,6 +74,7 @@ from .errors import InputError
 _JSON_SPACE = " \t\n\r"
 _scan_json = json.JSONDecoder().scan_once
 _WRITE_CHUNK = 1 << 18  # TSV rows joined per write
+_CHUNK = 1 << 20  # bytes of a message log the byte pass reads at a time
 # FNV-1a-64, the hash of the ids of an edge file here and of feature tokens
 # in simhash
 FNV_OFFSET = 0xCBF29CE484222325
@@ -104,21 +122,58 @@ class MessageRecord:
     reply_to: int | None = None
 
 
-@dataclass
+class MessageArrays(NamedTuple):
+    """The columns of a log the byte pass read, in input order."""
+
+    message_id: np.ndarray  # int64, each below 10**18
+    sender: np.ndarray  # int64 codes into ``names``
+    names: list[str]  # the distinct senders, sorted
+    reply_to: np.ndarray  # int64, -1 for no reply
+    by_id: np.ndarray | None  # the order of ``message_id``, None if it is increasing
+
+
 class MessageLog:
     """Messages as parallel columns in input order: ``sender`` holds
     normalized ids, ``reply_to`` None for no reply.  Iterating builds
-    MessageRecords on demand."""
+    MessageRecords on demand.
 
-    message_id: list[int]
-    sender: list[str]
-    reply_to: list[int | None]
+    A log the byte pass read holds its columns as ``arrays`` and builds
+    each list on its first read, every message of one sender sharing one
+    string; a log built from lists has ``arrays`` None."""
+
+    def __init__(self, message_id: list[int], sender: list[str], reply_to: list[int | None]):
+        # instance attributes shadow the cached properties below
+        self.message_id, self.sender, self.reply_to = message_id, sender, reply_to
+        self.arrays: MessageArrays | None = None
+
+    @classmethod
+    def of_arrays(cls, arrays: MessageArrays) -> MessageLog:
+        log = cls.__new__(cls)
+        log.arrays = arrays
+        return log
+
+    @cached_property
+    def message_id(self) -> list[int]:
+        return self.arrays.message_id.tolist()
+
+    @cached_property
+    def sender(self) -> list[str]:
+        return list(map(self.arrays.names.__getitem__, self.arrays.sender.tolist()))
+
+    @cached_property
+    def reply_to(self) -> list[int | None]:
+        return [None if r < 0 else r for r in self.arrays.reply_to.tolist()]
 
     def __len__(self) -> int:
-        return len(self.message_id)
+        return len(self.message_id if self.arrays is None else self.arrays.message_id)
 
     def __iter__(self) -> Iterator[MessageRecord]:
         return map(MessageRecord, self.message_id, self.sender, self.reply_to)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MessageLog):
+            return NotImplemented
+        return (self.message_id, self.sender, self.reply_to) == (other.message_id, other.sender, other.reply_to)
 
 
 class InteractionGraph:
@@ -409,7 +464,132 @@ def parse_messages_path(path: str | Path) -> MessageLog:
     with open_text(path, newline="\n") as fh:
         if not fh.seekable():
             return parse_messages(fh)
+        try:
+            return _messages_from_bytes(fh.buffer)
+        except ValueError:  # a UnicodeDecodeError too: the text passes name the file
+            fh.seek(0)
         return _parse_passes(fh, lambda: fh.seek(0))
+
+
+def _messages_from_bytes(fh: BinaryIO) -> MessageLog:
+    """The message byte pass: the log read in chunks of about ``_CHUNK``
+    bytes, each cut after a line break and proved whole by
+    ``_message_chunk``; raises ValueError on anything the text passes must
+    look at.  A last line without its line break reads as one with it."""
+    names: dict[str, int] = {}  # each distinct sender's code, in order of first sight
+    columns: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.int64),) * 3]
+    rest = b""
+    while block := fh.read(_CHUNK):
+        data = rest + block
+        cut = data.rfind(b"\n") + 1
+        rest = data[cut:]
+        if cut:
+            columns.append(_message_chunk(data[:cut], names))
+    if rest:
+        columns.append(_message_chunk(rest + b"\n", names))
+    message_id, sender, reply_to = (np.concatenate(c) for c in zip(*columns))
+    ids, rank = _ranked(list(names))
+    # the only checks of _normalize_id a sender can fail here: no byte
+    # below 0x20 passed, nor an escape, and UTF-8 holds no lone surrogate
+    if any(map(_padded, ids)):
+        raise ValueError("a padded sender")
+    return MessageLog.of_arrays(MessageArrays(message_id, rank[sender], ids, reply_to, _id_order(message_id)))
+
+
+def _id_order(message_id: np.ndarray) -> np.ndarray | None:
+    """The order that sorts ``message_id``, or None if it is increasing
+    already; raises ValueError on a repeated id."""
+    if (message_id[1:] > message_id[:-1]).all():
+        return None
+    order = np.argsort(message_id)  # one order only, the ids being distinct
+    if (np.diff(message_id[order]) == 0).any():
+        raise ValueError("a repeated message id")
+    return order
+
+
+# The fixed texts of a canonical line, as 8-byte little-endian words:
+#     {"message_id": N, "sender": "S"}
+#     {"message_id": N, "sender": "S", "reply_to": M}
+# 15 bytes before N, 13 between N and S, 15 between S and M, each text
+# matched by two overlapping words: (offset into the text, word)
+_HEAD, _SENDER, _REPLY = (
+    [(at, np.frombuffer(text, "<u8", 1, at)[0]) for at in (0, len(text) - 8)]
+    for text in (b'{"message_id": ', b', "sender": "', b'", "reply_to": ')
+)
+
+
+def _message_chunk(data: bytes, names: dict[str, int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The message ids, sender codes and reply ids (-1 for none) of
+    ``data``, whole lines in the canonical shape ``json.dumps`` writes, with
+    ids of 1 to 18 digits and no leading zero.  Every byte is proved; the
+    senders are hashed and only each distinct one decoded, and ``names``
+    gives each its code, adding the senders it lacks; raises ValueError on
+    anything else."""
+    codes = np.frombuffer(data, np.uint8)
+    eol = np.flatnonzero(codes == 10)
+    # a canonical line has no escape and no control byte but its line break
+    if np.count_nonzero(codes < 32) != len(eol) or (codes == 92).any():
+        raise ValueError("an escape or a control byte")
+    start = np.concatenate(([0], eol[:-1] + 1))
+    # each line cut into its fixed texts, its id digits and its sender: the
+    # message id runs from the 16th byte, the reply id back from the "}"
+    message_id, id_size = _json_ints(codes, start + 15)
+    digits_end = start + 15 + id_size
+    reply_size = _digit_run(codes, eol - 2)
+    reply = reply_size > 0
+    close = eol - 2 - np.where(reply, reply_size + 14, 0)  # the quote after the sender
+    at = digits_end + 13
+    size = close - at
+    if (size < 1).any():
+        raise ValueError("a line too short, or an empty sender")
+    # every byte outside the digits and the senders is matched to its text,
+    # which holds 6 quotes, or 8 with a reply; so one more quote would be
+    # in a sender, where only an escape may put one
+    if np.count_nonzero(codes == 34) != 6 * len(eol) + 2 * np.count_nonzero(reply):
+        raise ValueError("a quote in a sender")
+    words = np.ndarray((len(codes) - 7,), "<u8", data, strides=(1,))  # an 8-byte word at every offset
+    tail = close[reply]
+    for base, texts in ((start, _HEAD), (digits_end, _SENDER), (tail, _REPLY)):
+        for offset, word in texts:
+            if (words[base + offset] != word).any():
+                raise ValueError("a line not in the canonical shape")
+    if (codes[eol - 1] != 125).any() or (codes[close[~reply]] != 34).any():
+        raise ValueError("a line not closed by '\"}'")
+    reply_to = np.full(len(eol), -1, dtype=np.int64)
+    reply_to[reply] = _json_ints(codes, tail + 15)[0]
+    order = _longest_first(size)  # as fnv1a64 reads them
+    at, size = at[order], size[order]
+    group, head = _hash_groups(codes, at, size)
+    distinct = _decoded(codes, at[head], size[head])
+    new = [name for name in distinct if name not in names]
+    names.update(zip(new, range(len(names), len(names) + len(new))))
+    code = np.fromiter(map(names.__getitem__, distinct), np.int64, len(distinct))
+    sender = np.empty_like(group)
+    sender[order] = code[group]
+    return message_id, sender, reply_to
+
+
+def _digit_run(codes: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """How many ASCII digits run back from each ``end``, counted up to 19."""
+    live = np.ones(len(end), dtype=bool)
+    size = np.zeros(len(end), dtype=np.int64)
+    for p in range(19):
+        live &= codes.take(end - p, mode="clip") - 48 <= 9  # a byte below "0" wraps past 9
+        if not live.any():
+            break
+        size += live
+    return size
+
+
+def _json_ints(codes: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_digits`` of a JSON integer at each ``start``: 1 to 18 digits with
+    no leading zero, and raises ValueError on anything else."""
+    value, size = _digits(codes, start)
+    if len(size) and not 1 <= size.min() <= size.max() <= 18:
+        raise ValueError("an id of no or too many digits")
+    if ((size > 1) & (codes.take(start, mode="clip") == 48)).any():
+        raise ValueError("a leading zero")
+    return value, size
 
 
 def convert_telegram_export(
@@ -448,6 +628,21 @@ def build_interaction_graph(log: MessageLog, dropped: Counter[str] | None = None
     nothing, as do self-replies; when ``dropped`` is given they are counted
     there under "dangling" and "self".  Every sender becomes a node.
     """
+    ids, src, dst, replies = _replies(log) if log.arrays is None else _array_replies(log.arrays)
+    resolved, self_reply = dst >= 0, dst == src
+    if dropped is not None:
+        dangling = replies - int(resolved.sum())
+        # unary + drops zero counts, which the per-message loop never added
+        dropped.update(+Counter({"dangling": dangling, "self": int(self_reply.sum())}))
+    n = max(len(ids), 1)
+    key, weight = np.unique((src * n + dst)[resolved & ~self_reply], return_counts=True)
+    return InteractionGraph(arrays=(ids, key // n, key % n, weight.astype(np.int64)))
+
+
+def _replies(log: MessageLog) -> tuple[list[str], np.ndarray, np.ndarray, int]:
+    """The sorted senders, each message's sender code, the code of the
+    sender it replies to (-1 for no reply and for a reply to a message
+    absent from the log) and the count of replies, from the lists."""
     ids = sorted(set(log.sender))
     code = dict(zip(ids, range(len(ids))))
     sender = list(map(code.__getitem__, log.sender))
@@ -459,17 +654,19 @@ def build_interaction_graph(log: MessageLog, dropped: Counter[str] | None = None
             if message_id in seen:
                 raise InputError(f"duplicate message_id {message_id}")
             seen.add(message_id)
-    src = np.array(sender, dtype=np.int64)
-    # -1 for no reply and for a reply to a message absent from the log
     dst = np.fromiter(map(author.get, log.reply_to, repeat(-1)), np.int64, len(sender))
-    resolved, self_reply = dst >= 0, dst == src
-    if dropped is not None:
-        dangling = len(sender) - log.reply_to.count(None) - int(resolved.sum())
-        # unary + drops zero counts, which the per-message loop never added
-        dropped.update(+Counter({"dangling": dangling, "self": int(self_reply.sum())}))
-    n = max(len(ids), 1)
-    key, weight = np.unique((src * n + dst)[resolved & ~self_reply], return_counts=True)
-    return InteractionGraph(arrays=(ids, key // n, key % n, weight.astype(np.int64)))
+    return ids, np.array(sender, dtype=np.int64), dst, len(sender) - log.reply_to.count(None)
+
+
+def _array_replies(log: MessageArrays) -> tuple[list[str], np.ndarray, np.ndarray, int]:
+    """``_replies`` from the arrays: each reply id is found among the
+    sorted message ids, which hold no -1."""
+    by_id, author = log.message_id, log.sender
+    if log.by_id is not None:
+        by_id, author = by_id[log.by_id], author[log.by_id]
+    at = np.searchsorted(by_id, log.reply_to)  # len(by_id) past the last, read as the last
+    dst = np.where(by_id.take(at, mode="clip") == log.reply_to, author.take(at, mode="clip"), -1)
+    return log.names, log.sender, dst, int(np.count_nonzero(log.reply_to >= 0))
 
 
 def write_edges_tsv(graph: InteractionGraph, path: str | Path) -> None:
@@ -530,10 +727,7 @@ def _edges_from_bytes(data: bytes) -> InteractionGraph:
     order = _longest_first(size)  # as fnv1a64 reads them
     at, size = at[order], size[order]
     group, first = _hash_groups(codes, at, size)
-    distinct = _decoded(codes, at[first], size[first])
-    ids = sorted(distinct)
-    index = dict(zip(ids, range(len(ids))))
-    rank = np.fromiter(map(index.__getitem__, distinct), np.int64, len(distinct))
+    ids, rank = _ranked(_decoded(codes, at[first], size[first]))
     code = np.empty_like(group)
     code[order] = rank[group]
     src, dst = code[: len(weight)], code[len(weight) :]
@@ -566,7 +760,10 @@ def _fields(data: bytes, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     size = np.concatenate([tab - line, tab2 - tab - 1])
     if not size.all():
         raise ValueError("an empty id")
-    return np.concatenate([line, tab + 1]), size, _digits(codes, tab2 + 1, eol - tab2 - 1)
+    weight, digits = _digits(codes, tab2 + 1)
+    if (digits != eol - tab2 - 1).any() or not ((digits >= 1) & (digits <= 18)).all():
+        raise ValueError("a weight that is not 1 to 18 digits")
+    return np.concatenate([line, tab + 1]), size, weight
 
 
 def _hash_groups(codes: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -597,6 +794,13 @@ def _hash_groups(codes: np.ndarray, at: np.ndarray, size: np.ndarray) -> tuple[n
     return group, first
 
 
+def _ranked(distinct: list[str]) -> tuple[list[str], np.ndarray]:
+    """The ``distinct`` ids sorted, and each one's place among them."""
+    ids = sorted(distinct)
+    index = dict(zip(ids, range(len(ids))))
+    return ids, np.fromiter(map(index.__getitem__, distinct), np.int64, len(distinct))
+
+
 def _decoded(codes: np.ndarray, at: np.ndarray, size: np.ndarray) -> list[str]:
     """The text of each field, all decoded at once: each field is copied
     with the separator after it, and every separator made a tab."""
@@ -607,16 +811,17 @@ def _decoded(codes: np.ndarray, at: np.ndarray, size: np.ndarray) -> list[str]:
     return text.tobytes().decode("utf-8").split("\t")[:-1]
 
 
-def _digits(codes: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The int64 values of fields of 1 to 18 ASCII digits, all below 10**18;
-    raises ValueError on any other field."""
-    if len(length) and not 1 <= length.min() <= length.max() <= 18:
-        raise ValueError("a weight of no or too many digits")
-    value = np.zeros(len(length), dtype=np.int64)
-    for p in range(int(length.max(initial=0))):
-        live = length > p
+def _digits(codes: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The length of the run of ASCII digits from each ``start``, counted
+    up to 19, and its int64 value, which holds for a run of at most 18."""
+    value = np.zeros(len(start), dtype=np.int64)
+    live = np.ones(len(start), dtype=bool)
+    size = np.zeros(len(start), dtype=np.int64)
+    for p in range(19):
         digit = codes.take(start + p, mode="clip") - 48  # a byte below "0" wraps past 9
-        if (live & (digit > 9)).any():
-            raise ValueError("a weight that is not digits")
+        live &= digit <= 9
+        if not live.any():
+            break
+        size += live
         value = np.where(live, value * 10 + digit, value)
-    return value
+    return value, size

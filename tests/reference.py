@@ -3,7 +3,9 @@
 ``parse_messages`` is the per-line JSONL parser that the columnar parser in
 ``sockdetect.ingest`` replaced: one ``json.loads`` and one set of checks per
 line, returning a list of records.  It must give the same records, or raise
-the same error text, on every input.
+the same error text, on every input.  ``reply_graph`` builds the reply graph
+and the dropped counts one message at a time, as
+``ingest.build_interaction_graph`` must.
 
 ``normalize_weights`` -> ``filter_edges`` -> ``extract_features`` (->
 ``binarize``) computes features one user at a time over the graph's
@@ -35,6 +37,7 @@ nothing a run keeps on the original.
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
@@ -119,6 +122,26 @@ def parse_messages(lines: Iterable[str]) -> list[MessageRecord]:
         seen[message_id] = lineno
         records.append(MessageRecord(message_id, sender, reply_to))
     return records
+
+
+def reply_graph(records: Iterable[MessageRecord]) -> tuple[set[str], dict[tuple[str, str], int], Counter]:
+    """The nodes, the ``{(source, target): weight}`` edges and the dropped
+    counts of the reply graph, one message at a time."""
+    records = list(records)
+    author = {r.message_id: r.sender for r in records}
+    edges: Counter = Counter()
+    dropped: Counter = Counter()
+    for r in records:
+        if r.reply_to is None:
+            continue
+        target = author.get(r.reply_to)
+        if target is None:
+            dropped["dangling"] += 1
+        elif target == r.sender:
+            dropped["self"] += 1
+        else:
+            edges[r.sender, target] += 1
+    return {r.sender for r in records}, dict(edges), dropped
 
 
 def message_log(records: Iterable[MessageRecord]) -> MessageLog:

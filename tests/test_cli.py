@@ -2,6 +2,7 @@ import csv
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +12,7 @@ import pytest
 
 import reference
 import sockdetect
-from sockdetect import pipeline
+from sockdetect import ingest, pipeline
 from sockdetect.cli import main
 from sockdetect.errors import InputError
 from sockdetect.evaluate import write_truth
@@ -66,6 +67,38 @@ class TestIngest:
         out = capsys.readouterr().out
         assert "12 messages" in out and "6 users" in out and "6 reply edges" in out
         assert "dropped: 1 replies to missing messages, 1 self-replies, 0 service entries" in out
+
+    def test_canonical_and_compact_logs_ingest_alike(self, tmp_path, capsys, monkeypatch):
+        # the byte pass reads the canonical spelling, the orjson pass the
+        # compact one; both must write the same files and print the same lines
+        rng = random.Random(3)
+        senders = ["alice", "bob", "ключ", "\U0001f642", "a b", "x" * 300]
+        messages = [{"message_id": k, "sender": rng.choice(senders)} for k in range(1, 600)]
+        for m in messages:
+            if rng.random() < 0.7:
+                m["reply_to"] = rng.randrange(1, 700)  # some dangling, some self-replies
+        passes = []
+        real = ingest._messages_from_bytes
+
+        def spy(fh):
+            passes.append("declined")
+            log = real(fh)
+            passes[-1] = "bytes"
+            return log
+
+        monkeypatch.setattr(ingest, "_messages_from_bytes", spy)
+        outputs = []
+        out = tmp_path / "corpus"
+        for separators in ((", ", ": "), (",", ":")):
+            log = tmp_path / "messages.jsonl"
+            log.write_text("".join(json.dumps(m, ensure_ascii=False, separators=separators) + "\n" for m in messages),
+                           encoding="utf-8")
+            assert main(["ingest", "--input", str(log), "--output-dir", str(out)]) == 0
+            outputs.append(((out / "edges.tsv").read_bytes(), (out / "ingest.json").read_bytes(), capsys.readouterr()))
+        assert passes == ["bytes", "declined"]
+        assert outputs[0] == outputs[1]
+        dropped = json.loads(outputs[0][1])["dropped"]
+        assert dropped["dangling"] > 0 and dropped["self"] > 0
 
     def test_empty_input_warns_but_succeeds(self, tmp_path, capsys):
         src = tmp_path / "empty.jsonl"

@@ -964,6 +964,24 @@ class TestColumnarParser:
         assert peak < 20 * 2**20
         assert len(log) == 100_000 and len(set(map(id, log.sender))) == 3000
 
+    def test_canonical_file_is_parsed_in_bounded_memory(self, tmp_path):
+        # the same log without "text", in the canonical shape: the byte pass
+        # reads it a chunk at a time and holds int64 columns, and the sender
+        # list built on first read shares one string per sender
+        path = tmp_path / "log.jsonl"
+        with open(path, "w", encoding="utf-8") as fh:
+            for k in range(100_000):
+                fh.write(json.dumps({"message_id": k, "sender": f"user{k % 3000}", "reply_to": k // 2}) + "\n")
+        tracemalloc.start()
+        try:
+            log = parse_messages_path(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert log.arrays is not None
+        assert peak < 20 * 2**20
+        assert len(log) == 100_000 and len(set(map(id, log.sender))) == 3000
+
     def test_lines_without_line_breaks(self):
         lines = ['{"message_id": 1, "sender": "a"}', "", '{"message_id": 2, "sender": "b", "reply_to": 1}']
         assert list(parse_messages(lines)) == reference.parse_messages(lines)
@@ -972,6 +990,248 @@ class TestColumnarParser:
         records = _random_messages(seed=4, count=50, users=6)
         log = reference.message_log(records)
         assert len(log) == 50 and list(log) == records
+
+
+# valid senders for canonical lines: multi-byte and 4-byte UTF-8, 1,000
+# bytes, inner spaces, digits, and the texts around a sender without quotes
+CANONICAL_SENDERS = [
+    "u1", "u22", "abcd1", "abcd2", "a b", "5", "007", "ключ", "日本語",
+    "\U0001d11e", "\U0001f642x", "é", "a" * 1000, "é" * 500, "x}, 5", ": 7}", "reply_to",
+    "{", "x y", "\x7f",
+]
+# one line of a canonical log rewritten so that the byte pass declines it
+BYTE_DECLINES = [
+    "compact", "swapped", "extra_key", "escaped_quote", "escaped_e", "null_reply", "int_sender",
+    "leading_zero", "reply_leading_zero", "negative", "nineteen_digits", "reply_nineteen_digits",
+    "crlf", "blank", "padded_sender", "empty_sender", "not_utf8", "renamed_id_key",
+    "renamed_sender_key", "renamed_reply_key", "bad_close",
+]
+
+
+def _canonical(obj: dict, **dumps) -> str:
+    return json.dumps(obj, ensure_ascii=False, **dumps) + "\n"
+
+
+def _canonical_log(rng: random.Random) -> list[dict]:
+    """Messages in the shape of a canonical log: ids increasing, shuffled
+    or repeated, up to 18 digits and 0 among them, and replies that resolve,
+    dangle or answer the sender's own message."""
+    count = rng.randrange(1, 40)
+    ids = rng.choice([
+        lambda: list(range(1, count + 1)),
+        lambda: rng.sample(range(0, 3 * count), count),
+        lambda: [rng.randrange(10**18) for _ in range(count)],
+    ])()
+    if rng.random() < 0.1:
+        ids[rng.randrange(count)] = rng.choice(ids)
+    messages = []
+    for mid in ids:
+        obj = {"message_id": mid, "sender": rng.choice(CANONICAL_SENDERS[: rng.randrange(2, len(CANONICAL_SENDERS))])}
+        roll = rng.random()
+        if roll < 0.5:
+            obj["reply_to"] = rng.choice(ids)
+        elif roll < 0.6:
+            obj["reply_to"] = rng.randrange(10**18)  # dangling
+        elif roll < 0.7 and messages:
+            same = [m["message_id"] for m in messages if m["sender"] == obj["sender"]]
+            if same:
+                obj["reply_to"] = rng.choice(same)  # a self-reply
+        messages.append(obj)
+    return messages
+
+
+def _declined(rng: random.Random, lines: list[str], messages: list[dict], kind: str) -> list[str]:
+    """``lines`` with line i rewritten by ``kind``."""
+    lines = lines[:]
+    i = rng.randrange(len(lines))
+    obj = dict(messages[i])
+    if kind == "compact":
+        lines[i] = _canonical(obj, separators=(",", ":"))
+    elif kind == "swapped":
+        lines[i] = _canonical({"sender": obj.pop("sender"), **obj})
+    elif kind == "extra_key":
+        lines[i] = _canonical({**obj, "text": "hi"})
+    elif kind == "escaped_quote":
+        lines[i] = _canonical({**obj, "sender": 'a"b'})
+    elif kind == "escaped_e":
+        lines[i] = json.dumps({**obj, "sender": "é"}) + "\n"
+    elif kind == "null_reply":
+        lines[i] = _canonical({**obj, "reply_to": None})
+    elif kind == "int_sender":
+        lines[i] = _canonical({**obj, "sender": rng.randrange(100)})
+    elif kind == "leading_zero":
+        lines[i] = lines[i].replace('"message_id": ', '"message_id": 0', 1)
+    elif kind == "reply_leading_zero":
+        lines[i] = _canonical({**obj, "reply_to": 7}).replace('"reply_to": 7', '"reply_to": 07')
+    elif kind == "negative":
+        lines[i] = _canonical({**obj, "message_id": -rng.randrange(1, 50)})
+    elif kind == "nineteen_digits":
+        lines[i] = _canonical({**obj, "message_id": rng.choice([10**18, 2**63 - 1, 2**63, 10**19 - 1])})
+    elif kind == "reply_nineteen_digits":
+        lines[i] = _canonical({**obj, "reply_to": rng.choice([10**18, 2**63 - 1, 2**63, 10**19 - 1])})
+    elif kind.startswith("renamed_"):
+        # a key of the same length spelled otherwise: each fixed text is read
+        key = {"id": "message_id", "sender": "sender", "reply": "reply_to"}[kind.split("_")[1]]
+        lines[i] = _canonical({**obj, "reply_to": obj.get("reply_to", obj["message_id"])}).replace(f'"{key}"', f'"{key.upper()}"')
+    elif kind == "bad_close":
+        lines[i] = lines[i][:-2] + rng.choice(["]", " ", "},"]) + "\n"
+    elif kind == "crlf":
+        lines = [line[:-1] + "\r\n" for line in lines]
+    elif kind == "blank":
+        lines.insert(i, "\n")
+    elif kind == "padded_sender":
+        lines[i] = _canonical({**obj, "sender": rng.choice([" a", "a ", "a\xa0", "\u2028a"])})
+    elif kind == "empty_sender":
+        lines[i] = _canonical({**obj, "sender": ""})
+    return lines
+
+
+def _reference_ingest(path) -> tuple:
+    """What tests/reference.py reads from the file: the records, nodes,
+    edges and dropped counts, or the error's type and text."""
+    try:
+        path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return InputError, f"{path} is not UTF-8 text: {exc.reason}"
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        try:
+            records = reference.parse_messages(fh)
+        except InputError as exc:
+            return InputError, str(exc)
+    return (records, *reference.reply_graph(records))
+
+
+def _ingested(path) -> tuple:
+    """``_reference_ingest`` through ``parse_messages_path`` and
+    ``build_interaction_graph``."""
+    try:
+        log = parse_messages_path(path)
+    except InputError as exc:
+        return InputError, str(exc)
+    dropped: Counter[str] = Counter()
+    graph = build_interaction_graph(log, dropped)
+    assert graph.ids == sorted(graph.nodes)
+    assert graph.src.dtype == graph.dst.dtype == graph.weight.dtype == np.int64
+    return list(log), graph.nodes, graph.edges, dropped
+
+
+class TestMessageBytePass:
+    """``parse_messages_path`` reads a canonical log as bytes, a chunk at a
+    time, and hands whatever it declines to the orjson column pass."""
+
+    @staticmethod
+    def _spied(monkeypatch) -> list[str]:
+        calls = []
+        real_bytes, real_columns, real_records = (
+            ingest._messages_from_bytes, ingest._parse_columns, ingest._checked_records)
+
+        def bytes_pass(fh):
+            try:
+                log = real_bytes(fh)
+            except ValueError:
+                calls.append("bytes declined")
+                raise
+            calls.append("bytes")
+            return log
+
+        def column_pass(lines, loads):
+            calls.append("orjson" if loads is orjson.loads else "json")
+            return real_columns(lines, loads)
+
+        def record_pass(*args):
+            calls.append("records")
+            return real_records(*args)
+
+        monkeypatch.setattr(ingest, "_messages_from_bytes", bytes_pass)
+        monkeypatch.setattr(ingest, "_parse_columns", column_pass)
+        monkeypatch.setattr(ingest, "_checked_records", record_pass)
+        return calls
+
+    def test_seeded_logs_read_as_the_reference(self, tmp_path, monkeypatch):
+        calls = self._spied(monkeypatch)
+        path, taken = tmp_path / "log.jsonl", Counter()
+        for seed in range(400):
+            rng = random.Random(f"bytes-{seed}")
+            messages = _canonical_log(rng)
+            lines = [_canonical(m) for m in messages]
+            kind = rng.choice(["canonical"] * len(BYTE_DECLINES) + BYTE_DECLINES)
+            data = "".join(_declined(rng, lines, messages, kind)).encode()
+            if kind == "not_utf8":
+                bad = rng.choice([b"\xff", b"\xe4\xb8", b"\xc0\x80", b"\xed\xa0\x80"])
+                data += b'{"message_id": 1000, "sender": "a' + bad + b'"}\n'
+            if rng.random() < 0.2:
+                data = data[:-1]  # no line break after the last line
+            path.write_bytes(data)
+            # chunks that cut lines, 1,000-byte senders among them
+            monkeypatch.setattr(ingest, "_CHUNK", rng.choice([1, 7, 64, 333, 4096]))
+            calls.clear()
+            assert _ingested(path) == _reference_ingest(path), (seed, kind, data)
+            assert calls[0] in ("bytes", "bytes declined") and calls.count(calls[0]) == 1
+            taken[calls[0]] += 1
+        assert min(taken.values()) >= 150, taken
+
+    def test_benchmark_shaped_log_takes_the_byte_pass_alone(self, tmp_path, monkeypatch):
+        # the shape benchmarks/corpora.py writes: one root message per user,
+        # then the replies, a few to a missing message or to the sender's own
+        rng = random.Random(5)
+        users = [f"user{k}" for k in range(300)]
+        lines = [json.dumps({"message_id": k + 1, "sender": uid}) + "\n" for k, uid in enumerate(users)]
+        for mid in range(len(users) + 1, 3000):
+            src = rng.randrange(len(users))
+            target = rng.choice([rng.randrange(1, len(users) + 1), src + 1, 10**6])
+            lines.append(json.dumps({"message_id": mid, "sender": users[src], "reply_to": target}) + "\n")
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        monkeypatch.setattr(ingest, "_CHUNK", 4096)
+        calls = self._spied(monkeypatch)
+        got = _ingested(path)
+        assert calls == ["bytes"]
+        assert got == _reference_ingest(path)
+        assert got[3]["dangling"] > 0 and got[3]["self"] > 0
+
+    def test_declined_log_takes_the_orjson_pass_once(self, tmp_path, monkeypatch):
+        lines = [json.dumps({"message_id": k, "sender": f"u{k % 7}", "reply_to": k // 2}, separators=(",", ":")) + "\n"
+                 for k in range(1, 500)]
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        calls = self._spied(monkeypatch)
+        got = _ingested(path)
+        assert calls == ["bytes declined", "orjson"]
+        assert got == _reference_ingest(path)
+
+    @pytest.mark.parametrize("prefix", [0, 1], ids=["every-sender", "first-byte"])
+    def test_colliding_hashes_read_the_exact_log(self, tmp_path, monkeypatch, prefix):
+        # every sender hashed to one value, or by its first byte alone, so
+        # senders of one length and of several share a hash; only the byte
+        # proof tells them apart
+        real = ingest.fnv1a64
+
+        def hashed_prefix(state, data, starts, lengths):
+            real(state, data, starts, np.minimum(lengths, prefix))
+
+        monkeypatch.setattr(ingest, "fnv1a64", hashed_prefix)
+        calls = self._spied(monkeypatch)
+        senders = ["x1", "x2", "x33", "y", "x1", "z"]
+        lines = [_canonical({"message_id": k + 1, "sender": s, "reply_to": k}) for k, s in enumerate(senders)]
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        got = _ingested(path)
+        assert calls == ["bytes declined", "orjson"]
+        assert got == _reference_ingest(path)
+        assert [r.sender for r in got[0]] == senders
+
+    def test_columns_stay_arrays_until_read(self, tmp_path):
+        lines = [_canonical({"message_id": 3, "sender": "b"}), _canonical({"message_id": 1, "sender": "a", "reply_to": 3})]
+        path = tmp_path / "log.jsonl"
+        path.write_text("".join(lines), encoding="utf-8")
+        log = parse_messages_path(path)
+        arrays = log.arrays
+        assert arrays.names == ["a", "b"] and arrays.sender.tolist() == [1, 0]
+        assert arrays.message_id.tolist() == [3, 1] and arrays.reply_to.tolist() == [-1, 3]
+        assert arrays.by_id.tolist() == [1, 0]
+        assert "sender" not in vars(log) and len(log) == 2
+        assert log.sender == ["b", "a"] and log.reply_to == [None, 3] and log.message_id == [3, 1]
+        assert log == reference.message_log(reference.parse_messages(lines))
 
 
 class TestOddValues:

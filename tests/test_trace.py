@@ -35,11 +35,13 @@ def _installed_tracer(monkeypatch):
     return tracer
 
 
-def test_tracer_counts_ingest_work(tmp_path, monkeypatch):
+def _ingest_counts(tmp_path, monkeypatch, senders):
+    """The tracer around ``ingest`` of a seeded log sent by ``senders``:
+    its counts checked against the log, and the log it parsed."""
     tracer = _installed_tracer(monkeypatch)
     rng = random.Random(2)
     messages = [
-        {"message_id": mid, "sender": rng.choice(["a", "b", "c", 7, "7", "d"])}
+        {"message_id": mid, "sender": rng.choice(senders)}
         | ({"reply_to": rng.randrange(1, 450)} if rng.random() < 0.7 else {})
         for mid in range(1, 400)
     ]
@@ -63,6 +65,18 @@ def test_tracer_counts_ingest_work(tmp_path, monkeypatch):
     assert {"ingest.parse", "ingest.graph", "ingest.write_edges"} <= set(
         tracer.self_times()["cli.ingest"]
     )
+    return tracer._kept["ingest.parse"][2]
+
+
+def test_tracer_counts_ingest_work(tmp_path, monkeypatch):
+    # integer senders: the byte pass declines the log
+    assert _ingest_counts(tmp_path, monkeypatch, ["a", "b", "c", 7, "7", "d"]).arrays is None
+
+
+def test_tracer_counts_byte_pass_ingest_work(tmp_path, monkeypatch):
+    # string senders in the canonical shape: the counters read the columns
+    # the byte pass left as arrays
+    assert _ingest_counts(tmp_path, monkeypatch, ["a", "b", "c", "7", "d"]).arrays is not None
 
 
 def test_tracer_counts_retrieval_work(tmp_path, monkeypatch):
