@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 import numpy as np
 
 from .errors import ConfigError, InputError
-from .ingest import InteractionGraph, write_rows
+from .ingest import InteractionGraph, stable_order, write_rows
 
 if TYPE_CHECKING:
     from .pipeline import RunConfig
@@ -156,8 +156,6 @@ def _normalized(graph: InteractionGraph, direction: str, mode: str) -> FeatureMa
     cached = graph.feature_rows.get((direction, mode))
     if cached is not None:
         return cached
-    from .lsh import stable_order  # lsh imports this module through simhash
-
     ids, src, dst, raw = graph.ids, graph.src, graph.dst, graph.weight
     # the total is at most max * count, so only a graph near the limit pays
     # for the exact sum over Python ints

@@ -22,23 +22,14 @@ holds none).  Senders are hashed with ``fnv1a64``, grouped and proved
 byte-equal as the ids of ``edges.tsv`` are, and only each chunk's distinct
 senders decoded.  The log keeps int64 arrays (``MessageArrays``) and builds
 its lists only when one is read.  Anything else raises ValueError, and the
-file is read again as text by the passes below, which give every error
-text.
+file is read again by the per-line pass.
 
-The text passes split the log into lines on "\n" alone.  Each raw line
-goes to the decoder once, as it is read, and the
-columns are checked whole, first with orjson; a failed check runs the
-column pass again with json, then the lines one at a time through the
-per-record pass, which checks export entries too and reports the first bad
-record by its key and place (``line N``, or ``entry N`` in an export).  A
-blank line is found when the decoder raises on it: both decoders skip the
-same four whitespace characters around a value.  A raw line of more than
-1,000 characters, its line break counted, goes to json even in the first
-pass, as orjson has no depth limit.  The order is exact: orjson reads a
-strict subset of what json reads, to the same values, save integers outside
-[-2**63, 2**64), which it reads as floats that the column checks reject, so
-every log orjson's pass accepts gives json's columns, and every error text
-comes from json.  The graph is interned: sorted node ids plus int64 edge
+The per-line pass reads every other log: what the byte pass declines, a
+pipe, and lines given as a list.  It splits the log into lines on "\n"
+alone, decodes each non-blank line with ``json.loads`` as it is read, and
+checks it in the per-record pass, which checks export entries too and
+reports the first bad record by its key and place (``line N``, or ``entry
+N`` in an export).  The graph is interned: sorted node ids plus int64 edge
 arrays.
 
 ``read_edges_tsv`` reads ``edges.tsv`` as bytes.  One NumPy pass over its
@@ -66,13 +57,9 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
-import orjson
 
 from .errors import InputError
 
-# json.loads and orjson.loads skip exactly these characters around a value
-_JSON_SPACE = " \t\n\r"
-_scan_json = json.JSONDecoder().scan_once
 _WRITE_CHUNK = 1 << 18  # TSV rows joined per write
 _CHUNK = 1 << 20  # bytes of a message log the byte pass reads at a time
 # FNV-1a-64, the hash of the ids of an edge file here and of feature tokens
@@ -81,11 +68,25 @@ FNV_OFFSET = 0xCBF29CE484222325
 FNV_PRIME = 0x100000001B3
 
 
+def stable_order(key: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` for integer keys in [0, bound):
+    one in-place sort of ``key << s | position``, s the bits of a position,
+    then the positions masked back out.  NumPy sorts int64 values with its
+    SIMD sort but runs timsort for a stable argsort, 6-9x slower (5k-100k
+    keys, AVX-512 x86).  Keys that do not pack into int64 take the argsort."""
+    s = (len(key) - 1).bit_length() if len(key) else 0
+    if bound << s > 2**63:
+        return np.argsort(key, kind="stable")
+    packed = np.left_shift(key, s, dtype=np.int64)
+    packed |= np.arange(len(key))
+    packed.sort()
+    packed &= (1 << s) - 1
+    return packed
+
+
 def _longest_first(lengths: np.ndarray) -> np.ndarray:
     """The positions of non-negative ``lengths``, longest first and equal
     lengths in position order: ``np.argsort(-lengths, kind="stable")``."""
-    from .lsh import stable_order  # lsh imports this module through simhash
-
     top = int(lengths.max(initial=0))
     # NumPy's stable argsort of 8-bit keys is a radix sort: 0.49 against
     # 0.95 ms for the packed sort at 86,400 keys (x86)
@@ -240,8 +241,6 @@ def _intern(ids: list[str], sources: list[str], targets: list[str], weights: lis
 
 def _in_order(ids: list[str], src: np.ndarray, dst: np.ndarray, weight: np.ndarray) -> tuple:
     """(ids, src, dst, weight) with the edges sorted by (src, dst)."""
-    from .lsh import stable_order  # lsh imports this module through simhash
-
     n = max(len(ids), 1)
     key = src * n + dst
     # a file write_edges_tsv wrote is in order already: checking that takes
@@ -307,31 +306,30 @@ def check_id(uid: str, what: str, lineno: int) -> None:
         raise InputError(f"{what} line {lineno}: id {uid!r} must not begin or end with whitespace")
 
 
-def _normalize_id(value: object, what: str, place: str = "") -> str:
-    where = place and f" at {place}"
+def _normalize_id(value: object, what: str) -> str:
     if isinstance(value, bool):
-        raise InputError(f"{what} must be a string or integer{where}")
+        raise InputError(f"{what} must be a string or integer")
     if isinstance(value, int):
         return str(value)
     if isinstance(value, str):
         if not value:
-            raise InputError(f"{what} must be non-empty{where}")
+            raise InputError(f"{what} must be non-empty")
         # ids are written as TSV fields, one record per line
         if "\t" in value or "\n" in value or "\r" in value:
-            raise InputError(f"{what} must not contain a tab or line break{where}")
+            raise InputError(f"{what} must not contain a tab or line break")
         if _padded(value):
-            raise InputError(f"{what} must not begin or end with whitespace{where}")
+            raise InputError(f"{what} must not begin or end with whitespace")
         try:  # a JSON escape such as "\ud800" decodes to a lone surrogate
             value.encode("utf-8")
         except UnicodeEncodeError:
-            raise InputError(f"{what} must be valid Unicode text{where}") from None
+            raise InputError(f"{what} must be valid Unicode text") from None
         return value
-    raise InputError(f"{what} must be a string or integer{where}")
+    raise InputError(f"{what} must be a string or integer")
 
 
-def _require_int(value: object, what: str, place: str) -> int:
+def _require_int(value: object, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise InputError(f"{what} must be an integer at {place}")
+        raise InputError(f"{what} must be an integer")
     return value
 
 
@@ -341,78 +339,13 @@ def parse_messages(lines: Iterable[str]) -> MessageLog:
     Blank lines are skipped.  Raises InputError with a 1-based line number
     for malformed lines, and names both lines on duplicate message ids.
     """
-    return _parse_passes(list(lines), lambda: None)
+    return _checked_records(_decoded_lines(lines), "line", _jsonl_keys)
 
 
-def _parse_passes(lines: Iterable[str], rewind: Callable[[], object]) -> MessageLog:
-    """The column pass with orjson, then with json, then the per-line pass,
-    each reading ``lines`` from the first after ``rewind()``; the per-line
-    pass raises the first real error, or returns the same columns."""
-    for loads in (orjson.loads, _json_value):
-        try:
-            return _parse_columns(lines, loads)
-        except Exception:  # whatever a pass tripped on, the next decides again
-            rewind()
-    return _checked_records(_decoded_lines(lines), _JSONL_KEYS)
-
-
-def _json_value(text: str) -> object:
-    """The one JSON value ``text`` holds, as json.loads reads it."""
-    text = text.strip(_JSON_SPACE)
-    obj, end = _scan_json(text, 0)
-    if end != len(text):
-        raise ValueError("more than one value on a line")
-    return obj
-
-
-def _parse_columns(lines: Iterable[str], loads: Callable[[str], object] = _json_value) -> MessageLog:
-    """Decode each raw line once with ``loads`` and check whole columns;
-    raises on anything the per-line pass must look at.  A line the decoder
-    rejects is blank if it holds nothing but the JSON whitespace both
-    decoders skip, and is raised again otherwise."""
-    ids, senders, replies, others = [], [], [], []
-    add_id, add_sender, add_reply = ids.append, senders.append, replies.append
-    same: dict[str, str] = {}  # one string per sender, however many messages it sent
-    intern = same.setdefault
-    for raw in lines:
-        # orjson has no depth limit, and about 150,000 levels deep its
-        # recursion overflows an 8 MB stack; a line of at most 1,000
-        # characters nests at most 500 deep, short of json's recursion
-        # limit too, so both read it alike.  A longer one goes to json.
-        try:
-            obj = loads(raw) if len(raw) <= 1000 else _json_value(raw)
-        except (ValueError, StopIteration):  # what either raises on a blank line
-            if raw.strip(_JSON_SPACE):
-                raise
-            continue
-        add_id(obj["message_id"])
-        sender = obj["sender"]
-        if type(sender) is str:  # True == 1, so only strings share a key
-            sender = intern(sender, sender)
-        else:
-            others.append(sender)
-        add_sender(sender)
-        add_reply(obj.get("reply_to"))
-    # type sets, not values: True == 1, so bools must not hide among ints
-    if (
-        set(map(type, ids)) - {int} or set(map(type, others)) - {int}
-        or set(map(type, replies)) - {int, type(None)} or len(set(ids)) < len(ids)
-    ):
-        raise ValueError("a column check failed")
-    # each distinct sender is checked once: the strings are the keys of
-    # ``same``, and an integer needs no check
-    for name in same:
-        _normalize_id(name, "sender")
-    if others:  # 5 and "5" are one user
-        number = {s: str(s) for s in set(others)}
-        senders = list(map(number.get, senders, senders))
-    return MessageLog(ids, senders, replies)
-
-
-def _decoded_lines(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
-    """``("line N", object)`` for each non-blank line, N 1-based."""
+def _decoded_lines(lines: Iterable[str]) -> Iterator[tuple[int, dict]]:
+    """``(N, object)`` for each non-blank line, N its 1-based number."""
     for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
+        if raw.isspace() or not raw:  # as ``not raw.strip()``, without the copy
             continue
         try:
             obj = json.loads(raw)
@@ -422,60 +355,79 @@ def _decoded_lines(lines: Iterable[str]) -> Iterator[tuple[str, dict]]:
             raise InputError(f"invalid JSON at line {lineno}: {exc}") from exc
         if not isinstance(obj, dict):
             raise InputError(f"expected an object at line {lineno}")
-        yield f"line {lineno}", obj
+        yield lineno, obj
 
 
-# the keys message id, sender and reply id are read from, per input format;
-# the first key present wins
-_JSONL_KEYS = (("message_id",), ("sender",), ("reply_to",))
+# the keys message id, sender and reply id are read from in an export entry:
+# each Telegram key, or the JSONL key when only that one is present
 _TELEGRAM_KEYS = (("id", "message_id"), ("from_id", "sender"), ("reply_to_message_id", "reply_to"))
 
 
-def _checked_records(records: Iterable[tuple[str, dict]], keys: tuple[tuple[str, ...], ...]) -> MessageLog:
-    """The per-record pass over ``(place, object)`` pairs, home of every
-    record error text; each names the key read and the place."""
+def _jsonl_keys(line: dict) -> tuple[str, str, str]:
+    return "message_id", "sender", "reply_to"
+
+
+def _telegram_keys(entry: dict) -> tuple[str, ...]:
+    return tuple(key if key in entry or alias not in entry else alias for key, alias in _TELEGRAM_KEYS)
+
+
+def _checked_records(
+    records: Iterable[tuple[int, dict]], unit: str, keys: Callable[[dict], tuple[str, ...]]
+) -> MessageLog:
+    """The per-record pass over ``(N, object)`` pairs, the fields read from
+    the object's ``keys``: home of every record error text, each naming the
+    key read and the place, ``unit N``.  Each distinct sender is checked
+    once, and all its messages share one string."""
     log = MessageLog([], [], [])
-    seen: dict[int, str] = {}
-    for place, obj in records:
-        id_key, sender_key, reply_key = (next((k for k in names if k in obj), names[0]) for names in keys)
-        if id_key not in obj:
-            raise InputError(f"missing {id_key} at {place}")
-        message_id = _require_int(obj[id_key], id_key, place)
-        if sender_key not in obj:
-            raise InputError(f"missing {sender_key} at {place}")
-        sender = _normalize_id(obj[sender_key], sender_key, place)
-        reply_to = obj.get(reply_key)
-        if reply_to is not None:
-            reply_to = _require_int(reply_to, reply_key, place)
-        if message_id in seen:
-            raise InputError(f"duplicate {id_key} {message_id} at {place} (first seen at {seen[message_id]})")
-        seen[message_id] = place
-        log.message_id.append(message_id)
-        log.sender.append(sender)
-        log.reply_to.append(reply_to)
+    add_id, add_sender, add_reply = log.message_id.append, log.sender.append, log.reply_to.append
+    seen: dict[int, int] = {}  # each message id's N
+    same: dict[str, str] = {}  # each checked sender's one string
+    for number, obj in records:
+        id_key, sender_key, reply_key = keys(obj)
+        try:
+            message_id = _require_int(obj[id_key], id_key)
+            sender = obj[sender_key]
+            # True == 1, so only strings are looked up
+            name = same.get(sender) if type(sender) is str else None
+            if name is None:
+                name = _normalize_id(sender, sender_key)
+                name = same.setdefault(name, name)
+            reply_to = obj.get(reply_key)
+            if reply_to is not None:
+                reply_to = _require_int(reply_to, reply_key)
+        except KeyError as exc:
+            raise InputError(f"missing {exc.args[0]} at {unit} {number}") from None
+        except InputError as exc:
+            raise InputError(f"{exc} at {unit} {number}") from None
+        first = seen.setdefault(message_id, number)
+        if first != number:
+            raise InputError(
+                f"duplicate {id_key} {message_id} at {unit} {number} (first seen at {unit} {first})"
+            )
+        add_id(message_id)
+        add_sender(name)
+        add_reply(reply_to)
     return log
 
 
 def parse_messages_path(path: str | Path) -> MessageLog:
     # the log splits into lines on "\n" only, as parse_messages reads them:
     # a lone "\r" is JSON whitespace, and a CRLF line ends in two of it.
-    # The lines are decoded as they are read and never held in a list,
-    # unless the input is a pipe, which a later pass could not read again.
+    # The per-line pass decodes the lines as they are read and holds none.
     with open_text(path, newline="\n") as fh:
-        if not fh.seekable():
-            return parse_messages(fh)
-        try:
-            return _messages_from_bytes(fh.buffer)
-        except ValueError:  # a UnicodeDecodeError too: the text passes name the file
-            fh.seek(0)
-        return _parse_passes(fh, lambda: fh.seek(0))
+        if fh.seekable():
+            try:
+                return _messages_from_bytes(fh.buffer)
+            except ValueError:  # a UnicodeDecodeError too: open_text names the file if it recurs
+                fh.seek(0)
+        return parse_messages(fh)
 
 
 def _messages_from_bytes(fh: BinaryIO) -> MessageLog:
     """The message byte pass: the log read in chunks of about ``_CHUNK``
     bytes, each cut after a line break and proved whole by
-    ``_message_chunk``; raises ValueError on anything the text passes must
-    look at.  A last line without its line break reads as one with it."""
+    ``_message_chunk``; raises ValueError on anything the per-line pass
+    must look at.  A last line without its line break reads as one with it."""
     names: dict[str, int] = {}  # each distinct sender's code, in order of first sight
     columns: list[tuple[np.ndarray, ...]] = [(np.empty(0, np.int64),) * 3]
     rest = b""
@@ -608,14 +560,14 @@ def convert_telegram_export(
     if not isinstance(messages, list):
         raise InputError("export has no message array")
 
-    def entries() -> Iterator[tuple[str, dict]]:
+    def entries() -> Iterator[tuple[int, dict]]:
         for pos, entry in enumerate(messages):
             if isinstance(entry, dict) and entry.get("from_id", entry.get("sender")) is not None:
-                yield f"entry {pos}", entry
+                yield pos, entry
             elif dropped is not None:
                 dropped["service"] += 1  # service message: no sender
 
-    log = _checked_records(entries(), _TELEGRAM_KEYS)
+    log = _checked_records(entries(), "entry", _telegram_keys)
     if not log:
         raise InputError("empty export")
     return log

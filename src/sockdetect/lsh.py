@@ -25,7 +25,7 @@ fingerprinting uses too; the result does not depend on the thread count.
 The pairs come back as ``CandidatePairs``, row-index arrays in canonical
 order, with each class of equal fingerprints expanded into its member pairs.
 Each block's rows by key, and each class's members, are ordered by
-``stable_order``, one in-place sort of key and position packed into an
+``ingest.stable_order``, one in-place sort of key and position packed into an
 int64, which NumPy runs as a SIMD sort where its stable argsort runs
 timsort; fingerprinting and the edge reader order their rows by it too.
 """
@@ -42,6 +42,7 @@ from functools import cache, cached_property, partial
 import numpy as np
 
 from .errors import ConfigError
+from .ingest import stable_order
 from .simhash import Fingerprints, _cpus, _mapped
 
 # The cost rule counts key lookups.  One verification (expanding its run, the
@@ -124,22 +125,6 @@ def sort_rows(columns: list[np.ndarray], bounds: list[int]) -> list[np.ndarray]:
     key = pack_rows(columns, bounds)
     key.sort()
     return unpack_rows(key, bounds)
-
-
-def stable_order(key: np.ndarray, bound: int) -> np.ndarray:
-    """``np.argsort(key, kind="stable")`` for integer keys in [0, bound):
-    one in-place sort of ``key << s | position``, s the bits of a position,
-    then the positions masked back out.  NumPy sorts int64 values with its
-    SIMD sort but runs timsort for a stable argsort, 6-9x slower (5k-100k
-    keys, AVX-512 x86).  Keys that do not pack into int64 take the argsort."""
-    s = (len(key) - 1).bit_length() if len(key) else 0
-    if bound << s > 2**63:
-        return np.argsort(key, kind="stable")
-    packed = np.left_shift(key, s, dtype=np.int64)
-    packed |= np.arange(len(key))
-    packed.sort()
-    packed &= (1 << s) - 1
-    return packed
 
 
 @cache

@@ -1,10 +1,10 @@
 """Independent reference implementations the production code is compared against.
 
-``parse_messages`` is the per-line JSONL parser that the columnar parser in
-``sockdetect.ingest`` replaced: one ``json.loads`` and one set of checks per
-line, returning a list of records.  It must give the same records, or raise
-the same error text, on every input.  ``reply_graph`` builds the reply graph
-and the dropped counts one message at a time, as
+``parse_messages`` is a plain per-line JSONL parser: one ``json.loads`` and
+one set of checks per line, returning a list of records.  The byte pass and
+the per-line pass of ``sockdetect.ingest`` must give the same records, or
+raise the same error text, on every input.  ``reply_graph`` builds the reply
+graph and the dropped counts one message at a time, as
 ``ingest.build_interaction_graph`` must.
 
 ``normalize_weights`` -> ``filter_edges`` -> ``extract_features`` (->

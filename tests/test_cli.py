@@ -69,7 +69,7 @@ class TestIngest:
         assert "dropped: 1 replies to missing messages, 1 self-replies, 0 service entries" in out
 
     def test_canonical_and_compact_logs_ingest_alike(self, tmp_path, capsys, monkeypatch):
-        # the byte pass reads the canonical spelling, the orjson pass the
+        # the byte pass reads the canonical spelling, the per-line pass the
         # compact one; both must write the same files and print the same lines
         rng = random.Random(3)
         senders = ["alice", "bob", "ключ", "\U0001f642", "a b", "x" * 300]
@@ -777,7 +777,7 @@ def test_input_not_utf8_exits_1_naming_the_file(tmp_path, capsys, command, bad):
 
 def test_non_utf8_byte_late_in_messages_exits_1(tmp_path, capsys):
     # the log is decoded as it is read: the bad byte comes after 100 KB of
-    # valid lines, once the column pass is well under way
+    # valid lines, once the per-line pass is well under way
     lines = [f'{{"message_id": {k}, "sender": "u{k % 50}"}}\n'.encode() for k in range(3000)]
     (tmp_path / "messages").write_bytes(b"".join(lines) + b'{"message_id": -1, "sender": "\xff"}\n')
     assert main(["ingest", "--input", str(tmp_path / "messages"), "--output-dir", str(tmp_path / "out")]) == 1

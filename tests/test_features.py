@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reference import binarize, extract_features, feature_maps, filter_edges, normalize_weights
-from sockdetect import lsh
+from sockdetect import features
 from sockdetect.errors import ConfigError
 from sockdetect.features import (
     DIRECTIONS,
@@ -168,13 +168,13 @@ def test_normalized_rows_in_stable_argsort_order(monkeypatch, direction):
     # the rows are ordered by one packed sort of their (owner, token) keys
     graph, _ = generate(SynthConfig(n=400, clones=8, perturbation=0.2, seed=4))
     calls = []
-    stable_order = lsh.stable_order
+    stable_order = features.stable_order
 
     def spy(key, bound):
         calls.append((key.copy(), stable_order(key, bound)))
         return calls[-1][1]
 
-    monkeypatch.setattr(lsh, "stable_order", spy)
+    monkeypatch.setattr(features, "stable_order", spy)
     rows = _normalized(graph, direction, "max")
     ((key, order),) = calls
     assert np.array_equal(order, np.argsort(key, kind="stable"))

@@ -7,7 +7,6 @@ import tracemalloc
 from collections import Counter
 
 import numpy as np
-import orjson
 import pytest
 
 import reference
@@ -20,7 +19,6 @@ from sockdetect.simhash import Fingerprints, read_fingerprints_tsv, write_finger
 from sockdetect.ingest import (
     InteractionGraph,
     MessageRecord,
-    _parse_columns,
     build_interaction_graph,
     convert_telegram_export,
     parse_messages,
@@ -105,8 +103,6 @@ class TestParseMessages:
     def test_sender_with_surrounding_whitespace_rejected(self, sender):
         # read_truth strips ids, so " a" would become "a" there
         lines = ['{"message_id": 1, "sender": "a"}', json.dumps({"message_id": 2, "sender": sender})]
-        with pytest.raises(InputError, match="sender must not begin or end with whitespace"):
-            _parse_columns(lines)
         message = "sender must not begin or end with whitespace at line 2"
         for parse in (parse_messages, reference.parse_messages):
             with pytest.raises(InputError, match=message):
@@ -114,9 +110,8 @@ class TestParseMessages:
 
     @pytest.mark.parametrize("later", ['{"message_id": 3, "sender": "c"}', '{"message_id": true, "sender": "c"}'])
     def test_sender_not_writable_as_utf8_rejected(self, later):
-        # the escape decodes to a lone surrogate; the column pass meets it
-        # first unless a later line fails a column check, and either way
-        # the error names its line
+        # the escape decodes to a lone surrogate, and whatever a later line
+        # holds, the error names its line
         lines = ['{"message_id": 1, "sender": "a"}', '{"message_id": 2, "sender": "\\ud800"}', later]
         for parse in (parse_messages, reference.parse_messages):
             with pytest.raises(InputError, match="^sender must be valid Unicode text at line 2$"):
@@ -698,16 +693,15 @@ def _log_lines(rng: random.Random, count: int, wide: float = 0.15) -> list[str]:
     return lines
 
 
-def _mutate(rng: random.Random, lines: list[str], kind: str, json_space: bool = False) -> list[str]:
-    """``lines`` with one mutation of ``kind``; with ``json_space`` a blank
-    line or pad holds only the JSON whitespace both decoders skip."""
+def _mutate(rng: random.Random, lines: list[str], kind: str) -> list[str]:
+    """``lines`` with one mutation of ``kind``."""
     lines = lines[:]
     i = rng.randrange(len(lines))
     j = rng.randrange(i, len(lines))
     obj = json.loads(lines[i])
     if kind == "blank":
         blanks = ["\n", "   \n", "\x0c\n", "\t\x0c \n", "\u2028\n"]
-        lines.insert(i, rng.choice(blanks[:2] if json_space else blanks))
+        lines.insert(i, rng.choice(blanks))
     elif kind == "crlf":
         lines = [line[:-1] + "\r\n" for line in lines]
     elif kind == "bom":
@@ -715,8 +709,11 @@ def _mutate(rng: random.Random, lines: list[str], kind: str, json_space: bool = 
     elif kind == "padded":
         # json.loads skips only " \t\n\r"; str.strip would also take the rest
         pads = [" \t", "\r ", "\x0c", "\xa0", "\u2028", "\x1c"]
-        pad = pads[:2] if json_space else pads
-        lines[i] = rng.choice(pad) + lines[i][:-1] + rng.choice(pad) + "\n"
+        lines[i] = rng.choice(pads) + lines[i][:-1] + rng.choice(pads) + "\n"
+    elif kind == "json_space":
+        # a blank line and a pad of only the whitespace json.loads skips
+        lines[i] = rng.choice([" \t", "\r "]) + lines[i][:-1] + rng.choice([" \t", "\r "]) + "\n"
+        lines.insert(j, rng.choice(["\n", "   \n", "\t\r\n"]))
     elif kind == "two_values" and i + 1 < len(lines):
         lines[i : i + 2] = [lines[i][:-1] + " " + lines[i + 1]]
     elif kind == "spanning":
@@ -742,7 +739,7 @@ def _mutate(rng: random.Random, lines: list[str], kind: str, json_space: bool = 
         lines[i] = lines[i].rstrip("\r\n").rsplit('"', 1)[0] + "\n"
     elif kind == "not_object":
         lines[i] = rng.choice(["[1, 2]\n", '"m"\n', "3\n", "null\n"])
-    # valid lines that json reads but orjson rejects or misreads
+    # valid lines whose values some JSON decoders reject or misread
     elif kind == "nan":
         obj["score"] = rng.choice([float("nan"), float("inf"), float("-inf")])
         lines[i] = json.dumps(obj) + "\n"
@@ -750,15 +747,25 @@ def _mutate(rng: random.Random, lines: list[str], kind: str, json_space: bool = 
         obj["text"] = "\udc00"
         lines[i] = json.dumps(obj) + "\n"
     elif kind in ("wide_field", "huge_field"):
-        # orjson reads an integer outside [-2**63, 2**64) as a float, and
-        # rejects one beyond the float range
+        # an integer outside [-2**63, 2**64), or beyond the float range
         obj["views"] = rng.choice([2**64, -(2**63) - 1, 10**30]) if kind == "wide_field" else 10**400
         lines[i] = json.dumps(obj) + "\n"
     elif kind == "wide_sender":
         obj["sender"] = rng.choice([2**64, 2**64 + 5, -(2**63) - 1])
         lines[i] = json.dumps(obj) + "\n"
+    elif kind == "int_senders":
+        # every sender an integer, and one the text of an integer: 5 and "5"
+        # are one user
+        lines = [json.dumps(json.loads(line) | {"sender": rng.randrange(-3, 9)}) + "\n" for line in lines]
+        lines.insert(i, '{"message_id": 1000, "sender": "5", "reply_to": 5}\n')
+    elif kind in ("chars_1000", "chars_1001"):
+        # a line of 1,000 or 1,001 characters, its line break counted
+        obj["text"] = ""
+        obj["text"] = "x" * (int(kind[-4:]) - len(json.dumps(obj)) - 1)
+        lines[i] = json.dumps(obj) + "\n"
+        assert len(lines[i]) == int(kind[-4:])
     elif kind == "deep":
-        # orjson reads any depth; json stops near its recursion limit
+        # json stops near its recursion limit
         depth = rng.choice([300, 600, 2000])
         lines[i] = json.dumps(obj)[:-1] + ', "x": ' + "[" * depth + "]" * depth + "}\n"
     return lines
@@ -774,13 +781,17 @@ def _outcome(parse, lines):
 MUTATIONS = [
     "none", "blank", "crlf", "bom", "padded", "two_values", "spanning", "bool",
     "duplicate", "error_then_undecodable", "bad_value", "unterminated", "not_object",
+    "json_space", "int_senders",
 ]
 
 
 class TestColumnarParser:
-    """The columnar parser against the per-line reference in tests/reference.py."""
+    """The message parser against the per-line reference in tests/reference.py."""
 
-    @pytest.mark.parametrize("kind", ["nan", "surrogate", "wide_field", "huge_field", "wide_sender", "deep"])
+    @pytest.mark.parametrize("kind", [
+        "nan", "surrogate", "wide_field", "huge_field", "wide_sender", "deep",
+        "json_space", "int_senders", "chars_1000", "chars_1001",
+    ])
     def test_lines_orjson_cannot_read_exactly_match_reference(self, tmp_path, kind):
         path = tmp_path / "log.jsonl"
         for seed in range(10):
@@ -790,72 +801,6 @@ class TestColumnarParser:
             assert _outcome(parse_messages, lines) == expected, (seed, lines)
             path.write_text("".join(lines), encoding="utf-8", newline="")
             assert _outcome(parse_messages_path, path) == expected, (seed, lines)
-            if kind == "wide_field":
-                # the float lands in a field no column reads
-                assert _parse_columns(lines, orjson.loads) == reference.message_log(expected)
-            elif kind != "deep":
-                with pytest.raises(Exception):
-                    _parse_columns(lines, orjson.loads)
-
-    def test_log_within_64_bits_is_read_by_orjson_alone(self, tmp_path, monkeypatch):
-        def fail(*args):
-            raise AssertionError("only the orjson column pass may run")
-
-        rng = random.Random("orjson-alone")
-        lines = _mutate(rng, _log_lines(rng, 200, wide=0), "crlf")
-        expected = reference.parse_messages(lines)
-        path = tmp_path / "log.jsonl"
-        path.write_text("".join(lines), encoding="utf-8", newline="")
-        monkeypatch.setattr(ingest, "_json_value", fail)
-        monkeypatch.setattr(ingest, "_checked_records", fail)
-        assert list(parse_messages_path(path)) == expected
-
-    @pytest.mark.parametrize("kind", ["none", "blank", "padded", "crlf", "int_senders"])
-    def test_mutated_log_within_64_bits_is_read_by_orjson_alone(self, tmp_path, monkeypatch, kind):
-        # a blank line or a pad of JSON whitespace must not send the log to
-        # the json column pass, nor integer senders to the per-line pass
-        def fail(*args):
-            raise AssertionError("only the orjson column pass may run")
-
-        path = tmp_path / "log.jsonl"
-        for seed in range(5):
-            rng = random.Random(f"orjson-alone-{seed}")
-            if kind == "int_senders":
-                lines = [json.dumps({"message_id": k, "sender": rng.randrange(-3, 9), "reply_to": k // 2}) + "\n"
-                         for k in range(200)]
-                lines.append('{"message_id": 200, "sender": "5", "reply_to": 5}\n')
-            else:
-                lines = _mutate(rng, _log_lines(rng, 200, wide=0), kind, json_space=True)
-            expected = reference.parse_messages(lines)
-            path.write_text("".join(lines), encoding="utf-8", newline="")
-            with monkeypatch.context() as patch:
-                patch.setattr(ingest, "_json_value", fail)
-                patch.setattr(ingest, "_checked_records", fail)
-                assert list(parse_messages(lines)) == expected, (seed, lines)
-                assert list(parse_messages_path(path)) == expected, (seed, lines)
-
-    @pytest.mark.parametrize("length", [1000, 1001])
-    def test_depth_guard_counts_the_raw_line(self, tmp_path, monkeypatch, length):
-        # orjson reads a line of at most 1,000 characters, line break
-        # included; a longer one goes to json, though its value alone is short
-        head = '{"message_id": 2, "sender": "b", "reply_to": 1, "text": "'
-        line = head + "x" * (length - len(head) - 3) + '"}\n'
-        lines = ['{"message_id": 1, "sender": "a"}\n', line]
-        assert len(line) == length
-        path = tmp_path / "log.jsonl"
-        path.write_text("".join(lines), encoding="utf-8", newline="")
-        calls = []
-
-        def spy(text):
-            calls.append(text)
-            return json_value(text)
-
-        json_value = ingest._json_value
-        monkeypatch.setattr(ingest, "_json_value", spy)
-        expected = reference.parse_messages(lines)
-        assert list(parse_messages(lines)) == expected
-        assert list(parse_messages_path(path)) == expected
-        assert calls == ([] if length == 1000 else [line, line])
 
     @pytest.mark.parametrize("log, bad_line", [
         ('{"message_id": 1,\r"sender": "a"}\n{"message_id": 2, "sender": "b", "reply_to": 1}\n', None),
@@ -890,12 +835,10 @@ class TestColumnarParser:
             lines = _mutate(rng, _log_lines(rng, rng.randrange(2, 40)), kind)
             expected = _outcome(reference.parse_messages, lines)
             assert _outcome(parse_messages, lines) == expected, (seed, lines)
-            if kind == "none":
-                # a valid log never needs the per-line pass
-                assert _parse_columns(lines) == reference.message_log(expected)
 
     @pytest.mark.parametrize(
-        "kind", ["none", "crlf", "blank", "spanning", "error_then_undecodable", "unterminated"]
+        "kind", ["none", "crlf", "blank", "json_space", "int_senders", "spanning", "error_then_undecodable",
+                 "unterminated"]
     )
     def test_file_path_matches_reference(self, tmp_path, kind):
         path = tmp_path / "log.jsonl"
@@ -914,9 +857,9 @@ class TestColumnarParser:
         "[1]\n",
     ], ids=["duplicate", "bool", "unterminated", "not_object"])
     def test_file_error_past_the_read_buffer_matches_lines(self, tmp_path, bad):
-        # the file is parsed as it is read, so the column pass meets the bad
-        # line well past the reader's first 64 KiB; the per-line pass must
-        # still start again from line 1
+        # the byte pass reads well past the bad line, beyond the reader's
+        # first 64 KiB, before it declines; the per-line pass must still
+        # start again from line 1
         lines = [f'{{"message_id": {k}, "sender": "u{k % 50}", "reply_to": {k - 1}}}\n' for k in range(2000)]
         lines.insert(1500, bad)
         path = tmp_path / "log.jsonl"
@@ -948,7 +891,7 @@ class TestColumnarParser:
     def test_file_is_parsed_in_bounded_memory(self, tmp_path):
         # 100k messages, 10 MB on disk, from 3,000 senders: the lines are
         # decoded as they are read and the senders share one string each, so
-        # the columns are all that is held (about 14 MB at the peak, against
+        # the columns are all that is held (about 17 MB at the peak, against
         # 35 MB when the lines were read into a list first)
         path = tmp_path / "log.jsonl"
         with open(path, "w", encoding="utf-8") as fh:
@@ -961,6 +904,30 @@ class TestColumnarParser:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 20 * 2**20
+        assert len(log) == 100_000 and len(set(map(id, log.sender))) == 3000
+
+    def test_pipe_is_parsed_in_bounded_memory(self, tmp_path):
+        # the log above through a named pipe, which cannot be read twice:
+        # its lines stream through the per-line pass as a file's do, held in
+        # no list; the writer's bytes are encoded before tracing starts
+        data = "".join(
+            json.dumps({"message_id": k, "sender": f"user{k % 3000}", "reply_to": k // 2,
+                        "text": "see you at the meeting tomorrow"}) + "\n"
+            for k in range(100_000)
+        ).encode()
+        path = tmp_path / "log.fifo"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(data,))
+        writer.start()
+        tracemalloc.start()
+        try:
+            log = parse_messages_path(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            writer.join(timeout=60)
+        assert not writer.is_alive()
         assert peak < 20 * 2**20
         assert len(log) == 100_000 and len(set(map(id, log.sender))) == 3000
 
@@ -1117,13 +1084,12 @@ def _ingested(path) -> tuple:
 
 class TestMessageBytePass:
     """``parse_messages_path`` reads a canonical log as bytes, a chunk at a
-    time, and hands whatever it declines to the orjson column pass."""
+    time, and hands whatever it declines to the per-line pass."""
 
     @staticmethod
     def _spied(monkeypatch) -> list[str]:
         calls = []
-        real_bytes, real_columns, real_records = (
-            ingest._messages_from_bytes, ingest._parse_columns, ingest._checked_records)
+        real_bytes, real_records = ingest._messages_from_bytes, ingest._checked_records
 
         def bytes_pass(fh):
             try:
@@ -1134,16 +1100,11 @@ class TestMessageBytePass:
             calls.append("bytes")
             return log
 
-        def column_pass(lines, loads):
-            calls.append("orjson" if loads is orjson.loads else "json")
-            return real_columns(lines, loads)
-
         def record_pass(*args):
             calls.append("records")
             return real_records(*args)
 
         monkeypatch.setattr(ingest, "_messages_from_bytes", bytes_pass)
-        monkeypatch.setattr(ingest, "_parse_columns", column_pass)
         monkeypatch.setattr(ingest, "_checked_records", record_pass)
         return calls
 
@@ -1196,7 +1157,7 @@ class TestMessageBytePass:
         path.write_text("".join(lines), encoding="utf-8")
         calls = self._spied(monkeypatch)
         got = _ingested(path)
-        assert calls == ["bytes declined", "orjson"]
+        assert calls == ["bytes declined", "records"]
         assert got == _reference_ingest(path)
 
     @pytest.mark.parametrize("prefix", [0, 1], ids=["every-sender", "first-byte"])
@@ -1216,7 +1177,7 @@ class TestMessageBytePass:
         path = tmp_path / "log.jsonl"
         path.write_text("".join(lines), encoding="utf-8")
         got = _ingested(path)
-        assert calls == ["bytes declined", "orjson"]
+        assert calls == ["bytes declined", "records"]
         assert got == _reference_ingest(path)
         assert [r.sender for r in got[0]] == senders
 
